@@ -39,16 +39,25 @@ TimedRun RunBothPipelines(const bench::Workload& w, int rounds, int k,
   fedsv_cfg.lr = LearningRateSchedule::Constant(0.3);
   fedsv_cfg.seed = seed + 1;
 
-  ValuationRequest fedsv_req;
-  fedsv_req.compute_fedsv = true;
-  fedsv_req.fedsv.mode = FedSvConfig::Mode::kMonteCarlo;
-  fedsv_req.fedsv.permutations_per_round = 0;  // O(K log K), VII-D
-  fedsv_req.fedsv.seed = seed + 2;
-  fedsv_req.compute_comfedsv = false;
+  FedSvConfig fedsv_config;
+  fedsv_config.mode = FedSvConfig::Mode::kMonteCarlo;
+  fedsv_config.permutations_per_round = 0;  // O(K log K), VII-D
+  fedsv_config.seed = seed + 2;
 
-  Result<ValuationOutcome> fedsv_run =
-      RunValuation(*w.model, w.clients, w.test, fedsv_cfg, fedsv_req, ctx);
-  COMFEDSV_CHECK_OK(fedsv_run.status());
+  // FedSV is driven by hand so only its per-round evaluation is timed,
+  // not the FedAvg steps that feed it.
+  TimedRun out;
+  FedAvgTrainer trainer(w.model.get(), w.clients, w.test, fedsv_cfg, ctx);
+  FedSvEvaluator fedsv(w.model.get(), &trainer.test_data(),
+                       static_cast<int>(w.clients.size()), fedsv_config,
+                       ctx);
+  COMFEDSV_CHECK_OK(trainer.Begin());
+  while (!trainer.Done()) {
+    const RoundRecord& record = trainer.Step();
+    Stopwatch timer;
+    fedsv.OnRound(record);
+    out.fedsv_seconds += timer.ElapsedSeconds();
+  }
 
   FedAvgConfig com_cfg = fedsv_cfg;
   com_cfg.select_all_first_round = true;  // Assumption 1
@@ -69,8 +78,6 @@ TimedRun RunBothPipelines(const bench::Workload& w, int rounds, int k,
       RunValuation(*w.model, w.clients, w.test, com_cfg, com_req, ctx);
   COMFEDSV_CHECK_OK(com_run.status());
 
-  TimedRun out;
-  out.fedsv_seconds = fedsv_run.value().fedsv_seconds;
   out.comfedsv_seconds = com_run.value().comfedsv->seconds;
   const ComFedSvOutput& com = *com_run.value().comfedsv;
   out.completion_seconds = com.completion_seconds;
@@ -78,9 +85,9 @@ TimedRun RunBothPipelines(const bench::Workload& w, int rounds, int k,
                            static_cast<double>(rounds) *
                            static_cast<double>(com.num_columns);
   out.completion_iterations = com.completion.iterations;
-  out.fedsv_calls = fedsv_run.value().fedsv_loss_calls;
+  out.fedsv_calls = fedsv.loss_calls();
   out.comfedsv_calls = com_run.value().comfedsv->loss_calls;
-  out.fedsv_values = *fedsv_run.value().fedsv_values;
+  out.fedsv_values = fedsv.values();
   out.comfedsv_values = com_run.value().comfedsv->values;
   return out;
 }

@@ -2,9 +2,10 @@
 // restart it from the checkpoint file, and verify the final values are
 // bit-identical to an uninterrupted run.
 //
-//   1. run RunValuationCheckpointed with crash injection at round 4 of 8
-//      (stands in for a real kill -9 — the process state is discarded
-//      either way; only the checkpoint file survives),
+//   1. run RunValuationCheckpointed on a fault-injecting file system
+//      whose checkpoint write after round 4 of 8 "crashes" (stands in
+//      for a real kill -9 — the process state is discarded either way;
+//      only the checkpoint file survives),
 //   2. call RunValuationCheckpointed again with the same inputs: it
 //      finds the round-4 checkpoint and replays only rounds 5..8,
 //   3. compare against a straight (never-interrupted) run,
@@ -18,12 +19,38 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/failpoint.h"
 #include "core/comfedsv_api.h"
 #include "io/checkpoint_manager.h"
 #include "io/file_env.h"
 
+namespace {
+
+using namespace comfedsv;
+
+// Runs `checkpoint` until the save after round `round` is durable, then
+// kills it: the next checkpoint file write puts the file system into a
+// sticky crashed state, and require_durable stops the run right there.
+Status RunUntilCrash(const Model& model, const std::vector<Dataset>& clients,
+                     const Dataset& test, const FedAvgConfig& fed,
+                     const ValuationRequest& request,
+                     CheckpointConfig checkpoint, int round) {
+  FaultInjectingFileEnv crashing_disk;
+  checkpoint.env = &crashing_disk;
+  checkpoint.require_durable = true;
+  FailpointRegistry::Global().Arm(
+      failpoints::kWriteFile,
+      FailpointTrigger::OnHit(round / checkpoint.every_rounds + 1),
+      static_cast<int>(FaultAction::kCrash));
+  Result<ValuationOutcome> run = RunValuationCheckpointed(
+      model, clients, test, fed, request, checkpoint);
+  FailpointRegistry::Global().ClearAll();
+  return run.status();
+}
+
+}  // namespace
+
 int main() {
-  using namespace comfedsv;
 
   // Small federated workload (see quickstart.cc for the walkthrough).
   SimulatedImageConfig data_cfg;
@@ -63,11 +90,9 @@ int main() {
   // 1. First attempt "crashes" after round 4. Every completed round was
   //    checkpointed (atomically: write + rename), so the round-4 state
   //    is on disk when the process dies.
-  CheckpointConfig crashing = checkpoint;
-  crashing.inject_crash_after_round = 4;
-  Result<ValuationOutcome> crashed = RunValuationCheckpointed(
-      model, clients, test, fed, request, crashing);
-  std::printf("first run:  %s\n", crashed.status().ToString().c_str());
+  Status crashed =
+      RunUntilCrash(model, clients, test, fed, request, checkpoint, 4);
+  std::printf("first run:  %s\n", crashed.ToString().c_str());
 
   // 2. Second attempt resumes from the checkpoint: rounds 1..4 are not
   //    recomputed; training and every valuation stream continue from
@@ -117,11 +142,9 @@ int main() {
   CheckpointConfig rotated = checkpoint;
   rotated.path = "resume_example_rotated.ckpt";
   rotated.keep_generations = 3;
-  CheckpointConfig rotated_crashing = rotated;
-  rotated_crashing.inject_crash_after_round = 4;
-  Result<ValuationOutcome> crashed2 = RunValuationCheckpointed(
-      model, clients, test, fed, request, rotated_crashing);
-  std::printf("\nrotated run: %s\n", crashed2.status().ToString().c_str());
+  Status crashed2 =
+      RunUntilCrash(model, clients, test, fed, request, rotated, 4);
+  std::printf("\nrotated run: %s\n", crashed2.ToString().c_str());
 
   // Corrupt the newest generation the crash left behind.
   CheckpointManagerOptions inspect_options;
@@ -148,7 +171,7 @@ int main() {
                  salvaged.status().ToString().c_str());
     return 1;
   }
-  const CheckpointHealth& health = *salvaged.value().checkpoint_health;
+  const StreamingHealth& health = salvaged.value().health;
   std::printf(
       "salvaged resume: quarantined %d corrupt generation(s), resumed "
       "from sequence %llu, finished %d rounds\n",

@@ -2,32 +2,6 @@
 
 namespace comfedsv {
 
-ExecutionContext::ExecutionContext(int num_threads, uint64_t seed,
-                                   LogLevel log_level)
-    : pool_(num_threads <= 1 ? 0 : num_threads),
-      root_(seed),
-      seed_(seed),
-      log_level_(log_level) {}
-
-Rng ExecutionContext::MakeRng(uint64_t salt) const {
-  return root_.Split(salt);
-}
-
-std::vector<Rng> ExecutionContext::MakeTaskRngs(uint64_t salt, int n) const {
-  std::vector<Rng> streams;
-  streams.reserve(n > 0 ? static_cast<size_t>(n) : 0);
-  const Rng region = root_.Split(salt);
-  for (int i = 0; i < n; ++i) {
-    streams.push_back(region.Split(static_cast<uint64_t>(i)));
-  }
-  return streams;
-}
-
-void ExecutionContext::Log(LogLevel level, const std::string& message) const {
-  if (!ShouldLog(level)) return;
-  internal::EmitLog(level, message);
-}
-
 void ParallelFor(ExecutionContext* ctx, int n,
                  const std::function<void(int)>& fn) {
   if (ctx != nullptr) {

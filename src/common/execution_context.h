@@ -2,13 +2,10 @@
 // hot path of the library — FedAvg local updates, Monte-Carlo Shapley
 // permutation sampling, utility recording, and ALS row solves.
 //
-// It bundles three concerns that used to be ad hoc per call site:
-//   * a ThreadPool sized once by the caller (replacing the retired
-//     FedAvgConfig::num_threads knob);
-//   * deterministic per-task RNG sub-streams split from one root seed, so
-//     stochastic components draw identical randomness regardless of how
-//     work is scheduled across threads;
-//   * leveled logging scoped to the context.
+// It owns a ThreadPool sized once by the caller (replacing the retired
+// FedAvgConfig::num_threads knob). Randomness never comes from the
+// context: every stochastic component carries its own config seed, so
+// outputs never depend on whether a context was supplied.
 //
 // Determinism contract: every parallel loop in the library either writes
 // disjoint slots or reduces partial results in a fixed order, so running
@@ -18,28 +15,20 @@
 #ifndef COMFEDSV_COMMON_EXECUTION_CONTEXT_H_
 #define COMFEDSV_COMMON_EXECUTION_CONTEXT_H_
 
-#include <cstdint>
 #include <functional>
-#include <string>
-#include <vector>
 
-#include "common/logging.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 
 namespace comfedsv {
 
-/// Shared handle bundling a thread pool, deterministic RNG sub-streams,
-/// and a logger. Passed by raw pointer; a null context everywhere means
-/// "inline, single-threaded" and is always safe.
+/// Shared handle around a thread pool. Passed by raw pointer; a null
+/// context everywhere means "inline, single-threaded" and is always
+/// safe.
 class ExecutionContext {
  public:
-  /// `num_threads <= 1` yields an inline (caller-thread) context. `seed`
-  /// roots the context's RNG sub-streams; components that carry their own
-  /// config seed keep using it, so outputs never depend on whether a
-  /// context was supplied.
-  explicit ExecutionContext(int num_threads = 1, uint64_t seed = 0,
-                            LogLevel log_level = GetLogLevel());
+  /// `num_threads <= 1` yields an inline (caller-thread) context.
+  explicit ExecutionContext(int num_threads = 1)
+      : pool_(num_threads <= 1 ? 0 : num_threads) {}
 
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
@@ -51,34 +40,14 @@ class ExecutionContext {
     return pool_.num_threads() > 0 ? pool_.num_threads() : 1;
   }
 
-  uint64_t seed() const { return seed_; }
-
   /// ParallelFor on this context's pool (inline when single-threaded).
   /// Rethrows the first exception any task raised.
   void ParallelFor(int n, const std::function<void(int)>& fn) {
     pool_.ParallelFor(n, fn);
   }
 
-  /// An independent deterministic stream for component `salt`. Depends
-  /// only on (seed, salt) — never on thread scheduling or call order.
-  Rng MakeRng(uint64_t salt) const;
-
-  /// `n` independent deterministic streams for the tasks of one parallel
-  /// region: stream i depends only on (seed, salt, i).
-  std::vector<Rng> MakeTaskRngs(uint64_t salt, int n) const;
-
-  /// True if `level` passes this context's log filter.
-  bool ShouldLog(LogLevel level) const { return level >= log_level_; }
-
-  /// Emits `message` at `level` if it passes the context's filter and the
-  /// global one.
-  void Log(LogLevel level, const std::string& message) const;
-
  private:
   ThreadPool pool_;
-  Rng root_;
-  uint64_t seed_;
-  LogLevel log_level_;
 };
 
 /// Runs `fn(i)` for i in [0, n) on `ctx`'s pool, or as a plain inline

@@ -407,27 +407,4 @@ Status RestoreValuationCheckpoint(std::string_view payload,
   return reader.EndChunk(end);
 }
 
-Status SaveValuationCheckpoint(const std::string& path, uint64_t fingerprint,
-                               const FedAvgTrainer& trainer,
-                               const FedSvEvaluator* fedsv,
-                               const ComFedSvEvaluator* comfedsv,
-                               const GroundTruthEvaluator* ground_truth) {
-  return WriteCheckpointFile(
-      path, ChunkTag::kValuationCheckpoint,
-      SerializeValuationCheckpoint(fingerprint, trainer, fedsv, comfedsv,
-                                   ground_truth));
-}
-
-Status LoadValuationCheckpoint(const std::string& path, uint64_t fingerprint,
-                               FedAvgTrainer* trainer,
-                               FedSvEvaluator* fedsv,
-                               ComFedSvEvaluator* comfedsv,
-                               GroundTruthEvaluator* ground_truth) {
-  Result<std::string> payload =
-      ReadCheckpointFile(path, ChunkTag::kValuationCheckpoint);
-  if (!payload.ok()) return payload.status();
-  return RestoreValuationCheckpoint(payload.value(), fingerprint, trainer,
-                                    fedsv, comfedsv, ground_truth);
-}
-
 }  // namespace comfedsv

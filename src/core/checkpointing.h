@@ -41,11 +41,6 @@ struct CheckpointConfig {
   /// exists. A checkpoint written under a different config/data/model is
   /// an error, not a silent restart.
   bool resume = true;
-  /// Test-only crash injection: abort the run (error Status) once this
-  /// many rounds have completed, *after* the cadence save for that
-  /// round. Negative disables. Lets tests exercise kill-at-round-t →
-  /// resume without actually killing the process.
-  int inject_crash_after_round = -1;
 
   // Durability policy, forwarded to the CheckpointManager (see
   // io/checkpoint_manager.h for the rotation / retry / salvage
@@ -58,10 +53,10 @@ struct CheckpointConfig {
   int max_retries = 2;
   /// Base of the deterministic exponential retry backoff, ms.
   int retry_backoff_ms = 5;
-  /// When true, a cadence save that still fails after retries aborts
-  /// the run. Default: the run degrades — it keeps training on the last
-  /// good in-memory state and reports the failures in
-  /// ValuationOutcome::checkpoint_health.
+  /// When true, the first round-log append or sync, or cadence save,
+  /// that still fails after retries aborts the run. Default: the run
+  /// degrades — it keeps training on the last good in-memory state and
+  /// reports the failures in ValuationOutcome::health.
   bool require_durable = false;
   /// File system override for fault injection; nullptr = real.
   FileEnv* env = nullptr;
@@ -85,38 +80,43 @@ struct CheckpointConfig {
   int round_log_index_every = 1;
 };
 
-/// How checkpoint I/O fared over a RunValuationCheckpointed call —
-/// returned in ValuationOutcome::checkpoint_health so callers can tell
-/// "completed, fully durable" from "completed, but the last k saves
-/// failed and a crash would lose those rounds".
-struct CheckpointHealth {
-  /// True when the most recent save attempt failed (the engine is
-  /// running on borrowed time; a crash loses rounds_since_durable
-  /// rounds of progress).
+/// How a valuation run's fallible operations (snapshot re-solves,
+/// round-log spill, checkpoint writes and restores) have fared. The
+/// StreamingValuationEngine survives every failure kind by retaining its
+/// last good state; this reports how much trust that state deserves —
+/// "completed, fully durable" versus "completed, but the last k saves
+/// failed and a crash would lose those rounds". Carried in
+/// ValuationOutcome::health.
+struct StreamingHealth {
+  /// True while the most recent fallible operation failed; clears as
+  /// soon as one succeeds (the engine recovered).
   bool degraded = false;
-  /// Cadence saves that failed after exhausting retries.
-  int64_t write_failures = 0;
-  /// Failed saves since the last successful one (0 when healthy).
+  /// Snapshot() calls whose re-solve failed and were served from the
+  /// previous solve's output instead.
+  int64_t stale_snapshots = 0;
+  /// Checkpoint saves that failed after the manager's retries.
+  int64_t checkpoint_failures = 0;
+  /// Failures since the last successful solve/save (0 when healthy).
   int64_t consecutive_failures = 0;
-  /// Last I/O error observed, empty when none.
+  /// Last error observed; empty when none ever occurred.
   std::string last_error;
-  /// Completed rounds not yet covered by a durable checkpoint.
-  int rounds_since_durable = 0;
-  /// Corrupt generations quarantined to `*.corrupt` during resume.
+  /// Rounds consumed since the last durable checkpoint (what a crash
+  /// right now would lose). Counts from engine construction until the
+  /// first successful checkpoint save or restore.
+  int64_t rounds_since_durable = 0;
+  /// Round-log opens, appends and syncs that failed (spill mode only).
+  /// The engine keeps streaming — the record still fed the evaluators —
+  /// but replaying the log will be missing those rounds until a later
+  /// resume truncates back past the gap.
+  int64_t spill_failures = 0;
+  /// Corrupt generations quarantined to `*.corrupt` by the last
+  /// checkpoint restore.
   int quarantined_on_resume = 0;
-  /// Orphaned `.tmp` files removed by the startup sweep.
-  int orphans_swept = 0;
-  /// Header sequence of the generation the run resumed from (0 when the
-  /// run started fresh).
+  /// Header sequence of the generation the last restore loaded (0 when
+  /// nothing was restored).
   uint64_t resumed_sequence = 0;
-  /// Round-log appends/syncs that failed (spill mode only; the run kept
-  /// training — replaying the log would miss those rounds until a
-  /// resume truncates back past the gap).
-  int64_t round_log_failures = 0;
-  /// Rounds appended to the round log over this call (spill mode only).
-  int round_log_rounds = 0;
-  /// Bytes of the round log when the call finished (spill mode only).
-  uint64_t round_log_bytes = 0;
+  /// Orphaned `.tmp` files the last restore's startup sweep removed.
+  int orphans_swept = 0;
 };
 
 /// Fingerprint of everything a checkpoint must agree on to be resumable:
@@ -169,7 +169,8 @@ Status LoadEvaluatorStates(BinaryReader* in, FedSvEvaluator* fedsv,
 
 /// Serializes the composite checkpoint payload (one kValuationCheckpoint
 /// chunk) for the given mid-run pipeline state — the bytes
-/// SaveValuationCheckpoint writes and CheckpointManager::Write rotates.
+/// StreamingValuationEngine::SaveCheckpoint hands CheckpointManager::Write
+/// when it checkpoints together with a trainer.
 std::string SerializeValuationCheckpoint(
     uint64_t fingerprint, const FedAvgTrainer& trainer,
     const FedSvEvaluator* fedsv, const ComFedSvEvaluator* comfedsv,
@@ -186,27 +187,6 @@ Status RestoreValuationCheckpoint(std::string_view payload,
                                   FedSvEvaluator* fedsv,
                                   ComFedSvEvaluator* comfedsv,
                                   GroundTruthEvaluator* ground_truth);
-
-/// Writes the composite checkpoint for the given mid-run pipeline state.
-/// Null evaluators are recorded as absent. `fingerprint` should be
-/// ValuationFingerprint of the run.
-Status SaveValuationCheckpoint(const std::string& path, uint64_t fingerprint,
-                               const FedAvgTrainer& trainer,
-                               const FedSvEvaluator* fedsv,
-                               const ComFedSvEvaluator* comfedsv,
-                               const GroundTruthEvaluator* ground_truth);
-
-/// Restores a composite checkpoint into freshly constructed pipeline
-/// components. Returns NotFound when no file exists (callers start
-/// fresh), FailedPrecondition when the checkpoint's fingerprint or
-/// evaluator presence flags do not match this run, and other error codes
-/// for malformed bytes. On success the trainer is positioned at the
-/// checkpointed round and every evaluator holds its saved accumulation.
-Status LoadValuationCheckpoint(const std::string& path, uint64_t fingerprint,
-                               FedAvgTrainer* trainer,
-                               FedSvEvaluator* fedsv,
-                               ComFedSvEvaluator* comfedsv,
-                               GroundTruthEvaluator* ground_truth);
 
 }  // namespace comfedsv
 

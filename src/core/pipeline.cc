@@ -1,17 +1,48 @@
 #include "core/pipeline.h"
 
 #include <memory>
+#include <optional>
+#include <string>
 
-#include "common/stopwatch.h"
+#include "core/recorders.h"
 #include "core/streaming.h"
 
 namespace comfedsv {
 namespace {
 
-// Shared driver of the plain and checkpointed pipelines. The trainer is
-// driven through its streaming lifecycle (Begin / Step / Finish) so the
-// checkpointed variant can persist and restore mid-run state between
-// rounds; the plain variant is the same loop with `checkpoint` null.
+// The requests the recorders cannot serve (they CHECK these), rejected
+// before any component is built.
+Status ValidateRequest(const ValuationRequest& request, int num_clients) {
+  if (num_clients <= 0) {
+    return Status::InvalidArgument("num_clients must be positive");
+  }
+  if (request.compute_ground_truth && num_clients > kMaxFullClients) {
+    return Status::InvalidArgument(
+        "compute_ground_truth needs num_clients <= " +
+        std::to_string(kMaxFullClients) + ", got " +
+        std::to_string(num_clients));
+  }
+  if (!request.compute_comfedsv) return Status::Ok();
+  if (request.comfedsv.mode == ComFedSvConfig::Mode::kFull &&
+      num_clients > kMaxObservedClients) {
+    return Status::InvalidArgument(
+        "comfedsv.mode kFull needs num_clients <= " +
+        std::to_string(kMaxObservedClients) + ", got " +
+        std::to_string(num_clients));
+  }
+  if (request.comfedsv.mode == ComFedSvConfig::Mode::kSampled &&
+      request.comfedsv.sampler.kind == SamplerKind::kTruncated &&
+      request.comfedsv.sampler.truncation_tolerance < 0.0) {
+    return Status::InvalidArgument(
+        "comfedsv.sampler.truncation_tolerance must be >= 0");
+  }
+  return Status::Ok();
+}
+
+// Shared driver of the plain and checkpointed pipelines: the trainer is
+// stepped one round at a time into a StreamingValuationEngine, which
+// owns the evaluators, the round-log spill and the checkpoint I/O. The
+// plain variant is the same loop with `checkpoint` null.
 Result<ValuationOutcome> RunValuationImpl(const Model& model,
                                           std::vector<Dataset> client_data,
                                           Dataset test_data,
@@ -20,7 +51,7 @@ Result<ValuationOutcome> RunValuationImpl(const Model& model,
                                           const CheckpointConfig* checkpoint,
                                           ExecutionContext* ctx) {
   const int n = static_cast<int>(client_data.size());
-  if (n == 0) return Status::InvalidArgument("no clients");
+  COMFEDSV_RETURN_IF_ERROR(ValidateRequest(request, n));
 
   const bool needs_assumption1 =
       request.compute_ground_truth ||
@@ -31,6 +62,8 @@ Result<ValuationOutcome> RunValuationImpl(const Model& model,
         "full ComFedSV / ground truth require select_all_first_round "
         "(Assumption 1)");
   }
+  StreamingConfig config;
+  config.request = request;
   if (checkpoint != nullptr) {
     if (checkpoint->path.empty()) {
       return Status::InvalidArgument("checkpoint path must be non-empty");
@@ -43,200 +76,58 @@ Result<ValuationOutcome> RunValuationImpl(const Model& model,
       return Status::InvalidArgument(
           "checkpoint round_log_index_every must be positive");
     }
+    config.spill.enabled = !checkpoint->round_log_path.empty();
+    config.spill.path = checkpoint->round_log_path;
+    config.spill.compression = checkpoint->round_log_compression;
+    config.spill.index_every = checkpoint->round_log_index_every;
+    config.spill.env = checkpoint->env;
   }
 
   FedAvgTrainer trainer(&model, std::move(client_data),
                         std::move(test_data), fed_config, ctx);
-
-  std::unique_ptr<FedSvEvaluator> fedsv;
-  std::unique_ptr<ComFedSvEvaluator> comfedsv;
-  std::unique_ptr<GroundTruthEvaluator> ground_truth;
-  FanoutObserver fanout;
-
-  // Wall-time per observer, accumulated with a timing shim. (On a
-  // resumed run this counts only the resumed rounds.)
-  struct TimedObserver : RoundObserver {
-    RoundObserver* inner = nullptr;
-    double seconds = 0.0;
-    void OnRound(const RoundRecord& record) override {
-      Stopwatch timer;
-      inner->OnRound(record);
-      seconds += timer.ElapsedSeconds();
-    }
-  };
-  TimedObserver fedsv_timed;
-
-  if (request.compute_fedsv) {
-    fedsv = std::make_unique<FedSvEvaluator>(
-        &model, &trainer.test_data(), n, request.fedsv, ctx);
-    fedsv_timed.inner = fedsv.get();
-    fanout.Register(&fedsv_timed);
-  }
-  if (request.compute_comfedsv) {
-    comfedsv = std::make_unique<ComFedSvEvaluator>(
-        &model, &trainer.test_data(), n, request.comfedsv, ctx);
-    fanout.Register(comfedsv.get());
-  }
-  if (request.compute_ground_truth) {
-    ground_truth = std::make_unique<GroundTruthEvaluator>(
-        &model, &trainer.test_data(), n, ctx);
-    fanout.Register(ground_truth.get());
-  }
-
+  StreamingValuationEngine engine(&model, &trainer.test_data(), n, config,
+                                  ctx);
   COMFEDSV_RETURN_IF_ERROR(trainer.Begin());
 
-  uint64_t fingerprint = 0;
-  std::unique_ptr<CheckpointManager> manager;
-  CheckpointHealth health;
+  const bool strict = checkpoint != nullptr && checkpoint->require_durable;
+  std::optional<CheckpointManager> manager;
   if (checkpoint != nullptr) {
     CheckpointManagerOptions mgr_options;
     mgr_options.keep_generations = checkpoint->keep_generations;
     mgr_options.max_retries = checkpoint->max_retries;
     mgr_options.retry_backoff_ms = checkpoint->retry_backoff_ms;
     mgr_options.env = checkpoint->env;
-    manager = std::make_unique<CheckpointManager>(checkpoint->path,
-                                                  std::move(mgr_options));
-    // Startup sweep: clear `.tmp` debris a previous crash left behind.
-    // A failed sweep is not fatal — stale temps are inert.
-    Result<int> swept = manager->SweepOrphans();
-    health.orphans_swept = swept.value_or(0);
-
-    fingerprint = ValuationFingerprint(trainer, request);
+    manager.emplace(checkpoint->path, std::move(mgr_options));
     if (checkpoint->resume) {
-      Result<CheckpointManager::LoadInfo> loaded = manager->Load(
-          ChunkTag::kValuationCheckpoint,
-          [&](std::string_view payload, uint64_t /*sequence*/) {
-            return RestoreValuationCheckpoint(payload, fingerprint,
-                                              &trainer, fedsv.get(),
-                                              comfedsv.get(),
-                                              ground_truth.get());
-          });
-      if (loaded.ok()) {
-        health.quarantined_on_resume = loaded.value().quarantined;
-        health.resumed_sequence = loaded.value().sequence;
-      } else if (loaded.status().code() != StatusCode::kNotFound) {
-        // No checkpoint at all means a fresh run; anything else — every
-        // generation corrupt (DataLoss), fingerprint mismatch
-        // (FailedPrecondition), environment down — must not silently
-        // recompute T rounds.
-        return loaded.status();
+      // No checkpoint at all means a fresh run; anything else — every
+      // generation corrupt (DataLoss), fingerprint mismatch
+      // (FailedPrecondition), environment down — must not silently
+      // recompute T rounds.
+      Status restored = engine.RestoreCheckpoint(&*manager, &trainer);
+      if (!restored.ok() && restored.code() != StatusCode::kNotFound) {
+        return restored;
       }
     }
   }
 
-  // Spill-to-log: open lazily per round so a transient open failure
-  // degrades (and retries) instead of aborting the run. A fresh run
-  // starts a new log; a resumed run re-opens behind the restored round,
-  // truncating frames the interrupted run appended past its last
-  // durable checkpoint.
-  std::unique_ptr<RoundLogWriter> round_log;
-  const bool spill =
-      checkpoint != nullptr && !checkpoint->round_log_path.empty();
-  auto spill_degrade = [&](const Status& st) {
-    health.degraded = true;
-    ++health.round_log_failures;
-    ++health.consecutive_failures;
-    health.last_error = st.ToString();
-  };
-  auto spill_append = [&](const RoundRecord& record,
-                          int completed) -> Status {
-    if (round_log == nullptr) {
-      RoundLogOptions log_options;
-      log_options.compression = checkpoint->round_log_compression;
-      log_options.index_every = checkpoint->round_log_index_every;
-      log_options.env = checkpoint->env;
-      Result<std::unique_ptr<RoundLogWriter>> opened =
-          completed == 0
-              ? RoundLogWriter::Create(checkpoint->round_log_path,
-                                       log_options)
-              : RoundLogWriter::OpenForAppend(checkpoint->round_log_path,
-                                              completed, log_options);
-      if (!opened.ok()) return opened.status();
-      round_log = std::move(opened).value();
-    }
-    return round_log->Append(record);
-  };
-
   while (!trainer.Done()) {
-    const int before = trainer.next_round();
-    const RoundRecord& record = trainer.Step();
-    fanout.OnRound(record);
-    if (spill) {
-      Status appended = spill_append(record, before);
-      if (!appended.ok()) {
-        if (checkpoint->require_durable) return appended;
-        spill_degrade(appended);
-      }
-    }
-    if (checkpoint != nullptr) {
-      const int completed = trainer.next_round();
-      ++health.rounds_since_durable;
-      if (completed % checkpoint->every_rounds == 0 || trainer.Done()) {
-        // The log syncs before the checkpoint that references it — a
-        // durable checkpoint must never point past the durable log.
-        if (round_log != nullptr) {
-          Status synced = round_log->Sync();
-          if (!synced.ok()) {
-            if (checkpoint->require_durable) return synced;
-            spill_degrade(synced);
-          }
-        }
-        Status saved = manager->Write(
-            ChunkTag::kValuationCheckpoint,
-            SerializeValuationCheckpoint(fingerprint, trainer, fedsv.get(),
-                                         comfedsv.get(),
-                                         ground_truth.get()));
-        if (saved.ok()) {
-          health.degraded = false;
-          health.consecutive_failures = 0;
-          health.rounds_since_durable = 0;
-        } else {
-          // Graceful degradation: the in-memory state is intact, so a
-          // failed save costs durability, not correctness. Keep
-          // training (the next cadence save retries from scratch) and
-          // report the gap — unless the caller demanded durability.
-          if (checkpoint->require_durable) return saved;
-          health.degraded = true;
-          ++health.write_failures;
-          ++health.consecutive_failures;
-          health.last_error = saved.ToString();
-        }
-      }
-      if (checkpoint->inject_crash_after_round >= 0 &&
-          completed >= checkpoint->inject_crash_after_round) {
-        return Status::Internal("injected crash after round " +
-                                std::to_string(completed));
-      }
+    // Spill and save failures degrade the run (the engine's health
+    // records them) unless the caller demanded durability.
+    Status spilled = engine.Consume(trainer.Step());
+    if (!spilled.ok() && strict) return spilled;
+    if (manager.has_value() &&
+        (trainer.next_round() % checkpoint->every_rounds == 0 ||
+         trainer.Done())) {
+      Status saved = engine.SaveCheckpoint(&*manager, &trainer);
+      if (!saved.ok() && strict) return saved;
     }
   }
 
   Result<TrainingResult> training = trainer.Finish();
   if (!training.ok()) return training.status();
-
-  ValuationOutcome outcome;
-  outcome.training = std::move(training).value();
-  if (round_log != nullptr) {
-    health.round_log_rounds = round_log->rounds();
-    health.round_log_bytes = round_log->data_size();
-  }
-  if (checkpoint != nullptr) outcome.checkpoint_health = health;
-  if (fedsv != nullptr) {
-    outcome.fedsv_values = fedsv->values();
-    outcome.fedsv_loss_calls = fedsv->loss_calls();
-    outcome.fedsv_seconds = fedsv_timed.seconds;
-    outcome.fedsv_stats = fedsv->stats();
-  }
-  if (comfedsv != nullptr) {
-    Result<ComFedSvOutput> finalized = comfedsv->Finalize();
-    if (!finalized.ok()) return finalized.status();
-    outcome.comfedsv = std::move(finalized).value();
-  }
-  if (ground_truth != nullptr) {
-    Result<Vector> values = ground_truth->Finalize();
-    if (!values.ok()) return values.status();
-    outcome.ground_truth_values = std::move(values).value();
-    outcome.ground_truth_loss_calls = ground_truth->loss_calls();
-  }
+  Result<ValuationOutcome> outcome = engine.Finalize();
+  if (!outcome.ok()) return outcome.status();
+  outcome.value().training = std::move(training).value();
   return outcome;
 }
 
@@ -266,9 +157,7 @@ Result<ValuationOutcome> RunValuationFromLog(
     const Model& model, const Dataset& test_data, int num_clients,
     const std::string& log_path, const ValuationRequest& request,
     const RoundLogReadOptions& read_options, ExecutionContext* ctx) {
-  if (num_clients <= 0) {
-    return Status::InvalidArgument("num_clients must be positive");
-  }
+  COMFEDSV_RETURN_IF_ERROR(ValidateRequest(request, num_clients));
   Result<std::unique_ptr<RoundLogReader>> reader =
       RoundLogReader::Open(log_path, read_options);
   if (!reader.ok()) return reader.status();

@@ -34,7 +34,6 @@ struct ValuationOutcome {
 
   std::optional<Vector> fedsv_values;
   int64_t fedsv_loss_calls = 0;
-  double fedsv_seconds = 0.0;
   /// Measured FedSV evaluation accounting (loss calls, batch passes,
   /// memo hits); ComFedSV's equivalent rides inside `comfedsv->stats`.
   UtilityStats fedsv_stats;
@@ -44,16 +43,24 @@ struct ValuationOutcome {
   std::optional<Vector> ground_truth_values;
   int64_t ground_truth_loss_calls = 0;
 
-  /// Populated by RunValuationCheckpointed only: how checkpoint I/O
-  /// fared (failed saves survived in degraded mode, salvage activity at
-  /// resume). See CheckpointHealth in core/checkpointing.h.
-  std::optional<CheckpointHealth> checkpoint_health;
+  /// How the run's spill and checkpoint I/O fared (failed saves
+  /// survived in degraded mode, salvage activity at resume). A run that
+  /// neither checkpoints nor spills reports no failures, and counts
+  /// every round in rounds_since_durable.
+  StreamingHealth health;
 };
 
 /// Runs FedAvg over `client_data` and evaluates the requested metrics.
 /// `model` must outlive the call. When the request includes ComFedSV in
 /// kFull mode or the ground truth, `fed_config.select_all_first_round`
 /// must be true (Assumption 1).
+///
+/// Every RunValuation* driver checks the request before building any
+/// component, and returns InvalidArgument naming the field for no
+/// clients, a ground truth over more than 16 clients, a kFull ComFedSV
+/// over more than 20 (Assumption 1's all-client round 0 records 2^N
+/// utilities), or a truncated ComFedSV sampler with a negative
+/// truncation_tolerance.
 ///
 /// `ctx` (optional) parallelizes the whole pipeline — local client
 /// updates, per-round Shapley sampling and utility recording, and the
@@ -67,14 +74,18 @@ Result<ValuationOutcome> RunValuation(const Model& model,
                                       ExecutionContext* ctx = nullptr);
 
 /// RunValuation with crash-safe checkpointing: the run saves its
-/// complete state (trainer + every evaluator) to `checkpoint.path` every
-/// `checkpoint.every_rounds` rounds, and — when `checkpoint.resume` is
-/// set and the file exists — restarts from the checkpointed round
-/// instead of round 0. A resumed run produces final values bit-identical
-/// to an uninterrupted one (tests/determinism_test.cc): per-round
-/// randomness derives from (seed, round, client), and every sequential
-/// stream is part of the checkpoint. Resuming under a different
-/// config/data/model/request is an error, not a silent restart.
+/// complete state (trainer + every evaluator, one kValuationCheckpoint
+/// payload) to `checkpoint.path` every `checkpoint.every_rounds` rounds,
+/// and — when `checkpoint.resume` is set and a checkpoint exists —
+/// restarts from the checkpointed round instead of round 0. Both
+/// drivers are the same thin loop: FedAvgTrainer::Step() feeds a
+/// StreamingValuationEngine, which owns the evaluators, the round-log
+/// spill and every checkpoint save/restore. A resumed run produces
+/// final values bit-identical to an uninterrupted one
+/// (tests/determinism_test.cc): per-round randomness derives from
+/// (seed, round, client), and every sequential stream is part of the
+/// checkpoint. Resuming under a different config/data/model/request is
+/// an error, not a silent restart.
 Result<ValuationOutcome> RunValuationCheckpointed(
     const Model& model, std::vector<Dataset> client_data, Dataset test_data,
     const FedAvgConfig& fed_config, const ValuationRequest& request,

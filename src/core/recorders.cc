@@ -9,9 +9,6 @@
 #include "shapley/utility.h"
 
 namespace comfedsv {
-namespace {
-constexpr int kMaxFullClients = 16;
-}  // namespace
 
 FullUtilityRecorder::FullUtilityRecorder(const Model* model,
                                          const Dataset* test_data,
@@ -111,7 +108,7 @@ void ObservedUtilityRecorder::OnRound(const RoundRecord& record) {
   Stopwatch timer;
   const int t = rounds_recorded_;
   const int m = static_cast<int>(record.selected.size());
-  COMFEDSV_CHECK_LE(m, 20);  // 2^m utility evaluations below
+  COMFEDSV_CHECK_LE(m, kMaxObservedClients);  // 2^m utilities below
   RoundUtility utility(model_, test_data_, &record, &loss_calls_, ctx_,
                        &stats_);
 

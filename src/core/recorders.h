@@ -79,6 +79,13 @@ struct SampledRecorderState {
   std::vector<WelfordStat> position_cells;
 };
 
+/// Largest federation FullUtilityRecorder accepts (2^N utilities per
+/// round).
+inline constexpr int kMaxFullClients = 16;
+/// Largest per-round selection ObservedUtilityRecorder accepts (2^m
+/// utilities per round).
+inline constexpr int kMaxObservedClients = 20;
+
 /// Records the complete utility matrix: every coalition of the full client
 /// set, every round with a non-empty selected set (a round in which no
 /// client participates contributes zero to every valuation metric and is

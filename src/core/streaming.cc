@@ -33,17 +33,33 @@ StreamingValuationEngine::StreamingValuationEngine(
   }
 }
 
-void StreamingValuationEngine::OnRound(const RoundRecord& record) {
-  if (config_.spill.enabled) SpillRound(record);
+Status StreamingValuationEngine::Consume(const RoundRecord& record) {
+  const Status spilled =
+      config_.spill.enabled ? SpillRound(record) : Status::Ok();
   if (fedsv_ != nullptr) fedsv_->OnRound(record);
   if (comfedsv_ != nullptr) comfedsv_->OnRound(record);
   if (ground_truth_ != nullptr) ground_truth_->OnRound(record);
   test_loss_history_.push_back(record.test_loss_before);
   ++rounds_consumed_;
   ++health_.rounds_since_durable;
+  return spilled;
 }
 
-void StreamingValuationEngine::SpillRound(const RoundRecord& record) {
+Status StreamingValuationEngine::Degrade(int64_t* counter, Status failure) {
+  health_.degraded = true;
+  ++*counter;
+  ++health_.consecutive_failures;
+  health_.last_error = failure.ToString();
+  return failure;
+}
+
+void StreamingValuationEngine::MarkDurable() {
+  health_.degraded = false;
+  health_.consecutive_failures = 0;
+  health_.rounds_since_durable = 0;
+}
+
+Status StreamingValuationEngine::SpillRound(const RoundRecord& record) {
   if (spill_writer_ == nullptr) {
     RoundLogOptions options;
     options.compression = config_.spill.compression;
@@ -58,11 +74,7 @@ void StreamingValuationEngine::SpillRound(const RoundRecord& record) {
             : RoundLogWriter::OpenForAppend(config_.spill.path,
                                             rounds_consumed_, options);
     if (!opened.ok()) {
-      health_.degraded = true;
-      ++health_.spill_failures;
-      ++health_.consecutive_failures;
-      health_.last_error = opened.status().ToString();
-      return;
+      return Degrade(&health_.spill_failures, opened.status());
     }
     spill_writer_ = std::move(opened).value();
     // When the restored checkpoint recorded a log position for exactly
@@ -70,47 +82,28 @@ void StreamingValuationEngine::SpillRound(const RoundRecord& record) {
     // anything else means the log and the checkpoint diverged.
     if (restored_spill_rounds_ == rounds_consumed_ &&
         spill_writer_->data_size() != restored_spill_bytes_) {
-      health_.degraded = true;
-      ++health_.spill_failures;
-      ++health_.consecutive_failures;
-      health_.last_error =
-          "round log size after realignment does not match the "
-          "checkpointed position";
       spill_writer_.reset();
-      return;
+      return Degrade(&health_.spill_failures,
+                     Status::DataLoss("round log size after realignment "
+                                      "does not match the checkpointed "
+                                      "position"));
     }
     restored_spill_rounds_ = -1;
   }
   Status appended = spill_writer_->Append(record);
-  if (!appended.ok()) {
-    health_.degraded = true;
-    ++health_.spill_failures;
-    ++health_.consecutive_failures;
-    health_.last_error = appended.ToString();
-  }
+  if (!appended.ok()) return Degrade(&health_.spill_failures, appended);
+  return appended;
 }
 
 Status StreamingValuationEngine::SyncSpill() {
   if (spill_writer_ == nullptr) return Status::Ok();
   Status synced = spill_writer_->Sync();
-  if (!synced.ok()) {
-    health_.degraded = true;
-    ++health_.spill_failures;
-    ++health_.consecutive_failures;
-    health_.last_error = synced.ToString();
-  }
+  if (!synced.ok()) return Degrade(&health_.spill_failures, synced);
   return synced;
 }
 
 Result<ValuationOutcome> StreamingValuationEngine::Snapshot() {
-  ValuationOutcome out;
-  out.training.rounds_run = rounds_consumed_;
-  out.training.test_loss_history = test_loss_history_;
-  if (fedsv_ != nullptr) {
-    out.fedsv_values = fedsv_->values();
-    out.fedsv_loss_calls = fedsv_->loss_calls();
-    out.fedsv_stats = fedsv_->stats();
-  }
+  std::optional<ComFedSvOutput> comfedsv;
   if (comfedsv_ != nullptr) {
     const bool stale_ok =
         last_output_.has_value() &&
@@ -126,10 +119,7 @@ Result<ValuationOutcome> StreamingValuationEngine::Snapshot() {
         // a valid (stale) valuation of an earlier prefix. With nothing
         // to fall back on the error surfaces as before.
         if (!last_output_.has_value()) return solved.status();
-        health_.degraded = true;
-        ++health_.stale_snapshots;
-        ++health_.consecutive_failures;
-        health_.last_error = solved.status().ToString();
+        (void)Degrade(&health_.stale_snapshots, solved.status());
       } else {
         health_.degraded = false;
         health_.consecutive_failures = 0;
@@ -140,18 +130,23 @@ Result<ValuationOutcome> StreamingValuationEngine::Snapshot() {
         ArmSurrogate();
       }
     }
-    out.comfedsv = *last_output_;
+    comfedsv = *last_output_;
   }
-  if (ground_truth_ != nullptr) {
-    Result<Vector> values = ground_truth_->Finalize();
-    if (!values.ok()) return values.status();
-    out.ground_truth_values = std::move(values).value();
-    out.ground_truth_loss_calls = ground_truth_->loss_calls();
-  }
-  return out;
+  return Outcome(std::move(comfedsv));
 }
 
 Result<ValuationOutcome> StreamingValuationEngine::Finalize() const {
+  std::optional<ComFedSvOutput> comfedsv;
+  if (comfedsv_ != nullptr) {
+    Result<ComFedSvOutput> solved = comfedsv_->Finalize();
+    if (!solved.ok()) return solved.status();
+    comfedsv = std::move(solved).value();
+  }
+  return Outcome(std::move(comfedsv));
+}
+
+Result<ValuationOutcome> StreamingValuationEngine::Outcome(
+    std::optional<ComFedSvOutput> comfedsv) const {
   ValuationOutcome out;
   out.training.rounds_run = rounds_consumed_;
   out.training.test_loss_history = test_loss_history_;
@@ -160,17 +155,14 @@ Result<ValuationOutcome> StreamingValuationEngine::Finalize() const {
     out.fedsv_loss_calls = fedsv_->loss_calls();
     out.fedsv_stats = fedsv_->stats();
   }
-  if (comfedsv_ != nullptr) {
-    Result<ComFedSvOutput> solved = comfedsv_->Finalize();
-    if (!solved.ok()) return solved.status();
-    out.comfedsv = std::move(solved).value();
-  }
+  out.comfedsv = std::move(comfedsv);
   if (ground_truth_ != nullptr) {
     Result<Vector> values = ground_truth_->Finalize();
     if (!values.ok()) return values.status();
     out.ground_truth_values = std::move(values).value();
     out.ground_truth_loss_calls = ground_truth_->loss_calls();
   }
+  out.health = health_;
   return out;
 }
 
@@ -210,8 +202,8 @@ uint64_t StreamingValuationEngine::ConfigFingerprint() const {
   // request-equivalent state — what a checkpoint must agree on for the
   // restored accumulations to mean the same thing — plus the client
   // count. (The training trajectory behind the consumed rounds is the
-  // caller's concern: pair this with the trainer's checkpoint, as
-  // RunValuationCheckpointed does.)
+  // caller's concern — or pass the trainer to SaveCheckpoint, whose
+  // kValuationCheckpoint fingerprint covers it.)
   uint64_t hash = kFingerprintSeed;
   FingerprintMix(&hash, static_cast<uint64_t>(num_clients_));
   FingerprintMix(&hash, RequestFingerprint(config_.request));
@@ -334,8 +326,14 @@ Status StreamingValuationEngine::RestoreState(BinaryReader* in) {
   return Status::Ok();
 }
 
-Status StreamingValuationEngine::SaveCheckpoint(CheckpointManager* manager) {
+Status StreamingValuationEngine::SaveCheckpoint(
+    CheckpointManager* manager, const FedAvgTrainer* trainer) {
   COMFEDSV_CHECK(manager != nullptr);
+  if (trainer != nullptr && config_.surrogate_screening) {
+    return Status::FailedPrecondition(
+        "a trainer checkpoint carries no completion factors, so it "
+        "cannot resume surrogate screening");
+  }
   // Durability order: the log first, then the checkpoint that records
   // its position — a checkpoint must never reference log bytes that are
   // not on disk. A failed log sync fails the save (retried next time);
@@ -347,36 +345,60 @@ Status StreamingValuationEngine::SaveCheckpoint(CheckpointManager* manager) {
       return synced;
     }
   }
-  BinaryWriter payload;
-  SaveState(&payload);
-  Status saved =
-      manager->Write(ChunkTag::kStreamingEngineState, payload.buffer());
-  if (saved.ok()) {
-    health_.degraded = false;
-    health_.consecutive_failures = 0;
-    health_.rounds_since_durable = 0;
+  Status saved;
+  if (trainer != nullptr) {
+    saved = manager->Write(
+        ChunkTag::kValuationCheckpoint,
+        SerializeValuationCheckpoint(
+            ValuationFingerprint(*trainer, config_.request), *trainer,
+            fedsv_.get(), comfedsv_.get(), ground_truth_.get()));
   } else {
-    health_.degraded = true;
-    ++health_.checkpoint_failures;
-    ++health_.consecutive_failures;
-    health_.last_error = saved.ToString();
+    BinaryWriter payload;
+    SaveState(&payload);
+    saved = manager->Write(ChunkTag::kStreamingEngineState, payload.buffer());
   }
+  if (!saved.ok()) return Degrade(&health_.checkpoint_failures, saved);
+  MarkDurable();
   return saved;
 }
 
-Status StreamingValuationEngine::RestoreCheckpoint(
-    CheckpointManager* manager) {
+Status StreamingValuationEngine::RestoreCheckpoint(CheckpointManager* manager,
+                                                   FedAvgTrainer* trainer) {
   COMFEDSV_CHECK(manager != nullptr);
+  // Startup sweep: clear `.tmp` debris a previous crash left behind. A
+  // failed sweep is not fatal — stale temps are inert.
+  health_.orphans_swept = manager->SweepOrphans().value_or(0);
+  const uint64_t fingerprint =
+      trainer != nullptr ? ValuationFingerprint(*trainer, config_.request)
+                         : 0;
   Result<CheckpointManager::LoadInfo> loaded = manager->Load(
-      ChunkTag::kStreamingEngineState,
-      [this](std::string_view payload, uint64_t /*sequence*/) {
+      trainer != nullptr ? ChunkTag::kValuationCheckpoint
+                         : ChunkTag::kStreamingEngineState,
+      [&](std::string_view payload, uint64_t /*sequence*/) {
+        if (trainer != nullptr) {
+          return RestoreValuationCheckpoint(payload, fingerprint, trainer,
+                                            fedsv_.get(), comfedsv_.get(),
+                                            ground_truth_.get());
+        }
         BinaryReader reader(payload);
         return RestoreState(&reader);
       });
   if (!loaded.ok()) return loaded.status();
-  health_.degraded = false;
-  health_.consecutive_failures = 0;
-  health_.rounds_since_durable = 0;
+  if (trainer != nullptr) {
+    // The trainer checkpoint holds the evaluator states but no engine
+    // section: the consumed prefix is the trainer's, no factors are
+    // cached, and the spill log realigns by truncation alone.
+    rounds_consumed_ = trainer->next_round();
+    test_loss_history_ = trainer->SaveState().test_loss_history;
+    factors_.reset();
+    last_output_.reset();
+    last_solve_round_ = -1;
+    spill_writer_.reset();
+    restored_spill_rounds_ = -1;
+  }
+  health_.quarantined_on_resume = loaded.value().quarantined;
+  health_.resumed_sequence = loaded.value().sequence;
+  MarkDurable();
   return Status::Ok();
 }
 

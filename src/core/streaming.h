@@ -21,9 +21,14 @@
 //     ComFedSvEvaluator::Finalize, so after the full round sequence its
 //     outputs are bit-identical to RunValuation on the same trajectory
 //     (tests/determinism_test.cc enforces this).
-//   * SaveState/RestoreState checkpoint the whole engine mid-stream
-//     (io chunk kStreamingEngineState), composing with the trainer's
-//     checkpoint for crash-safe continuous valuation.
+//   * SaveCheckpoint/RestoreCheckpoint persist the whole engine
+//     mid-stream — alone (io chunk kStreamingEngineState), or together
+//     with the FedAvgTrainer feeding it (kValuationCheckpoint, the
+//     RunValuationCheckpointed format) for crash-safe valuation.
+//
+// RunValuation, RunValuationCheckpointed and RunValuationFromLog are
+// thin loops over this engine, so it is the single owner of the
+// evaluators, the round-log spill and the StreamingHealth bookkeeping.
 #ifndef COMFEDSV_CORE_STREAMING_H_
 #define COMFEDSV_CORE_STREAMING_H_
 
@@ -39,34 +44,6 @@
 namespace comfedsv {
 
 class CheckpointManager;  // io/checkpoint_manager.h
-
-/// How the engine's fallible operations (snapshot re-solves, checkpoint
-/// writes) have fared. The engine survives both failure kinds by
-/// retaining its last good state; this reports how much trust that
-/// state deserves right now.
-struct StreamingHealth {
-  /// True while the most recent fallible operation failed; clears as
-  /// soon as one succeeds (the engine recovered).
-  bool degraded = false;
-  /// Snapshot() calls whose re-solve failed and were served from the
-  /// previous solve's output instead.
-  int64_t stale_snapshots = 0;
-  /// SaveCheckpoint() calls that failed after the manager's retries.
-  int64_t checkpoint_failures = 0;
-  /// Failures since the last successful solve/save (0 when healthy).
-  int64_t consecutive_failures = 0;
-  /// Last error observed; empty when none ever occurred.
-  std::string last_error;
-  /// Rounds consumed since the last durable checkpoint (what a crash
-  /// right now would lose). Counts from engine construction until the
-  /// first successful SaveCheckpoint/RestoreCheckpoint.
-  int64_t rounds_since_durable = 0;
-  /// Round-log appends that failed (spill mode only). The engine keeps
-  /// streaming — the record still fed the evaluators — but replaying
-  /// the log will be missing those rounds until a later resume
-  /// truncates back past the gap.
-  int64_t spill_failures = 0;
-};
 
 /// Spill-to-log policy: mirror every consumed RoundRecord into an
 /// on-disk round log (io/round_log.h) as it streams past, so the full
@@ -130,7 +107,12 @@ class StreamingValuationEngine : public RoundObserver {
                            int num_clients, StreamingConfig config,
                            ExecutionContext* ctx = nullptr);
 
-  void OnRound(const RoundRecord& record) override;
+  void OnRound(const RoundRecord& record) override { (void)Consume(record); }
+
+  /// OnRound that reports the spill: feeds every evaluator, then returns
+  /// the round-log open/append Status (Ok when spill is off). A failure
+  /// is also recorded in health(); the record was consumed either way.
+  Status Consume(const RoundRecord& record);
 
   /// Rounds consumed so far (including empty-selected rounds, which
   /// contribute zero everywhere).
@@ -154,18 +136,29 @@ class StreamingValuationEngine : public RoundObserver {
   /// Degraded-mode bookkeeping (stale snapshots, failed saves).
   const StreamingHealth& health() const { return health_; }
 
-  /// Persists the engine state through `manager` (one
-  /// kStreamingEngineState generation; rotation/retry per the manager's
-  /// options). A failure is recorded in health() and returned, but
-  /// leaves the engine fully usable — streaming continues on the
-  /// in-memory state and the next save retries from scratch.
-  Status SaveCheckpoint(CheckpointManager* manager);
+  /// Persists the engine state through `manager` (one generation;
+  /// rotation/retry per the manager's options). Without `trainer` the
+  /// generation is a kStreamingEngineState chunk. With it, it is the
+  /// kValuationCheckpoint payload RunValuationCheckpointed resumes from:
+  /// SerializeValuationCheckpoint over the trainer and this engine's
+  /// evaluators (so the warm-start factors are not saved, and surrogate
+  /// screening is rejected with FailedPrecondition). In spill mode the
+  /// round log is synced first — a checkpoint never references log bytes
+  /// that are not on disk. A failure is recorded in health() and
+  /// returned, but leaves the engine fully usable — streaming continues
+  /// on the in-memory state and the next save retries from scratch.
+  Status SaveCheckpoint(CheckpointManager* manager,
+                        const FedAvgTrainer* trainer = nullptr);
 
-  /// Restores the newest resumable generation from `manager`,
-  /// quarantining corrupt ones on the way (salvage). NotFound means
-  /// nothing to restore (the engine is untouched); on other errors
-  /// discard the engine as for RestoreState.
-  Status RestoreCheckpoint(CheckpointManager* manager);
+  /// Sweeps orphaned `.tmp` files, then restores the newest resumable
+  /// generation SaveCheckpoint wrote with the same `trainer` argument,
+  /// quarantining corrupt ones on the way (salvage). With `trainer`, the
+  /// trainer is restored too, and the consumed-round count and loss
+  /// history are taken from it. NotFound means nothing to restore (the
+  /// engine is untouched); on other errors discard the engine (and
+  /// trainer) as for RestoreState.
+  Status RestoreCheckpoint(CheckpointManager* manager,
+                           FedAvgTrainer* trainer = nullptr);
 
   /// Batch-equivalent valuation of the consumed prefix: always a cold
   /// completion solve, bit-identical to RunValuation's outputs on the
@@ -202,6 +195,10 @@ class StreamingValuationEngine : public RoundObserver {
 
  private:
   uint64_t ConfigFingerprint() const;
+  /// The outcome around a ComFedSV output: the consumed-prefix training
+  /// view, current FedSV and ground-truth values, and health().
+  Result<ValuationOutcome> Outcome(
+      std::optional<ComFedSvOutput> comfedsv) const;
   /// Points the sampled recorder's surrogate at the current factors
   /// (no-op unless config_.surrogate_screening and a sampled recorder
   /// and factors exist). Called after every solve and after a restore.
@@ -209,8 +206,13 @@ class StreamingValuationEngine : public RoundObserver {
   /// Appends `record` to the round log, lazily opening the writer —
   /// Create on a fresh stream, OpenForAppend(rounds_consumed_) when
   /// resuming over an existing log. Failures degrade health instead of
-  /// poisoning the stream.
-  void SpillRound(const RoundRecord& record);
+  /// poisoning the stream, and are returned.
+  Status SpillRound(const RoundRecord& record);
+  /// Records a failed operation in health_: degraded, `*counter` and
+  /// consecutive_failures up, `failure` kept as last_error. Returns it.
+  Status Degrade(int64_t* counter, Status failure);
+  /// A checkpoint save or restore succeeded: the engine is durable.
+  void MarkDurable();
 
   const Model* model_;
   const Dataset* test_data_;

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "data/image_sim.h"
 #include "data/noise.h"
 #include "data/partition.h"
+#include "io/file_env.h"
 #include "metrics/metrics.h"
 #include "models/logistic.h"
 
@@ -154,6 +158,67 @@ TEST(PipelineTest, NoisyClientRanksLowInGroundTruth) {
   std::vector<int> bottom = BottomKIndices(values, 2);
   EXPECT_TRUE(bottom[0] == 2 || bottom[1] == 2)
       << "noisy client not in bottom 2";
+}
+
+// A request the recorders cannot serve must come back from every driver
+// as InvalidArgument naming the field — never a CHECK abort, and before
+// any file is touched.
+void ExpectEveryDriverRejects(const ValuationRequest& req, int num_clients,
+                              const std::string& field) {
+  Workload w = MakeWorkload(2, 101);
+  std::vector<Dataset> clients(num_clients, w.clients[0]);
+  LogisticRegression model(w.test.dim(), 10);
+  const FedAvgConfig cfg = FedConfig(2, 2, 103);
+
+  Result<ValuationOutcome> plain =
+      RunValuation(model, clients, w.test, cfg, req);
+  ASSERT_FALSE(plain.ok());
+  EXPECT_EQ(plain.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plain.status().message().find(field), std::string::npos)
+      << plain.status().ToString();
+
+  CheckpointConfig ckpt;
+  ckpt.path = ::testing::TempDir() + "comfedsv_rejected.ckpt";
+  std::remove(ckpt.path.c_str());
+  Result<ValuationOutcome> checkpointed =
+      RunValuationCheckpointed(model, clients, w.test, cfg, req, ckpt);
+  ASSERT_FALSE(checkpointed.ok());
+  EXPECT_EQ(checkpointed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(checkpointed.status().message().find(field), std::string::npos);
+  EXPECT_FALSE(FileEnv::Real()->Exists(ckpt.path));
+
+  Result<ValuationOutcome> replayed = RunValuationFromLog(
+      model, w.test, num_clients,
+      ::testing::TempDir() + "comfedsv_rejected_missing.log", req);
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(replayed.status().message().find(field), std::string::npos);
+}
+
+TEST(PipelineTest, RejectsGroundTruthOverSixteenClients) {
+  ValuationRequest req;
+  req.compute_fedsv = false;
+  req.compute_comfedsv = false;
+  req.compute_ground_truth = true;
+  ExpectEveryDriverRejects(req, 17, "compute_ground_truth");
+}
+
+TEST(PipelineTest, RejectsFullComFedSvOverTwentyClients) {
+  ValuationRequest req;
+  req.compute_fedsv = false;
+  req.compute_comfedsv = true;
+  req.comfedsv.mode = ComFedSvConfig::Mode::kFull;
+  ExpectEveryDriverRejects(req, 21, "comfedsv.mode");
+}
+
+TEST(PipelineTest, RejectsNegativeTruncationTolerance) {
+  ValuationRequest req;
+  req.compute_fedsv = false;
+  req.compute_comfedsv = true;
+  req.comfedsv.mode = ComFedSvConfig::Mode::kSampled;
+  req.comfedsv.sampler.kind = SamplerKind::kTruncated;
+  req.comfedsv.sampler.truncation_tolerance = -0.5;
+  ExpectEveryDriverRejects(req, 3, "comfedsv.sampler.truncation_tolerance");
 }
 
 }  // namespace

@@ -13,11 +13,14 @@
 #include <vector>
 
 #include "common/execution_context.h"
+#include "common/failpoint.h"
 #include "completion/solver.h"
 #include "core/pipeline.h"
 #include "core/streaming.h"
 #include "data/image_sim.h"
 #include "data/partition.h"
+#include "io/file_env.h"
+#include "io/serialize.h"
 #include "models/logistic.h"
 #include "models/mlp.h"
 
@@ -57,6 +60,30 @@ ValuationOutcome RunWith(const Workload& w, const Model& model,
   return std::move(run).value();
 }
 
+/// Kills a checkpointed run right after the save for round `round` went
+/// durable: the next checkpoint write crashes a fault-injecting file
+/// system, and require_durable aborts the run there — a kill -9 at that
+/// point, as far as the checkpoint files can tell. Returns the aborted
+/// run's status.
+Status CrashAfterRound(const Workload& w, const Model& model,
+                       const FedAvgConfig& fed_cfg,
+                       const ValuationRequest& request,
+                       CheckpointConfig ckpt, int round,
+                       ExecutionContext* ctx = nullptr) {
+  FaultInjectingFileEnv fault;
+  ckpt.env = &fault;
+  ckpt.require_durable = true;
+  FailpointRegistry::Global().Arm(
+      failpoints::kWriteFile,
+      FailpointTrigger::OnHit(round / ckpt.every_rounds + 1),
+      static_cast<int>(FaultAction::kCrash));
+  Result<ValuationOutcome> run = RunValuationCheckpointed(
+      model, w.clients, w.test, fed_cfg, request, ckpt, ctx);
+  FailpointRegistry::Global().ClearAll();
+  EXPECT_TRUE(fault.crashed()) << "the run ended before round " << round;
+  return run.status();
+}
+
 TEST(DeterminismTest, SampledPipelineIsThreadCountInvariant) {
   const int n = 5;
   Workload w = MakeWorkload(n, 321);
@@ -81,9 +108,9 @@ TEST(DeterminismTest, SampledPipelineIsThreadCountInvariant) {
   request.comfedsv.seed = 13;
 
   ValuationOutcome inline_run = RunWith(w, model, fed_cfg, request, nullptr);
-  ExecutionContext single(1, 99);
+  ExecutionContext single(1);
   ValuationOutcome single_run = RunWith(w, model, fed_cfg, request, &single);
-  ExecutionContext threaded(4, 99);
+  ExecutionContext threaded(4);
   ValuationOutcome threaded_run =
       RunWith(w, model, fed_cfg, request, &threaded);
 
@@ -155,10 +182,10 @@ TEST(DeterminismTest, SamplerPipelinesAreThreadCountInvariant) {
 
     ValuationOutcome inline_run =
         RunWith(w, model, fed_cfg, request, nullptr);
-    ExecutionContext single(1, 64);
+    ExecutionContext single(1);
     ValuationOutcome single_run =
         RunWith(w, model, fed_cfg, request, &single);
-    ExecutionContext threaded(4, 64);
+    ExecutionContext threaded(4);
     ValuationOutcome threaded_run =
         RunWith(w, model, fed_cfg, request, &threaded);
 
@@ -209,9 +236,9 @@ TEST(DeterminismTest, BatchedEngineMlpPipelineIsThreadCountInvariant) {
   request.comfedsv.seed = 43;
 
   ValuationOutcome inline_run = RunWith(w, model, fed_cfg, request, nullptr);
-  ExecutionContext single(1, 44);
+  ExecutionContext single(1);
   ValuationOutcome single_run = RunWith(w, model, fed_cfg, request, &single);
-  ExecutionContext threaded(4, 44);
+  ExecutionContext threaded(4);
   ValuationOutcome threaded_run =
       RunWith(w, model, fed_cfg, request, &threaded);
 
@@ -397,7 +424,7 @@ TEST(DeterminismTest, ResumeFromCheckpointIsBitIdentical) {
 
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExecutionContext straight_ctx(threads, 70);
+    ExecutionContext straight_ctx(threads);
     ValuationOutcome straight =
         RunWith(w, model, fed_cfg, request, &straight_ctx);
 
@@ -412,17 +439,14 @@ TEST(DeterminismTest, ResumeFromCheckpointIsBitIdentical) {
       CheckpointConfig ckpt;
       ckpt.path = path;
       ckpt.every_rounds = 1;
-      ckpt.inject_crash_after_round = crash_round;
-      ExecutionContext crash_ctx(threads, 70);
-      Result<ValuationOutcome> crashed = RunValuationCheckpointed(
-          model, w.clients, w.test, fed_cfg, request, ckpt, &crash_ctx);
-      ASSERT_FALSE(crashed.ok());  // the injected crash
+      ExecutionContext crash_ctx(threads);
+      ASSERT_FALSE(CrashAfterRound(w, model, fed_cfg, request, ckpt,
+                                   crash_round, &crash_ctx)
+                       .ok());
 
-      CheckpointConfig resume = ckpt;
-      resume.inject_crash_after_round = -1;
-      ExecutionContext resume_ctx(threads, 70);
+      ExecutionContext resume_ctx(threads);
       Result<ValuationOutcome> resumed = RunValuationCheckpointed(
-          model, w.clients, w.test, fed_cfg, request, resume, &resume_ctx);
+          model, w.clients, w.test, fed_cfg, request, ckpt, &resume_ctx);
       ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
       ExpectOutcomesBitIdentical(resumed.value(), straight,
@@ -483,6 +507,106 @@ TEST(DeterminismTest, CheckpointedRunWithoutCrashMatchesPlainRun) {
   std::remove(path.c_str());
 }
 
+TEST(DeterminismTest, CheckpointPayloadMatchesHandDrivenSerialization) {
+  // The kValuationCheckpoint format is pinned: the file
+  // RunValuationCheckpointed leaves after round k holds, byte for byte,
+  // SerializeValuationCheckpoint over a trainer and evaluators driven
+  // by hand to round k — so checkpoints written by earlier builds keep
+  // resuming. The resume from that file must match the straight run.
+  const int n = 4;
+  Workload w = MakeWorkload(n, 2468);
+  LogisticRegression model(w.test.dim(), 10);
+
+  FedAvgConfig fed_cfg;
+  fed_cfg.num_rounds = 4;
+  fed_cfg.clients_per_round = 2;
+  fed_cfg.select_all_first_round = true;
+  fed_cfg.seed = 2469;
+
+  ValuationRequest request;
+  request.compute_fedsv = true;
+  request.fedsv.mode = FedSvConfig::Mode::kMonteCarlo;
+  request.fedsv.permutations_per_round = 5;
+  request.fedsv.seed = 2470;
+  request.compute_comfedsv = true;
+  request.comfedsv.mode = ComFedSvConfig::Mode::kSampled;
+  request.comfedsv.num_permutations = 5;
+  request.comfedsv.completion.rank = 2;
+  request.comfedsv.completion.lambda = 1e-3;
+  request.comfedsv.completion.max_iters = 30;
+  request.comfedsv.seed = 2471;
+  request.compute_ground_truth = true;
+
+  constexpr int kRound = 2;
+  const std::string path = ::testing::TempDir() + "comfedsv_format.ckpt";
+  std::remove(path.c_str());
+  CheckpointConfig ckpt;
+  ckpt.path = path;
+  ASSERT_FALSE(
+      CrashAfterRound(w, model, fed_cfg, request, ckpt, kRound).ok());
+  Result<std::string> written =
+      ReadCheckpointFile(path, ChunkTag::kValuationCheckpoint);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+
+  FedAvgTrainer trainer(&model, w.clients, w.test, fed_cfg);
+  FedSvEvaluator fedsv(&model, &trainer.test_data(), n, request.fedsv);
+  ComFedSvEvaluator comfedsv(&model, &trainer.test_data(), n,
+                             request.comfedsv);
+  GroundTruthEvaluator ground_truth(&model, &trainer.test_data(), n);
+  ASSERT_TRUE(trainer.Begin().ok());
+  for (int round = 0; round < kRound; ++round) {
+    const RoundRecord& record = trainer.Step();
+    fedsv.OnRound(record);
+    comfedsv.OnRound(record);
+    ground_truth.OnRound(record);
+  }
+  // The recorders keep their wall-clock recording time in their state.
+  // Copy the file's timings into the hand-driven recorders, so every
+  // other byte is compared against independently computed state.
+  {
+    FedAvgTrainer restored(&model, w.clients, w.test, fed_cfg);
+    FedSvEvaluator restored_fedsv(&model, &restored.test_data(), n,
+                                  request.fedsv);
+    ComFedSvEvaluator restored_comfedsv(&model, &restored.test_data(), n,
+                                        request.comfedsv);
+    GroundTruthEvaluator restored_truth(&model, &restored.test_data(), n);
+    ASSERT_TRUE(RestoreValuationCheckpoint(
+                    written.value(), ValuationFingerprint(restored, request),
+                    &restored, &restored_fedsv, &restored_comfedsv,
+                    &restored_truth)
+                    .ok());
+    SampledRecorderState sampled = comfedsv.sampled_recorder()->SaveState();
+    sampled.seconds =
+        restored_comfedsv.sampled_recorder()->SaveState().seconds;
+    ASSERT_TRUE(
+        comfedsv.sampled_recorder()->RestoreState(std::move(sampled)).ok());
+    FullRecorderState full = ground_truth.recorder()->SaveState();
+    full.seconds = restored_truth.recorder()->SaveState().seconds;
+    ASSERT_TRUE(ground_truth.recorder()->RestoreState(std::move(full)).ok());
+  }
+  const std::string expected = SerializeValuationCheckpoint(
+      ValuationFingerprint(trainer, request), trainer, &fedsv, &comfedsv,
+      &ground_truth);
+  EXPECT_EQ(written.value().size(), expected.size());
+  EXPECT_TRUE(written.value() == expected)
+      << "checkpoint payload differs from the hand-driven serialization";
+
+  ValuationOutcome straight = RunWith(w, model, fed_cfg, request, nullptr);
+  Result<ValuationOutcome> resumed = RunValuationCheckpointed(
+      model, w.clients, w.test, fed_cfg, request, ckpt);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed.value().health.resumed_sequence,
+            static_cast<uint64_t>(kRound));  // the round-k save
+  ExpectOutcomesBitIdentical(resumed.value(), straight,
+                             "resumed from the pinned format vs straight");
+  ExpectBitIdentical(resumed.value().training.final_params,
+                     straight.training.final_params,
+                     "resumed final params");
+  EXPECT_EQ(resumed.value().training.test_loss_history,
+            straight.training.test_loss_history);
+  std::remove(path.c_str());
+}
+
 TEST(DeterminismTest, ResumeUnderDifferentDataOrModelIsRejected) {
   // The checkpoint fingerprint hashes full data contents and model
   // identity (incl. hyperparameters): a checkpoint saved under one run
@@ -508,11 +632,7 @@ TEST(DeterminismTest, ResumeUnderDifferentDataOrModelIsRejected) {
   std::remove(path.c_str());
   CheckpointConfig ckpt;
   ckpt.path = path;
-  ckpt.inject_crash_after_round = 1;
-  ASSERT_FALSE(RunValuationCheckpointed(model, w.clients, w.test, fed_cfg,
-                                        request, ckpt)
-                   .ok());
-  ckpt.inject_crash_after_round = -1;
+  ASSERT_FALSE(CrashAfterRound(w, model, fed_cfg, request, ckpt, 1).ok());
 
   // Same shapes, different data contents.
   Workload other = MakeWorkload(n, 131);
@@ -567,11 +687,11 @@ TEST(DeterminismTest, StreamingEngineMatchesBatchRunOnFullPrefix) {
 
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExecutionContext batch_ctx(threads, 90);
+    ExecutionContext batch_ctx(threads);
     ValuationOutcome batch =
         RunWith(w, model, fed_cfg, request, &batch_ctx);
 
-    ExecutionContext stream_ctx(threads, 90);
+    ExecutionContext stream_ctx(threads);
     StreamingConfig streaming;
     streaming.request = request;
     streaming.resolve_cadence = 1;
@@ -608,7 +728,7 @@ TEST(DeterminismTest, StreamingEngineMatchesBatchRunOnFullPrefix) {
 
     // Restore the round-2 engine state into a fresh engine, replay the
     // remaining rounds, and check the same equivalence.
-    ExecutionContext resume_ctx(threads, 90);
+    ExecutionContext resume_ctx(threads);
     StreamingValuationEngine resumed_engine(&model, &w.test, n, streaming,
                                             &resume_ctx);
     BinaryReader reader(engine_checkpoint);
@@ -758,10 +878,10 @@ TEST(DeterminismTest, AdaptiveAndScreenedPipelineIsThreadCountInvariant) {
 
   ValuationOutcome inline_run =
       RunStreaming(w, model, fed_cfg, streaming, nullptr);
-  ExecutionContext single(1, 100);
+  ExecutionContext single(1);
   ValuationOutcome single_run =
       RunStreaming(w, model, fed_cfg, streaming, &single);
-  ExecutionContext threaded(4, 100);
+  ExecutionContext threaded(4);
   ValuationOutcome threaded_run =
       RunStreaming(w, model, fed_cfg, streaming, &threaded);
 
@@ -934,10 +1054,10 @@ TEST(DeterminismTest, AdversarialScenariosAreThreadCountInvariant) {
 
     ValuationOutcome inline_run =
         RunWith(w, model, fed_cfg, request, nullptr);
-    ExecutionContext single(1, 30);
+    ExecutionContext single(1);
     ValuationOutcome single_run =
         RunWith(w, model, fed_cfg, request, &single);
-    ExecutionContext threaded(4, 30);
+    ExecutionContext threaded(4);
     ValuationOutcome threaded_run =
         RunWith(w, model, fed_cfg, request, &threaded);
 
@@ -987,7 +1107,7 @@ TEST(DeterminismTest, AdversarialResumeFromCheckpointIsBitIdentical) {
 
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExecutionContext straight_ctx(threads, 46);
+    ExecutionContext straight_ctx(threads);
     ValuationOutcome straight =
         RunWith(w, model, fed_cfg, request, &straight_ctx);
     // The scenario actually exercises quarantine: two rejections, then
@@ -1008,18 +1128,14 @@ TEST(DeterminismTest, AdversarialResumeFromCheckpointIsBitIdentical) {
       CheckpointConfig ckpt;
       ckpt.path = path;
       ckpt.every_rounds = 1;
-      ckpt.inject_crash_after_round = crash_round;
-      ExecutionContext crash_ctx(threads, 46);
-      ASSERT_FALSE(RunValuationCheckpointed(model, w.clients, w.test,
-                                            fed_cfg, request, ckpt,
-                                            &crash_ctx)
+      ExecutionContext crash_ctx(threads);
+      ASSERT_FALSE(CrashAfterRound(w, model, fed_cfg, request, ckpt,
+                                   crash_round, &crash_ctx)
                        .ok());
 
-      CheckpointConfig resume = ckpt;
-      resume.inject_crash_after_round = -1;
-      ExecutionContext resume_ctx(threads, 46);
+      ExecutionContext resume_ctx(threads);
       Result<ValuationOutcome> resumed = RunValuationCheckpointed(
-          model, w.clients, w.test, fed_cfg, request, resume, &resume_ctx);
+          model, w.clients, w.test, fed_cfg, request, ckpt, &resume_ctx);
       ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
       ExpectOutcomesBitIdentical(resumed.value(), straight,

@@ -530,6 +530,24 @@ TEST_F(IoRecoveryTest, StreamingHealthDegradesAndRecovers) {
   EXPECT_EQ(resumed->health().rounds_since_durable, 0);
 }
 
+TEST_F(IoRecoveryTest, TrainerCheckpointRefusesSurrogateScreening) {
+  // A trainer checkpoint carries no completion factors, so an engine
+  // that screens with them could not resume bit-identically from one.
+  StreamScenario s;
+  s.streaming.surrogate_screening = true;
+  CheckpointManager manager(Dir("screening") + "/run.ckpt",
+                            FastOptions(FileEnv::Real()));
+  auto engine = s.NewEngine();
+  FedAvgTrainer trainer(&s.model, s.w.clients, s.w.test, s.fed_cfg);
+  ASSERT_TRUE(trainer.Begin().ok());
+  engine->OnRound(trainer.Step());
+  EXPECT_EQ(engine->SaveCheckpoint(&manager, &trainer).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(manager.ListGenerations().empty());
+  // The engine's own format keeps the factors.
+  EXPECT_TRUE(engine->SaveCheckpoint(&manager).ok());
+}
+
 TEST_F(IoRecoveryTest, CrashSweepRecoversBitIdenticalAtEveryFailpoint) {
   StreamScenario s;
 
@@ -895,10 +913,9 @@ TEST_F(IoRecoveryTest, PipelineSurvivesCheckpointWriteFailures) {
 
   // Every save failed, yet the run finished with correct values and an
   // honest health report.
-  ASSERT_TRUE(degraded.value().checkpoint_health.has_value());
-  const CheckpointHealth& health = *degraded.value().checkpoint_health;
+  const StreamingHealth& health = degraded.value().health;
   EXPECT_TRUE(health.degraded);
-  EXPECT_EQ(health.write_failures, fed_cfg.num_rounds);
+  EXPECT_EQ(health.checkpoint_failures, fed_cfg.num_rounds);
   EXPECT_EQ(health.consecutive_failures, fed_cfg.num_rounds);
   EXPECT_EQ(health.rounds_since_durable, fed_cfg.num_rounds);
   EXPECT_FALSE(health.last_error.empty());
@@ -915,6 +932,57 @@ TEST_F(IoRecoveryTest, PipelineSurvivesCheckpointWriteFailures) {
       model, w.clients, w.test, fed_cfg, request, strict);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(aborted.status().code(), StatusCode::kUnavailable);
+}
+
+TEST_F(IoRecoveryTest, PipelineSurvivesRoundLogAppendFailures) {
+  const int n = 3;
+  Workload w = MakeWorkload(n, 808);
+  LogisticRegression model(w.test.dim(), 10);
+
+  FedAvgConfig fed_cfg;
+  fed_cfg.num_rounds = 3;
+  fed_cfg.clients_per_round = 2;
+  fed_cfg.seed = 81;
+
+  ValuationRequest request;
+  request.compute_fedsv = true;
+  request.fedsv.mode = FedSvConfig::Mode::kExact;
+  request.fedsv.seed = 82;
+  request.compute_comfedsv = false;
+
+  Result<ValuationOutcome> straight =
+      RunValuation(model, w.clients, w.test, fed_cfg, request);
+  ASSERT_TRUE(straight.ok());
+
+  // Every round-log append fails: the run still finishes with correct
+  // values, and the engine's health counts one spill failure per round.
+  FaultInjectingFileEnv fault;
+  Arm(failpoints::kAppendFile, FailpointTrigger::EveryN(1),
+      FaultAction::kError);
+  CheckpointConfig ckpt;
+  ckpt.path = Dir("spill") + "/run.ckpt";
+  ckpt.round_log_path = Dir("spill") + "/rounds.log";
+  ckpt.max_retries = 0;
+  ckpt.env = &fault;
+  Result<ValuationOutcome> degraded = RunValuationCheckpointed(
+      model, w.clients, w.test, fed_cfg, request, ckpt);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  EXPECT_EQ(degraded.value().health.spill_failures, fed_cfg.num_rounds);
+  EXPECT_EQ(degraded.value().health.checkpoint_failures, 0);
+  ExpectBitIdentical(*degraded.value().fedsv_values,
+                     *straight.value().fedsv_values,
+                     "FedSV with a failing round log");
+
+  // The strict policy aborts on the first failed append.
+  CheckpointConfig strict = ckpt;
+  strict.path = Dir("spill_strict") + "/run.ckpt";
+  strict.round_log_path = Dir("spill_strict") + "/rounds.log";
+  strict.require_durable = true;
+  Result<ValuationOutcome> aborted = RunValuationCheckpointed(
+      model, w.clients, w.test, fed_cfg, request, strict);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(fs::exists(strict.path));  // aborted before round 0's save
 }
 
 TEST_F(IoRecoveryTest, PipelineResumeSalvagesOlderGeneration) {
@@ -937,14 +1005,21 @@ TEST_F(IoRecoveryTest, PipelineResumeSalvagesOlderGeneration) {
       RunValuation(model, w.clients, w.test, fed_cfg, request);
   ASSERT_TRUE(straight.ok());
 
+  // Kill the run after round 2: the round-3 save's file write crashes
+  // the file system, and require_durable aborts there.
+  FaultInjectingFileEnv fault;
   CheckpointConfig ckpt;
   ckpt.path = Dir("resume") + "/run.ckpt";
   ckpt.every_rounds = 1;
   ckpt.keep_generations = 3;
-  ckpt.inject_crash_after_round = 2;
+  ckpt.require_durable = true;
+  ckpt.env = &fault;
+  Arm(failpoints::kWriteFile, FailpointTrigger::OnHit(3), FaultAction::kCrash);
   ASSERT_FALSE(RunValuationCheckpointed(model, w.clients, w.test, fed_cfg,
                                         request, ckpt)
-                   .ok());  // the injected crash
+                   .ok());
+  ASSERT_TRUE(fault.crashed());
+  fault.ClearCrash();
 
   // Corrupt the newest generation: resume must fall back to the
   // round-1 checkpoint, quarantine the husk, and still finish
@@ -959,13 +1034,11 @@ TEST_F(IoRecoveryTest, PipelineResumeSalvagesOlderGeneration) {
   corrupted.back() ^= 0x40;
   ASSERT_TRUE(FileEnv::Real()->WriteFile(newest, corrupted).ok());
 
-  ckpt.inject_crash_after_round = -1;
   Result<ValuationOutcome> resumed = RunValuationCheckpointed(
       model, w.clients, w.test, fed_cfg, request, ckpt);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_TRUE(resumed.value().checkpoint_health.has_value());
-  EXPECT_EQ(resumed.value().checkpoint_health->quarantined_on_resume, 1);
-  EXPECT_EQ(resumed.value().checkpoint_health->resumed_sequence, 1u);
+  EXPECT_EQ(resumed.value().health.quarantined_on_resume, 1);
+  EXPECT_EQ(resumed.value().health.resumed_sequence, 1u);
   ExpectBitIdentical(*resumed.value().fedsv_values,
                      *straight.value().fedsv_values,
                      "salvaged resume FedSV");

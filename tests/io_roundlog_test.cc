@@ -425,10 +425,11 @@ TEST_F(RoundLogTest, SpilledValuationMatchesInMemoryAcrossModesAndThreads) {
       Result<ValuationOutcome> spilled = RunValuationCheckpointed(
           model, w.clients, w.test, fed_cfg, request, ckpt, &ctx);
       ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-      ASSERT_TRUE(spilled.value().checkpoint_health.has_value());
-      EXPECT_EQ(spilled.value().checkpoint_health->round_log_failures, 0);
-      EXPECT_EQ(spilled.value().checkpoint_health->round_log_rounds,
-                fed_cfg.num_rounds);
+      EXPECT_EQ(spilled.value().health.spill_failures, 0);
+      Result<std::unique_ptr<RoundLogReader>> log =
+          RoundLogReader::Open(ckpt.round_log_path);
+      ASSERT_TRUE(log.ok()) << log.status().ToString();
+      EXPECT_EQ(log.value()->rounds(), fed_cfg.num_rounds);
       // The spill run itself is untouched by the logging.
       ExpectVectorsBitIdentical(*spilled.value().fedsv_values, base_fedsv,
                                 "FedSV of the spilling run");
