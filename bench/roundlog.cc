@@ -8,15 +8,15 @@
 //     with the measured compression ratio (data bytes vs what the same
 //     records occupy under kNone).
 //   * read — entries/sec serving records back: an in-memory vector of
-//     decoded records (the no-spill upper bound), the windowed-mmap
-//     reader, and the pread (ReadFileRange) fallback path.
+//     decoded records (the no-spill upper bound) and the reader, which
+//     does one ReadFileRange (pread) per frame.
 //   * valuation_drift — FedSV / ComFedSV computed from each log via
-//     RunValuationFromLog vs the in-memory pipeline: lossless modes
-//     must land at zero drift, kQuant16 trades bounded drift for its
-//     ratio.
+//     RunValuationFromLog vs the in-memory pipeline: kNone must land at
+//     zero drift, kQuant16 trades bounded drift for its ratio.
 //   * memory_budget — the headline demo: re-value a trajectory whose
-//     log is ~10x the reader's resident-memory window and prove the
-//     FedSV output bit-identical to the in-memory run.
+//     log is at least 9x the reader's resident memory (its largest
+//     frame) and prove the FedSV output bit-identical to the in-memory
+//     run.
 //
 // Writes BENCH_roundlog.json (schema documented in README.md).
 #include <algorithm>
@@ -50,7 +50,7 @@ Scenario MakeScenario(bool full_scale) {
   s.w = MakeWorkload(PaperDataset::kSynthetic, opt);
   s.num_clients = opt.num_clients;
 
-  // Enough rounds that the log dwarfs any sane resident window.
+  // Enough rounds that the log dwarfs the one frame the reader holds.
   s.fed.num_rounds = full_scale ? 80 : 40;
   s.fed.clients_per_round = 5;
   s.fed.lr = LearningRateSchedule::Constant(0.1);
@@ -74,8 +74,6 @@ const char* ModeName(RoundLogCompression mode) {
   switch (mode) {
     case RoundLogCompression::kNone:
       return "none";
-    case RoundLogCompression::kXorDelta:
-      return "xor_delta";
     case RoundLogCompression::kQuant16:
       return "quant16";
   }
@@ -99,18 +97,23 @@ bool BitIdentical(const Vector& a, const Vector& b) {
   return true;
 }
 
-/// Writes `records` to a fresh log at `path`, timing the appends.
+/// Writes `records` to a fresh log at `path`, timing the appends and
+/// measuring the largest frame.
 std::unique_ptr<RoundLogWriter> WriteLog(
     const std::string& path, const std::vector<RoundRecord>& records,
-    RoundLogCompression mode, double* seconds) {
+    RoundLogCompression mode, double* seconds, uint64_t* max_frame_bytes) {
   RoundLogOptions options;
   options.compression = mode;
   Result<std::unique_ptr<RoundLogWriter>> writer =
       RoundLogWriter::Create(path, options);
   COMFEDSV_CHECK_OK(writer.status());
   Stopwatch timer;
+  *max_frame_bytes = 0;
   for (const RoundRecord& record : records) {
+    const uint64_t before = writer.value()->data_size();
     COMFEDSV_CHECK_OK(writer.value()->Append(record));
+    *max_frame_bytes =
+        std::max(*max_frame_bytes, writer.value()->data_size() - before);
   }
   COMFEDSV_CHECK_OK(writer.value()->Sync());
   *seconds = timer.ElapsedSeconds();
@@ -129,7 +132,7 @@ int main(int argc, char** argv) {
   PrintHeader("round-log spill",
               "append/read throughput of the on-disk round store, "
               "compression ratio vs valuation drift per encoding, and a "
-              "re-valuation whose log is ~10x the resident-memory window",
+              "re-valuation whose log is >= 9x the reader's resident frame",
               full);
   const Scenario s = MakeScenario(full);
   const std::string root = "bench_roundlog_scratch";
@@ -169,14 +172,15 @@ int main(int argc, char** argv) {
 
   // -- append + valuation_drift per compression mode --------------------
   uint64_t none_log_bytes = 0;
+  uint64_t none_max_frame_bytes = 0;
   for (RoundLogCompression mode :
-       {RoundLogCompression::kNone, RoundLogCompression::kXorDelta,
-        RoundLogCompression::kQuant16}) {
+       {RoundLogCompression::kNone, RoundLogCompression::kQuant16}) {
     const std::string path =
         root + "/append_" + std::string(ModeName(mode)) + ".log";
     double seconds = 0.0;
+    uint64_t max_frame_bytes = 0;
     std::unique_ptr<RoundLogWriter> writer =
-        WriteLog(path, records, mode, &seconds);
+        WriteLog(path, records, mode, &seconds, &max_frame_bytes);
     const double ratio =
         static_cast<double>(writer->data_size()) /
         static_cast<double>(std::max<uint64_t>(
@@ -196,6 +200,7 @@ int main(int argc, char** argv) {
                 writer->data_size() / 1024.0, ratio);
     if (mode == RoundLogCompression::kNone) {
       none_log_bytes = writer->data_size();
+      none_max_frame_bytes = max_frame_bytes;
     }
 
     Result<ValuationOutcome> replayed = RunValuationFromLog(
@@ -217,7 +222,7 @@ int main(int argc, char** argv) {
                 ModeName(mode), ratio, fedsv_drift, comfedsv_drift);
   }
 
-  // -- read: in-memory vs windowed mmap vs pread ------------------------
+  // -- read: in-memory vs the pread reader -----------------------------
   {
     const std::string path = root + "/append_none.log";
     const int passes = full ? 8 : 4;
@@ -231,30 +236,14 @@ int main(int argc, char** argv) {
     }
     const double mem_seconds = mem_timer.ElapsedSeconds();
 
-    RoundLogReadOptions mmap_options;
-    mmap_options.use_mmap = true;
-    mmap_options.window_bytes = std::max<uint64_t>(none_log_bytes / 10, 1);
-    Result<std::unique_ptr<RoundLogReader>> mapped =
-        RoundLogReader::Open(path, mmap_options);
-    COMFEDSV_CHECK_OK(mapped.status());
-    Stopwatch mmap_timer;
+    Result<std::unique_ptr<RoundLogReader>> reader =
+        RoundLogReader::Open(path);
+    COMFEDSV_CHECK_OK(reader.status());
+    Stopwatch pread_timer;
     RoundRecord scratch;
     for (int pass = 0; pass < passes; ++pass) {
       for (int pos = 0; pos < num_records; ++pos) {
-        COMFEDSV_CHECK_OK(mapped.value()->Read(pos, &scratch));
-      }
-    }
-    const double mmap_seconds = mmap_timer.ElapsedSeconds();
-
-    RoundLogReadOptions pread_options;
-    pread_options.use_mmap = false;
-    Result<std::unique_ptr<RoundLogReader>> pread =
-        RoundLogReader::Open(path, pread_options);
-    COMFEDSV_CHECK_OK(pread.status());
-    Stopwatch pread_timer;
-    for (int pass = 0; pass < passes; ++pass) {
-      for (int pos = 0; pos < num_records; ++pos) {
-        COMFEDSV_CHECK_OK(pread.value()->Read(pos, &scratch));
+        COMFEDSV_CHECK_OK(reader.value()->Read(pos, &scratch));
       }
     }
     const double pread_seconds = pread_timer.ElapsedSeconds();
@@ -263,16 +252,12 @@ int main(int argc, char** argv) {
     struct ReadPath {
       const char* name;
       double seconds;
-      double remaps;
-      double fallbacks;
+      double frame_reads;
     };
     const ReadPath paths[] = {
-        {"in_memory", mem_seconds, 0.0, 0.0},
-        {"mmap_window", mmap_seconds,
-         static_cast<double>(mapped.value()->remaps()),
-         static_cast<double>(mapped.value()->fallback_reads())},
-        {"pread", pread_seconds, 0.0,
-         static_cast<double>(pread.value()->fallback_reads())},
+        {"in_memory", mem_seconds, 0.0},
+        {"pread", pread_seconds,
+         static_cast<double>(reader.value()->fallback_reads())},
     };
     for (const ReadPath& path_stats : paths) {
       json.BeginRecord();
@@ -282,43 +267,41 @@ int main(int argc, char** argv) {
       json.Field("seconds", path_stats.seconds);
       json.Field("entries_per_sec",
                  entries / std::max(path_stats.seconds, 1e-12));
-      json.Field("remaps", path_stats.remaps);
-      json.Field("fallback_reads", path_stats.fallbacks);
-      std::printf("read    %-12s %8.0f entries/s  (%.0f remaps, %.0f "
-                  "preads)\n",
+      json.Field("fallback_reads", path_stats.frame_reads);
+      std::printf("read    %-12s %8.0f entries/s  (%.0f preads)\n",
                   path_stats.name,
                   entries / std::max(path_stats.seconds, 1e-12),
-                  path_stats.remaps, path_stats.fallbacks);
+                  path_stats.frame_reads);
     }
     (void)sink;
   }
 
-  // -- memory_budget: the 10x demo --------------------------------------
+  // -- memory_budget: log size vs resident frame ------------------------
   {
-    RoundLogReadOptions budget;
-    budget.use_mmap = true;
-    budget.window_bytes = std::max<uint64_t>(none_log_bytes / 10, 1);
     Stopwatch timer;
     Result<ValuationOutcome> replayed =
         RunValuationFromLog(*s.w.model, s.w.test, s.num_clients,
-                            ckpt.round_log_path, s.request, budget);
+                            ckpt.round_log_path, s.request);
     COMFEDSV_CHECK_OK(replayed.status());
     const double seconds = timer.ElapsedSeconds();
     const bool identical =
         BitIdentical(*replayed.value().fedsv_values, base_fedsv);
-    const double budget_ratio = static_cast<double>(none_log_bytes) /
-                                static_cast<double>(budget.window_bytes);
+    // The reader holds one frame at a time, so the largest frame bounds
+    // what the log contributes to resident memory.
+    const double budget_ratio =
+        static_cast<double>(none_log_bytes) /
+        static_cast<double>(std::max<uint64_t>(none_max_frame_bytes, 1));
     json.BeginRecord();
     json.Field("section", "memory_budget");
     json.Field("log_bytes", static_cast<double>(none_log_bytes));
-    json.Field("window_bytes", static_cast<double>(budget.window_bytes));
+    json.Field("max_frame_bytes", static_cast<double>(none_max_frame_bytes));
     json.Field("budget_ratio", budget_ratio);
     json.Field("rounds", static_cast<double>(num_records));
     json.Field("revaluation_seconds", seconds);
     json.Field("bit_identical", identical);
-    std::printf("budget  log %.0f KB / window %.0f KB (%.1fx)  "
+    std::printf("budget  log %.0f KB / largest frame %.0f KB (%.1fx)  "
                 "re-valued %d rounds in %.2f s  bit_identical=%d\n",
-                none_log_bytes / 1024.0, budget.window_bytes / 1024.0,
+                none_log_bytes / 1024.0, none_max_frame_bytes / 1024.0,
                 budget_ratio, num_records, seconds, identical ? 1 : 0);
     COMFEDSV_CHECK(identical);
     COMFEDSV_CHECK_GE(budget_ratio, 9.0);

@@ -72,9 +72,8 @@ struct CheckpointConfig {
   /// Round-log data file; `<path>.idx` holds the footer index. Empty =
   /// spill off.
   std::string round_log_path;
-  /// On-disk encoding; kNone and kXorDelta replay bit-identically,
-  /// kQuant16 trades bounded valuation drift for space (see
-  /// BENCH_roundlog.json).
+  /// On-disk encoding; kNone replays bit-identically, kQuant16 trades
+  /// bounded valuation drift for space (see BENCH_roundlog.json).
   RoundLogCompression round_log_compression = RoundLogCompression::kNone;
   /// Persist the footer index every k-th append.
   int round_log_index_every = 1;

@@ -164,8 +164,8 @@ Result<ValuationOutcome> RunValuationFromLog(
 
   // A streaming engine with no snapshots is exactly the batch pipeline
   // fed from disk: OnRound accumulates per record, Finalize() is the
-  // cold batch-equivalent solve. Resident memory stays at one decoded
-  // record plus the reader's window, whatever the trajectory length.
+  // cold batch-equivalent solve. Resident memory stays at one frame and
+  // one decoded record, whatever the trajectory length.
   StreamingConfig config;
   config.request = request;
   StreamingValuationEngine engine(&model, &test_data, num_clients, config,

@@ -93,14 +93,13 @@ Result<ValuationOutcome> RunValuationCheckpointed(
 
 /// Re-values a trajectory from a round log (io/round_log.h) instead of
 /// training: every record is served from disk — one frame resident at a
-/// time, plus the reader's mmap window — and fed through a streaming
-/// engine whose Finalize() is the batch-equivalent read. On a log
-/// written with lossless encoding (kNone, kXorDelta) the outputs are
-/// bit-identical to the RunValuation that produced the trajectory, for
-/// any thread count; kQuant16 drifts by the quantization step
-/// (bench/roundlog.cc measures it). The log must be complete: a spill
-/// run that degraded mid-stream leaves gaps that surface here as a
-/// shorter round count.
+/// time — and fed through a streaming engine whose Finalize() is the
+/// batch-equivalent read. On a log written with the lossless encoding
+/// (kNone) the outputs are bit-identical to the RunValuation that
+/// produced the trajectory, for any thread count; kQuant16 drifts by the
+/// quantization step (bench/roundlog.cc measures it). The log must be
+/// complete: a spill run that degraded mid-stream leaves gaps that
+/// surface here as a shorter round count.
 Result<ValuationOutcome> RunValuationFromLog(
     const Model& model, const Dataset& test_data, int num_clients,
     const std::string& log_path, const ValuationRequest& request,

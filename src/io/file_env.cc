@@ -10,7 +10,6 @@
 
 #ifndef _WIN32
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <unistd.h>
 #endif
 
@@ -204,45 +203,6 @@ Status FileEnv::Truncate(const std::string& path, uint64_t size) {
   return Status::Ok();
 }
 
-Result<MappedRegion> FileEnv::MapRange(const std::string& path,
-                                       uint64_t offset, uint64_t length) {
-  Result<uint64_t> size = FileSize(path);
-  if (!size.ok()) return size.status();
-  if (offset >= size.value()) return MappedRegion();
-  const uint64_t avail = std::min<uint64_t>(length, size.value() - offset);
-  if (avail == 0) return MappedRegion();
-#ifndef _WIN32
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::Unavailable(ErrnoMessage("open", path));
-  }
-  // mmap offsets must be page-aligned; map from the aligned floor and
-  // hand out a pointer adjusted by the slack.
-  const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
-  const uint64_t aligned = offset - offset % page;
-  const uint64_t slack = offset - aligned;
-  const size_t map_len = static_cast<size_t>(avail + slack);
-  void* base = ::mmap(nullptr, map_len, PROT_READ, MAP_PRIVATE, fd,
-                      static_cast<off_t>(aligned));
-  const int saved_errno = errno;
-  ::close(fd);
-  if (base == MAP_FAILED) {
-    errno = saved_errno;
-    return Status::Unavailable(ErrnoMessage("mmap", path));
-  }
-  return MappedRegion(static_cast<const char*>(base) + slack,
-                      static_cast<size_t>(avail),
-                      [base, map_len] { ::munmap(base, map_len); });
-#else
-  // No mmap on this platform: emulate with a heap copy owned by the
-  // unmap closure, so callers keep one code path.
-  Result<std::string> bytes = ReadFileRange(path, offset, avail);
-  if (!bytes.ok()) return bytes.status();
-  auto* owned = new std::string(std::move(bytes).value());
-  return MappedRegion(owned->data(), owned->size(), [owned] { delete owned; });
-#endif
-}
-
 FileEnv* FileEnv::Real() {
   static FileEnv* env = new FileEnv();
   return env;
@@ -252,8 +212,8 @@ namespace failpoints {
 
 const std::vector<std::string>& All() {
   static const std::vector<std::string>* all = new std::vector<std::string>{
-      kWriteFile, kSyncFile, kRename,   kSyncDir, kReadFile, kRemove,
-      kListDir,   kAppendFile, kReadRange, kTruncate, kMmap};
+      kWriteFile, kSyncFile,   kRename,    kSyncDir,  kReadFile,
+      kRemove,    kListDir,    kAppendFile, kReadRange, kTruncate};
   return *all;
 }
 
@@ -425,13 +385,6 @@ Status FaultInjectingFileEnv::Truncate(const std::string& path,
                                        uint64_t size) {
   COMFEDSV_RETURN_IF_ERROR(Check(failpoints::kTruncate, {}, {}));
   return base_->Truncate(path, size);
-}
-
-Result<MappedRegion> FaultInjectingFileEnv::MapRange(const std::string& path,
-                                                     uint64_t offset,
-                                                     uint64_t length) {
-  COMFEDSV_RETURN_IF_ERROR(Check(failpoints::kMmap, {}, {}));
-  return base_->MapRange(path, offset, length);
 }
 
 }  // namespace comfedsv

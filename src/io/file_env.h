@@ -23,58 +23,13 @@
 #define COMFEDSV_IO_FILE_ENV_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
 
 namespace comfedsv {
-
-/// A read-only byte window over part of a file, returned by
-/// FileEnv::MapRange. Owns the mapping: destruction (or move-assignment
-/// over it) releases the pages. Move-only.
-class MappedRegion {
- public:
-  MappedRegion() = default;
-  MappedRegion(const char* data, size_t size, std::function<void()> unmap)
-      : data_(data), size_(size), unmap_(std::move(unmap)) {}
-  ~MappedRegion() { Reset(); }
-
-  MappedRegion(MappedRegion&& other) noexcept { *this = std::move(other); }
-  MappedRegion& operator=(MappedRegion&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      data_ = other.data_;
-      size_ = other.size_;
-      unmap_ = std::move(other.unmap_);
-      other.data_ = nullptr;
-      other.size_ = 0;
-      other.unmap_ = nullptr;
-    }
-    return *this;
-  }
-  MappedRegion(const MappedRegion&) = delete;
-  MappedRegion& operator=(const MappedRegion&) = delete;
-
-  const char* data() const { return data_; }
-  size_t size() const { return size_; }
-  std::string_view view() const { return {data_, size_}; }
-
- private:
-  void Reset() {
-    if (unmap_) unmap_();
-    data_ = nullptr;
-    size_ = 0;
-    unmap_ = nullptr;
-  }
-
-  const char* data_ = nullptr;
-  size_t size_ = 0;
-  std::function<void()> unmap_;
-};
 
 class FileEnv {
  public:
@@ -130,13 +85,6 @@ class FileEnv {
   /// Truncates (or zero-extends) the file to exactly `size` bytes.
   virtual Status Truncate(const std::string& path, uint64_t size);
 
-  /// Maps `length` bytes at `offset` for reading. The region stays
-  /// valid until destroyed; the range is clamped to the file size (the
-  /// returned region may be shorter than requested). Unavailable when
-  /// mapping is not possible — callers fall back to ReadFileRange.
-  virtual Result<MappedRegion> MapRange(const std::string& path,
-                                        uint64_t offset, uint64_t length);
-
   /// The real filesystem. Never null; shared process-wide.
   static FileEnv* Real();
 };
@@ -155,7 +103,6 @@ inline constexpr const char* kListDir = "io/list_dir";
 inline constexpr const char* kAppendFile = "io/append_file";
 inline constexpr const char* kReadRange = "io/read_range";
 inline constexpr const char* kTruncate = "io/truncate";
-inline constexpr const char* kMmap = "io/mmap";
 
 /// Every instrumented failpoint, in the order the sweep iterates them.
 const std::vector<std::string>& All();
@@ -203,8 +150,6 @@ class FaultInjectingFileEnv : public FileEnv {
                                     uint64_t length) override;
   Result<uint64_t> FileSize(const std::string& path) override;
   Status Truncate(const std::string& path, uint64_t size) override;
-  Result<MappedRegion> MapRange(const std::string& path, uint64_t offset,
-                                uint64_t length) override;
 
   /// True once a kCrash action fired (every operation now fails).
   bool crashed() const { return crashed_; }

@@ -1,7 +1,8 @@
 #include "io/round_log.h"
 
 #include <algorithm>
-#include <cstring>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -15,12 +16,12 @@ namespace {
 constexpr uint64_t kFrameHeaderSize = 16;
 /// Trailing FNV-1a over the frame header + payload.
 constexpr uint64_t kFrameTrailerSize = 8;
+/// Bytes a frame adds around its payload.
+constexpr uint64_t kFrameOverhead = kFrameHeaderSize + kFrameTrailerSize;
 
-/// RLE opcodes for the kXorDelta byte stream.
-constexpr uint8_t kOpZeroRun = 0x00;
-constexpr uint8_t kOpLiteral = 0x01;
-/// Zero runs at least this long pay for their 5-byte opcode.
-constexpr size_t kMinZeroRun = 8;
+/// The retired xor_delta encoding's on-disk value (see
+/// RoundLogCompression).
+constexpr uint32_t kRetiredXorDelta = 1;
 
 void PutU32(std::string* out, uint32_t v) {
   for (int k = 0; k < 4; ++k) {
@@ -50,18 +51,6 @@ uint64_t GetU64(std::string_view bytes, size_t at) {
   return v;
 }
 
-uint64_t DoubleBits(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double BitsDouble(uint64_t bits) {
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 std::string RoundLogHeaderBytes(RoundLogCompression compression) {
   std::string header;
   PutU32(&header, kRoundLogMagic);
@@ -70,6 +59,19 @@ std::string RoundLogHeaderBytes(RoundLogCompression compression) {
   PutU32(&header, 0);  // reserved
   PutU64(&header, Fnv1a64(header));
   return header;
+}
+
+/// Validates an on-disk compression value, from a header or a frame.
+Status CheckCompression(uint32_t mode) {
+  if (mode == kRetiredXorDelta) {
+    return Status::FailedPrecondition(
+        "round log written with the retired xor_delta encoding");
+  }
+  if (mode != static_cast<uint32_t>(RoundLogCompression::kNone) &&
+      mode != static_cast<uint32_t>(RoundLogCompression::kQuant16)) {
+    return Status::DataLoss("round log has unknown compression mode");
+  }
+  return Status::Ok();
 }
 
 Status ParseRoundLogHeader(std::string_view bytes,
@@ -87,9 +89,7 @@ Status ParseRoundLogHeader(std::string_view bytes,
     return Status::DataLoss("round log header checksum mismatch");
   }
   const uint32_t mode = GetU32(bytes, 8);
-  if (mode > static_cast<uint32_t>(RoundLogCompression::kQuant16)) {
-    return Status::DataLoss("round log has unknown compression mode");
-  }
+  COMFEDSV_RETURN_IF_ERROR(CheckCompression(mode));
   *compression = static_cast<RoundLogCompression>(mode);
   return Status::Ok();
 }
@@ -97,13 +97,57 @@ Status ParseRoundLogHeader(std::string_view bytes,
 std::string BuildFrame(const RoundRecord& record, std::string_view payload,
                        RoundLogCompression enc) {
   std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size() + kFrameTrailerSize);
+  frame.reserve(payload.size() + kFrameOverhead);
   PutU32(&frame, static_cast<uint32_t>(record.round));
   PutU32(&frame, static_cast<uint32_t>(enc));
   PutU64(&frame, payload.size());
   frame.append(payload);
   PutU64(&frame, Fnv1a64(frame));
   return frame;
+}
+
+/// Walks frames forward from `offset`, verifying each checksum, and
+/// appends them to `*frames` until `max_frames` are listed, the file
+/// ends, or a torn or corrupt frame (a crash mid-append) ends the
+/// stream. Returns the offset just past the last intact frame. Only an
+/// environment failure is an error; corruption just ends the scan.
+Result<uint64_t> ScanFrames(FileEnv* env, const std::string& path,
+                            uint64_t offset, uint64_t file_size,
+                            size_t max_frames,
+                            std::vector<RoundLogFrame>* frames) {
+  while (frames->size() < max_frames && offset <= file_size &&
+         file_size - offset >= kFrameOverhead) {
+    Result<std::string> head =
+        env->ReadFileRange(path, offset, kFrameHeaderSize);
+    if (!head.ok()) return head.status();
+    if (head.value().size() < kFrameHeaderSize) break;
+    // Bound the length by what the file holds before adding anything to
+    // it: a corrupt length near 2^64 would wrap the frame size.
+    const uint64_t payload_len = GetU64(head.value(), 8);
+    if (payload_len > file_size - offset - kFrameOverhead) break;
+    Result<std::string> rest = env->ReadFileRange(
+        path, offset + kFrameHeaderSize, payload_len + kFrameTrailerSize);
+    if (!rest.ok()) return rest.status();
+    const std::string_view body = rest.value();
+    if (body.size() < payload_len + kFrameTrailerSize) break;
+    if (GetU64(body, payload_len) !=
+        Fnv1a64(body.substr(0, payload_len), Fnv1a64(head.value()))) {
+      break;
+    }
+    frames->push_back(
+        {GetU32(head.value(), 0), offset, payload_len + kFrameOverhead});
+    offset += payload_len + kFrameOverhead;
+  }
+  return offset;
+}
+
+Status ValidateOptions(const RoundLogOptions& options) {
+  if (options.index_every < 1) {
+    return Status::InvalidArgument(
+        "RoundLogOptions::index_every must be >= 1, got " +
+        std::to_string(options.index_every));
+  }
+  return Status::Ok();
 }
 
 void SaveIntList(const std::vector<int>& list, BinaryWriter* out) {
@@ -123,8 +167,8 @@ Status LoadIntList(BinaryReader* in, std::vector<int>* list) {
   return Status::Ok();
 }
 
-/// Shared prelude of the two delta encodings: everything in the record
-/// except the local models, with global_before stored exact.
+/// Prelude of the kQuant16 encoding: everything in the record except
+/// the local models, with global_before stored exact.
 void SavePrelude(const RoundRecord& record, BinaryWriter* out) {
   out->I32(record.round);
   out->F64(record.test_loss_before);
@@ -143,131 +187,6 @@ Status LoadPrelude(BinaryReader* in, RoundRecord* out, uint64_t* num_models) {
   COMFEDSV_RETURN_IF_ERROR(LoadIntList(in, &out->rejected));
   COMFEDSV_RETURN_IF_ERROR(LoadIntList(in, &out->dropped));
   return in->Count(1, num_models);
-}
-
-/// Zero-run-length encodes `bytes`: 0x00 + u32 run for zero runs of at
-/// least kMinZeroRun, 0x01 + u32 len + raw bytes otherwise.
-std::string RleEncode(std::string_view bytes) {
-  std::string out;
-  size_t literal_start = 0;
-  size_t i = 0;
-  auto flush_literal = [&](size_t end) {
-    size_t at = literal_start;
-    while (at < end) {
-      const size_t len = std::min<size_t>(end - at, 0xFFFFFFFFu);
-      out.push_back(static_cast<char>(kOpLiteral));
-      PutU32(&out, static_cast<uint32_t>(len));
-      out.append(bytes.substr(at, len));
-      at += len;
-    }
-  };
-  while (i < bytes.size()) {
-    if (bytes[i] == '\0') {
-      size_t run = 1;
-      while (i + run < bytes.size() && bytes[i + run] == '\0') ++run;
-      if (run >= kMinZeroRun) {
-        flush_literal(i);
-        size_t left = run;
-        while (left > 0) {
-          const size_t n = std::min<size_t>(left, 0xFFFFFFFFu);
-          out.push_back(static_cast<char>(kOpZeroRun));
-          PutU32(&out, static_cast<uint32_t>(n));
-          left -= n;
-        }
-        literal_start = i + run;
-      }
-      i += run;
-    } else {
-      ++i;
-    }
-  }
-  flush_literal(bytes.size());
-  return out;
-}
-
-Status RleDecode(BinaryReader* in, size_t expected_size, std::string* out) {
-  uint64_t rle_len = 0;
-  COMFEDSV_RETURN_IF_ERROR(in->Count(1, &rle_len));
-  out->clear();
-  out->reserve(expected_size);
-  uint64_t consumed = 0;
-  while (consumed < rle_len) {
-    uint8_t op = 0;
-    uint32_t n = 0;
-    COMFEDSV_RETURN_IF_ERROR(in->U8(&op));
-    COMFEDSV_RETURN_IF_ERROR(in->U32(&n));
-    consumed += 5;
-    if (op == kOpZeroRun) {
-      if (out->size() + n > expected_size) {
-        return Status::DataLoss("round log RLE stream overruns its vector");
-      }
-      out->append(n, '\0');
-    } else if (op == kOpLiteral) {
-      if (out->size() + n > expected_size || consumed + n > rle_len) {
-        return Status::DataLoss("round log RLE stream overruns its vector");
-      }
-      for (uint32_t k = 0; k < n; ++k) {
-        uint8_t b = 0;
-        COMFEDSV_RETURN_IF_ERROR(in->U8(&b));
-        out->push_back(static_cast<char>(b));
-      }
-      consumed += n;
-    } else {
-      return Status::DataLoss("round log RLE stream has an unknown opcode");
-    }
-  }
-  if (consumed != rle_len || out->size() != expected_size) {
-    return Status::DataLoss("round log RLE stream length mismatch");
-  }
-  return Status::Ok();
-}
-
-std::string EncodeXorDelta(const RoundRecord& record) {
-  BinaryWriter out;
-  SavePrelude(record, &out);
-  const Vector& global = record.global_before;
-  for (const Vector& local : record.local_models) {
-    out.U64(local.size());
-    std::string xored;
-    xored.reserve(local.size() * 8);
-    for (size_t j = 0; j < local.size(); ++j) {
-      const uint64_t g = j < global.size() ? DoubleBits(global[j]) : 0;
-      PutU64(&xored, DoubleBits(local[j]) ^ g);
-    }
-    // Most clients do not move most coordinates much per round, but the
-    // payoff here comes from sanitized/unselected updates that equal the
-    // global exactly: their XOR stream is all zeros.
-    const std::string rle = RleEncode(xored);
-    out.U64(rle.size());
-    for (char c : rle) out.U8(static_cast<uint8_t>(c));
-  }
-  return out.buffer();
-}
-
-Status DecodeXorDelta(std::string_view payload, RoundRecord* out) {
-  BinaryReader in(payload);
-  uint64_t num_models = 0;
-  COMFEDSV_RETURN_IF_ERROR(LoadPrelude(&in, out, &num_models));
-  out->local_models.assign(static_cast<size_t>(num_models), Vector());
-  const Vector& global = out->global_before;
-  for (uint64_t m = 0; m < num_models; ++m) {
-    uint64_t dim = 0;
-    COMFEDSV_RETURN_IF_ERROR(in.Count(8, &dim));
-    std::string xored;
-    COMFEDSV_RETURN_IF_ERROR(
-        RleDecode(&in, static_cast<size_t>(dim) * 8, &xored));
-    Vector& local = out->local_models[static_cast<size_t>(m)];
-    local.Resize(static_cast<size_t>(dim));
-    for (uint64_t j = 0; j < dim; ++j) {
-      const uint64_t g = j < global.size() ? DoubleBits(global[j]) : 0;
-      local[static_cast<size_t>(j)] =
-          BitsDouble(GetU64(xored, static_cast<size_t>(j) * 8) ^ g);
-    }
-  }
-  if (in.remaining() != 0) {
-    return Status::DataLoss("round log payload has trailing bytes");
-  }
-  return Status::Ok();
 }
 
 std::string EncodeQuant16(const RoundRecord& record) {
@@ -343,8 +262,6 @@ std::string EncodeRoundRecordPayload(const RoundRecord& record,
       SaveRoundRecord(record, &out);
       return out.buffer();
     }
-    case RoundLogCompression::kXorDelta:
-      return EncodeXorDelta(record);
     case RoundLogCompression::kQuant16:
       return EncodeQuant16(record);
   }
@@ -365,12 +282,11 @@ Status DecodeRoundRecordPayload(std::string_view payload,
       }
       return Status::Ok();
     }
-    case RoundLogCompression::kXorDelta:
-      return DecodeXorDelta(payload, out);
     case RoundLogCompression::kQuant16:
       return DecodeQuant16(payload, out);
   }
-  return Status::DataLoss("round log payload has unknown encoding");
+  // Not a current encoding: the retired value or garbage.
+  return CheckCompression(static_cast<uint32_t>(compression));
 }
 
 // ---------------------------------------------------------------------
@@ -379,12 +295,12 @@ Status DecodeRoundRecordPayload(std::string_view payload,
 
 RoundLogWriter::RoundLogWriter(std::string path, RoundLogOptions options)
     : path_(std::move(path)), options_(std::move(options)) {
-  COMFEDSV_CHECK_GE(options_.index_every, 1);
   env_ = options_.env != nullptr ? options_.env : FileEnv::Real();
 }
 
 Result<std::unique_ptr<RoundLogWriter>> RoundLogWriter::Create(
     const std::string& path, RoundLogOptions options) {
+  COMFEDSV_RETURN_IF_ERROR(ValidateOptions(options));
   std::unique_ptr<RoundLogWriter> writer(
       new RoundLogWriter(path, std::move(options)));
   COMFEDSV_RETURN_IF_ERROR(writer->env_->WriteFile(
@@ -397,6 +313,7 @@ Result<std::unique_ptr<RoundLogWriter>> RoundLogWriter::Create(
 Result<std::unique_ptr<RoundLogWriter>> RoundLogWriter::OpenForAppend(
     const std::string& path, int keep_rounds, RoundLogOptions options) {
   COMFEDSV_CHECK_GE(keep_rounds, 0);
+  COMFEDSV_RETURN_IF_ERROR(ValidateOptions(options));
   std::unique_ptr<RoundLogWriter> writer(
       new RoundLogWriter(path, std::move(options)));
   FileEnv* env = writer->env_;
@@ -415,32 +332,10 @@ Result<std::unique_ptr<RoundLogWriter>> RoundLogWriter::OpenForAppend(
   // or torn, the frames are the truth.
   Result<uint64_t> file_size = env->FileSize(path);
   if (!file_size.ok()) return file_size.status();
-  uint64_t offset = kRoundLogHeaderSize;
-  while (static_cast<int>(writer->index_.size()) < keep_rounds) {
-    Result<std::string> head =
-        env->ReadFileRange(path, offset, kFrameHeaderSize);
-    if (!head.ok()) return head.status();
-    if (head.value().size() < kFrameHeaderSize) break;
-    const uint64_t payload_len = GetU64(head.value(), 8);
-    const uint64_t frame_len =
-        kFrameHeaderSize + payload_len + kFrameTrailerSize;
-    if (offset + frame_len > file_size.value()) break;
-    Result<std::string> rest = env->ReadFileRange(
-        path, offset + kFrameHeaderSize, payload_len + kFrameTrailerSize);
-    if (!rest.ok()) return rest.status();
-    if (rest.value().size() < payload_len + kFrameTrailerSize) break;
-    const uint64_t want = GetU64(rest.value(), payload_len);
-    const uint64_t got =
-        Fnv1a64(std::string_view(rest.value()).substr(0, payload_len),
-                Fnv1a64(head.value()));
-    if (want != got) break;
-    Entry entry;
-    entry.round = GetU32(head.value(), 0);
-    entry.offset = offset;
-    entry.length = frame_len;
-    writer->index_.push_back(entry);
-    offset += frame_len;
-  }
+  Result<uint64_t> end =
+      ScanFrames(env, path, kRoundLogHeaderSize, file_size.value(),
+                 static_cast<size_t>(keep_rounds), &writer->index_);
+  if (!end.ok()) return end.status();
   if (static_cast<int>(writer->index_.size()) < keep_rounds) {
     return Status::DataLoss(
         "round log at " + path + " has only " +
@@ -452,9 +347,9 @@ Result<std::unique_ptr<RoundLogWriter>> RoundLogWriter::OpenForAppend(
   // appended beyond its last durable checkpoint, or a torn tail. Done
   // unconditionally so resume-after-clean-shutdown exercises the same
   // path as resume-after-crash.
-  COMFEDSV_RETURN_IF_ERROR(env->Truncate(path, offset));
+  COMFEDSV_RETURN_IF_ERROR(env->Truncate(path, end.value()));
   COMFEDSV_RETURN_IF_ERROR(env->SyncFile(path));
-  writer->data_size_ = offset;
+  writer->data_size_ = end.value();
   COMFEDSV_RETURN_IF_ERROR(writer->WriteIndex());
   return writer;
 }
@@ -482,11 +377,8 @@ Status RoundLogWriter::Append(const RoundRecord& record) {
     return synced;
   }
 
-  Entry entry;
-  entry.round = static_cast<uint32_t>(record.round);
-  entry.offset = data_size_;
-  entry.length = frame.size();
-  index_.push_back(entry);
+  index_.push_back({static_cast<uint32_t>(record.round), data_size_,
+                    frame.size()});
   data_size_ += frame.size();
   uncompressed_bytes_ +=
       options_.compression == RoundLogCompression::kNone
@@ -513,7 +405,7 @@ Status RoundLogWriter::WriteIndex() {
   BinaryWriter out;
   out.U64(data_size_);
   out.U64(index_.size());
-  for (const Entry& entry : index_) {
+  for (const RoundLogFrame& entry : index_) {
     out.U32(entry.round);
     out.U64(entry.offset);
     out.U64(entry.length);
@@ -529,15 +421,14 @@ Status RoundLogWriter::WriteIndex() {
 // Reader.
 // ---------------------------------------------------------------------
 
-RoundLogReader::RoundLogReader(std::string path, RoundLogReadOptions options)
-    : path_(std::move(path)), options_(std::move(options)) {
-  env_ = options_.env != nullptr ? options_.env : FileEnv::Real();
-}
+RoundLogReader::RoundLogReader(std::string path, FileEnv* env)
+    : path_(std::move(path)),
+      env_(env != nullptr ? env : FileEnv::Real()) {}
 
 Result<std::unique_ptr<RoundLogReader>> RoundLogReader::Open(
     const std::string& path, RoundLogReadOptions options) {
   std::unique_ptr<RoundLogReader> reader(
-      new RoundLogReader(path, std::move(options)));
+      new RoundLogReader(path, options.env));
   FileEnv* env = reader->env_;
 
   Result<uint64_t> file_size = env->FileSize(path);
@@ -562,13 +453,14 @@ Result<std::unique_ptr<RoundLogReader>> RoundLogReader::Open(
     bool valid = in.U64(&indexed_size).ok() && in.Count(20, &count).ok() &&
                  indexed_size <= reader->data_size_;
     uint64_t expect_offset = kRoundLogHeaderSize;
-    std::vector<Entry> entries;
+    std::vector<RoundLogFrame> entries;
     for (uint64_t i = 0; valid && i < count; ++i) {
-      Entry entry;
+      RoundLogFrame entry;
       valid = in.U32(&entry.round).ok() && in.U64(&entry.offset).ok() &&
               in.U64(&entry.length).ok() && entry.offset == expect_offset &&
-              entry.length >= kFrameHeaderSize + kFrameTrailerSize &&
-              entry.offset + entry.length <= indexed_size;
+              entry.length >= kFrameOverhead &&
+              entry.offset <= indexed_size &&
+              entry.length <= indexed_size - entry.offset;
       if (valid) {
         expect_offset = entry.offset + entry.length;
         entries.push_back(entry);
@@ -584,77 +476,12 @@ Result<std::unique_ptr<RoundLogReader>> RoundLogReader::Open(
     return idx.status();
   }
 
-  // Scan the unindexed tail frame by frame; stop at the first torn or
-  // corrupt frame (a crash mid-append).
-  uint64_t offset = scan_from;
-  while (offset + kFrameHeaderSize + kFrameTrailerSize <=
-         reader->data_size_) {
-    Result<std::string> head =
-        env->ReadFileRange(path, offset, kFrameHeaderSize);
-    if (!head.ok()) return head.status();
-    if (head.value().size() < kFrameHeaderSize) break;
-    const uint64_t payload_len = GetU64(head.value(), 8);
-    const uint64_t frame_len =
-        kFrameHeaderSize + payload_len + kFrameTrailerSize;
-    if (offset + frame_len > reader->data_size_) break;
-    Result<std::string> rest = env->ReadFileRange(
-        path, offset + kFrameHeaderSize, payload_len + kFrameTrailerSize);
-    if (!rest.ok()) return rest.status();
-    if (rest.value().size() < payload_len + kFrameTrailerSize) break;
-    const uint64_t want = GetU64(rest.value(), payload_len);
-    const uint64_t got =
-        Fnv1a64(std::string_view(rest.value()).substr(0, payload_len),
-                Fnv1a64(head.value()));
-    if (want != got) break;
-    Entry entry;
-    entry.round = GetU32(head.value(), 0);
-    entry.offset = offset;
-    entry.length = frame_len;
-    reader->index_.push_back(entry);
-    offset += frame_len;
-  }
+  // Pick up the frames appended since the index was written.
+  Result<uint64_t> end =
+      ScanFrames(env, path, scan_from, reader->data_size_,
+                 std::numeric_limits<size_t>::max(), &reader->index_);
+  if (!end.ok()) return end.status();
   return reader;
-}
-
-Result<std::string_view> RoundLogReader::FrameBytes(const Entry& entry,
-                                                    std::string* scratch) {
-  if (options_.use_mmap && !mmap_broken_) {
-    const bool covered =
-        window_.data() != nullptr && entry.offset >= window_offset_ &&
-        entry.offset + entry.length <= window_offset_ + window_.size();
-    if (!covered) {
-      const uint64_t len = std::min<uint64_t>(
-          std::max<uint64_t>(options_.window_bytes, entry.length),
-          data_size_ - entry.offset);
-      Result<MappedRegion> mapped =
-          env_->MapRange(path_, entry.offset, len);
-      if (mapped.ok()) {
-        window_ = std::move(mapped).value();
-        window_offset_ = entry.offset;
-        ++remaps_;
-      } else if (mapped.status().code() == StatusCode::kNotImplemented) {
-        mmap_broken_ = true;
-      }
-      // Any mapping failure falls through to the pread path below for
-      // this read; unless mapping is structurally unsupported we try
-      // again next time the window slides.
-    }
-    if (window_.data() != nullptr && entry.offset >= window_offset_ &&
-        entry.offset + entry.length <= window_offset_ + window_.size()) {
-      return window_.view().substr(
-          static_cast<size_t>(entry.offset - window_offset_),
-          static_cast<size_t>(entry.length));
-    }
-  }
-  Result<std::string> bytes =
-      env_->ReadFileRange(path_, entry.offset, entry.length);
-  if (!bytes.ok()) return bytes.status();
-  if (bytes.value().size() < entry.length) {
-    return Status::DataLoss("round log frame truncated under the reader");
-  }
-  ++fallback_reads_;
-  *scratch = std::move(bytes).value();
-  return std::string_view(*scratch);
 }
 
 Status RoundLogReader::Read(int pos, RoundRecord* out) {
@@ -663,13 +490,18 @@ Status RoundLogReader::Read(int pos, RoundRecord* out) {
                               " not in [0, " + std::to_string(rounds()) +
                               ")");
   }
-  const Entry& entry = index_[static_cast<size_t>(pos)];
-  std::string scratch;
-  Result<std::string_view> frame = FrameBytes(entry, &scratch);
+  const RoundLogFrame& entry = index_[static_cast<size_t>(pos)];
+  Result<std::string> frame =
+      env_->ReadFileRange(path_, entry.offset, entry.length);
   if (!frame.ok()) return frame.status();
+  ++fallback_reads_;
   const std::string_view bytes = frame.value();
+  if (bytes.size() < entry.length) {
+    return Status::DataLoss("round log frame truncated under the reader");
+  }
+  // entry.length >= header + trailer (Open checked), so this cannot wrap.
   const uint64_t payload_len = GetU64(bytes, 8);
-  if (kFrameHeaderSize + payload_len + kFrameTrailerSize != bytes.size()) {
+  if (payload_len != bytes.size() - kFrameOverhead) {
     return Status::DataLoss("round log frame length mismatch");
   }
   const uint64_t want = GetU64(bytes, kFrameHeaderSize + payload_len);
@@ -679,9 +511,7 @@ Status RoundLogReader::Read(int pos, RoundRecord* out) {
     return Status::DataLoss("round log frame checksum mismatch");
   }
   const uint32_t enc = GetU32(bytes, 4);
-  if (enc > static_cast<uint32_t>(RoundLogCompression::kQuant16)) {
-    return Status::DataLoss("round log frame has unknown encoding");
-  }
+  COMFEDSV_RETURN_IF_ERROR(CheckCompression(enc));
   return DecodeRoundRecordPayload(
       bytes.substr(kFrameHeaderSize, payload_len),
       static_cast<RoundLogCompression>(enc), out);

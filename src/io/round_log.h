@@ -9,22 +9,20 @@
 //     periodically persists a footer index as an atomic side file
 //     (`<path>.idx`, the io/serialize.h container around one
 //     kRoundLogIndex chunk), fsynced via the usual tmp+rename path.
-//   * RoundLogReader serves records by position through a windowed mmap
-//     (a budget-bounded sliding window over the data file), falling back
-//     to FileEnv::ReadFileRange when mapping is unavailable — so the
-//     fault-injecting environment covers both paths.
+//   * RoundLogReader serves records by position with one
+//     FileEnv::ReadFileRange per frame, so exactly one frame is resident
+//     at a time and the fault-injecting environment covers every read.
 //   * A stale or missing index is never fatal: Open() scans forward from
 //     the last indexed byte (or from the header) and a torn tail frame —
-//     a crash mid-append — is cleanly ignored.
+//     a crash mid-append — is cleanly ignored. OpenForAppend walks the
+//     frames with the same checksum-verified scan.
 //   * OpenForAppend(keep_rounds) truncates the log to exactly
 //     `keep_rounds` frames before continuing, so a run resumed from a
 //     round-k checkpoint re-appends rounds k.. and the final file is
 //     byte-identical to an uninterrupted run's.
 //
-// Optional compression (per log, recorded in the data header):
-//   * kXorDelta — lossless: local models stored as XOR of their f64 bit
-//     patterns against global_before, zero-run-length encoded. Decoding
-//     is bit-exact, so valuation from the log is bit-identical.
+// Encoding (per log, recorded in the data header):
+//   * kNone — lossless: valuation from the log is bit-identical.
 //   * kQuant16 — lossy: local-model deltas uniformly quantized to u16 on
 //     a per-vector [min,max] grid. Valuation drift is bounded by the
 //     grid step; bench/roundlog.cc measures ratio-vs-drift.
@@ -62,9 +60,8 @@ inline constexpr uint64_t kRoundLogHeaderSize = 24;
 enum class RoundLogCompression : uint32_t {
   /// The plain SaveRoundRecord chunk bytes. Lossless.
   kNone = 0,
-  /// Local models XOR'd against global_before bit patterns, zero runs
-  /// run-length encoded. Lossless (bit-exact round trip).
-  kXorDelta = 1,
+  // 1 is reserved: the retired xor_delta encoding. A header or frame
+  // carrying it is refused with FailedPrecondition.
   /// Local-model deltas quantized to u16 on a per-vector [min,max]
   /// grid. Lossy; everything else in the record stays exact.
   kQuant16 = 2,
@@ -74,28 +71,30 @@ struct RoundLogOptions {
   RoundLogCompression compression = RoundLogCompression::kNone;
   /// Persist the footer index every k-th append (and on every Sync()).
   /// Larger values amortize the index write; recovery scans the
-  /// unindexed tail either way.
+  /// unindexed tail either way. Must be >= 1 (InvalidArgument otherwise).
   int index_every = 1;
   /// File system to operate on. nullptr = the real one.
   FileEnv* env = nullptr;
 };
 
 struct RoundLogReadOptions {
-  /// Serve reads through a windowed mmap; off = always pread
-  /// (ReadFileRange).
-  bool use_mmap = true;
-  /// Resident-memory budget for the mmap window. A frame larger than
-  /// the budget gets a window of exactly its size.
-  uint64_t window_bytes = 1 << 20;
   /// File system to operate on. nullptr = the real one.
   FileEnv* env = nullptr;
+};
+
+/// Where one frame sits in the data file: a footer-index entry.
+struct RoundLogFrame {
+  uint32_t round = 0;
+  uint64_t offset = 0;
+  uint64_t length = 0;  // whole frame, header through checksum
 };
 
 /// Appends RoundRecords to a round log. Not thread-safe (one writer per
 /// log; the trainer's round loop is sequential).
 class RoundLogWriter {
  public:
-  /// Creates (truncates) a fresh log at `path`.
+  /// Creates (truncates) a fresh log at `path`. InvalidArgument when
+  /// `options` are invalid.
   static Result<std::unique_ptr<RoundLogWriter>> Create(
       const std::string& path, RoundLogOptions options = {});
 
@@ -106,7 +105,7 @@ class RoundLogWriter {
   /// already ends at the boundary, so the io/truncate failpoint is
   /// exercised on every resume. DataLoss when fewer than `keep_rounds`
   /// intact frames exist, FailedPrecondition when the header's
-  /// compression disagrees with `options`.
+  /// compression disagrees with `options` or is the retired xor_delta.
   static Result<std::unique_ptr<RoundLogWriter>> OpenForAppend(
       const std::string& path, int keep_rounds, RoundLogOptions options = {});
 
@@ -129,19 +128,13 @@ class RoundLogWriter {
   const std::string& path() const { return path_; }
 
  private:
-  struct Entry {
-    uint32_t round = 0;
-    uint64_t offset = 0;
-    uint64_t length = 0;  // whole frame, header through checksum
-  };
-
   RoundLogWriter(std::string path, RoundLogOptions options);
   Status WriteIndex();
 
   std::string path_;
   RoundLogOptions options_;
   FileEnv* env_;
-  std::vector<Entry> index_;
+  std::vector<RoundLogFrame> index_;
   uint64_t data_size_ = kRoundLogHeaderSize;
   uint64_t uncompressed_bytes_ = 0;
   int appends_since_index_ = 0;
@@ -167,40 +160,25 @@ class RoundLogReader {
   int rounds() const { return static_cast<int>(index_.size()); }
   RoundLogCompression compression() const { return compression_; }
 
-  /// Decodes record `pos` (0-based append order) into `*out`,
-  /// validating the frame checksum. Reads go through the mmap window
-  /// when enabled (remapping as the window slides), else ReadFileRange.
+  /// Decodes record `pos` (0-based append order) into `*out`: one
+  /// ReadFileRange of the whole frame, then the checksum check.
   Status Read(int pos, RoundRecord* out);
 
-  /// Observability for tests and the bench.
-  int64_t remaps() const { return remaps_; }
+  /// Always 0: there is no mapped window to slide. Kept only so
+  /// perfbench's `io.reader_remaps` counter still has a source.
+  int64_t remaps() const { return 0; }
+  /// Frames read from disk so far (every Read() is one range read).
   int64_t fallback_reads() const { return fallback_reads_; }
-  uint64_t window_resident_bytes() const { return window_.size(); }
   uint64_t data_size() const { return data_size_; }
 
  private:
-  struct Entry {
-    uint32_t round = 0;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-  };
-
-  RoundLogReader(std::string path, RoundLogReadOptions options);
-  /// Returns the frame bytes for `entry`, via the window or pread.
-  Result<std::string_view> FrameBytes(const Entry& entry,
-                                      std::string* scratch);
+  RoundLogReader(std::string path, FileEnv* env);
 
   std::string path_;
-  RoundLogReadOptions options_;
   FileEnv* env_;
   RoundLogCompression compression_ = RoundLogCompression::kNone;
-  std::vector<Entry> index_;
+  std::vector<RoundLogFrame> index_;
   uint64_t data_size_ = 0;
-
-  MappedRegion window_;
-  uint64_t window_offset_ = 0;
-  bool mmap_broken_ = false;  // MapRange failed once; stay on pread
-  int64_t remaps_ = 0;
   int64_t fallback_reads_ = 0;
 };
 
@@ -208,8 +186,8 @@ class RoundLogReader {
 /// Exposed for tests and the bench; Append/Read use it internally.
 std::string EncodeRoundRecordPayload(const RoundRecord& record,
                                      RoundLogCompression compression);
-/// Decodes an EncodeRoundRecordPayload buffer. For kNone and kXorDelta
-/// the result is bit-identical to the encoded record.
+/// Decodes an EncodeRoundRecordPayload buffer. For kNone the result is
+/// bit-identical to the encoded record.
 Status DecodeRoundRecordPayload(std::string_view payload,
                                 RoundLogCompression compression,
                                 RoundRecord* out);

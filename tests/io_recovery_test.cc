@@ -680,9 +680,9 @@ TEST_F(IoRecoveryTest, CrashSweepRecoversBitIdenticalAtEveryFailpoint) {
 // The round-log extension of the crash sweep: the schedule now spills
 // every consumed round to a log, gets interrupted mid-run, resumes (the
 // OpenForAppend truncation realigns the log), and finally re-values the
-// whole trajectory from the log through the windowed mmap reader. Every
-// new I/O failpoint — io/append_file, io/read_range, io/truncate,
-// io/mmap — gets a kill at every opportunity; recovery must leave both
+// whole trajectory from the log through the reader. Every round-log I/O
+// failpoint — io/append_file, io/read_range, io/truncate — gets a kill
+// at every opportunity; recovery must leave both
 // the streamed valuation and the log-replayed valuation bit-identical
 // to an uninterrupted run, and the log itself byte-identical.
 TEST_F(IoRecoveryTest, CrashSweepCoversRoundLogFailpoints) {
@@ -697,10 +697,6 @@ TEST_F(IoRecoveryTest, CrashSweepCoversRoundLogFailpoints) {
     return std::make_unique<StreamingValuationEngine>(
         &s.model, &s.w.test, StreamScenario::kClients, cfg);
   };
-  RoundLogReadOptions read_options;
-  read_options.use_mmap = true;
-  read_options.window_bytes = 4096;  // smaller than the log: remaps happen
-
   // Feeds the engine rounds [first_round, stop_round), checkpointing
   // after each; bails out when the environment died.
   auto feed = [&s](StreamingValuationEngine* engine,
@@ -740,7 +736,7 @@ TEST_F(IoRecoveryTest, CrashSweepCoversRoundLogFailpoints) {
   }
 
   // Pilot with tracing: interrupted run -> resume (truncate + re-append)
-  // -> log replay through the mmap window. This is the fault surface.
+  // -> log replay through the reader. This is the fault surface.
   FailpointRegistry::Global().set_tracing(true);
   {
     const std::string dir = Dir("pilot");
@@ -759,7 +755,7 @@ TEST_F(IoRecoveryTest, CrashSweepCoversRoundLogFailpoints) {
     feed(engine.get(), &manager, &fault, kInterruptRound,
          s.fed_cfg.num_rounds);
     ASSERT_EQ(engine->rounds_consumed(), s.fed_cfg.num_rounds);
-    RoundLogReadOptions pilot_read = read_options;
+    RoundLogReadOptions pilot_read;
     pilot_read.env = &fault;
     Result<ValuationOutcome> replayed =
         RunValuationFromLog(s.model, s.w.test, StreamScenario::kClients,
@@ -772,8 +768,7 @@ TEST_F(IoRecoveryTest, CrashSweepCoversRoundLogFailpoints) {
   }
   FailpointRegistry::Global().ClearAll();
   const std::vector<std::string> swept_names = {
-      failpoints::kAppendFile, failpoints::kReadRange, failpoints::kTruncate,
-      failpoints::kMmap};
+      failpoints::kAppendFile, failpoints::kReadRange, failpoints::kTruncate};
   for (const std::string& name : swept_names) {
     ASSERT_GT(surface[name], 0) << name << " never hit in the pilot";
   }
@@ -831,13 +826,13 @@ TEST_F(IoRecoveryTest, CrashSweepCoversRoundLogFailpoints) {
       ASSERT_TRUE(engine->SyncSpill().ok());
 
       // Phase 3: re-value from the log, still under the armed trigger —
-      // hit k may belong to the reader's mmap/pread segment.
+      // hit k may belong to the reader's segment.
       Vector log_fedsv;
       Vector log_comfedsv;
       bool read_done = false;
       for (int attempt = 0; attempt < 2 && !read_done; ++attempt) {
         fault.ClearCrash();
-        RoundLogReadOptions sweep_read = read_options;
+        RoundLogReadOptions sweep_read;
         sweep_read.env = &fault;
         Result<ValuationOutcome> replayed = RunValuationFromLog(
             s.model, s.w.test, StreamScenario::kClients, log,

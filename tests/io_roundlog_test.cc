@@ -1,9 +1,9 @@
-// Round-log suite: payload encodings (lossless XOR-delta, lossy u16
+// Round-log suite: payload encodings (lossless kNone, lossy u16
 // quantization), writer/reader round trips, footer-index recovery, torn
-// tails, resume truncation — and the golden equality gate: valuation
-// replayed from a spilled log (mmap and pread, compressed and not) must
-// match the in-memory pipeline bit-for-bit on lossless encodings, for
-// any thread count.
+// tails, resume truncation, exhaustive truncate/flip sweeps over the
+// data and index files — and the golden equality gate: valuation
+// replayed from a spilled kNone log must match the in-memory pipeline
+// bit-for-bit, for any thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +20,7 @@
 #include "io/checkpoint_manager.h"
 #include "io/file_env.h"
 #include "io/round_log.h"
+#include "io/serialize.h"
 #include "models/logistic.h"
 
 namespace comfedsv {
@@ -52,8 +53,7 @@ class RoundLogTest : public ::testing::Test {
 };
 
 /// A deterministic record with `quiet` of the clients left exactly at
-/// the global model (a sanitized / unselected update) — the shape the
-/// XOR-delta encoding exists for.
+/// the global model (a sanitized / unselected update).
 RoundRecord MakeRecord(int round, int num_clients, size_t dim, int quiet) {
   RoundRecord r;
   r.round = round;
@@ -76,6 +76,24 @@ RoundRecord MakeRecord(int round, int num_clients, size_t dim, int quiet) {
   if (quiet > 0) r.dropped.push_back(0);
   return r;
 }
+
+/// The low `bytes` bytes of `v`, little-endian: hand-built log fields.
+std::string LittleEndian(uint64_t v, int bytes) {
+  std::string out;
+  for (int k = 0; k < bytes; ++k) {
+    out.push_back(static_cast<char>((v >> (8 * k)) & 0xFF));
+  }
+  return out;
+}
+
+/// The real file system without fsync: the sweeps below rewrite and
+/// reopen a log thousands of times, and durability is not what they
+/// test.
+class NoSyncEnv : public FileEnv {
+ public:
+  Status SyncFile(const std::string&) override { return Status::Ok(); }
+  Status SyncDir(const std::string&) override { return Status::Ok(); }
+};
 
 void ExpectRecordBitIdentical(const RoundRecord& a, const RoundRecord& b) {
   EXPECT_EQ(a.round, b.round);
@@ -104,22 +122,13 @@ void ExpectRecordBitIdentical(const RoundRecord& a, const RoundRecord& b) {
 
 TEST_F(RoundLogTest, LosslessEncodingsRoundTripBitExact) {
   const RoundRecord record = MakeRecord(3, 6, 64, /*quiet=*/4);
-  for (RoundLogCompression mode :
-       {RoundLogCompression::kNone, RoundLogCompression::kXorDelta}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    const std::string payload = EncodeRoundRecordPayload(record, mode);
-    RoundRecord decoded;
-    ASSERT_TRUE(DecodeRoundRecordPayload(payload, mode, &decoded).ok());
-    ExpectRecordBitIdentical(record, decoded);
-  }
-  // With most clients quiet, the XOR streams are almost all zeros and
-  // the run-length encoding must actually compress.
-  const size_t plain =
-      EncodeRoundRecordPayload(record, RoundLogCompression::kNone).size();
-  const size_t xored =
-      EncodeRoundRecordPayload(record, RoundLogCompression::kXorDelta)
-          .size();
-  EXPECT_LT(xored, plain / 2) << "plain=" << plain << " xor=" << xored;
+  const std::string payload =
+      EncodeRoundRecordPayload(record, RoundLogCompression::kNone);
+  RoundRecord decoded;
+  ASSERT_TRUE(
+      DecodeRoundRecordPayload(payload, RoundLogCompression::kNone, &decoded)
+          .ok());
+  ExpectRecordBitIdentical(record, decoded);
 }
 
 TEST_F(RoundLogTest, Quant16RoundTripsWithinOneGridStep) {
@@ -166,13 +175,10 @@ TEST_F(RoundLogTest, Quant16RoundTripsWithinOneGridStep) {
 // ---------------------------------------------------------------------
 
 TEST_F(RoundLogTest, WriterReaderRoundTripAcrossIndexCadences) {
-  for (RoundLogCompression mode :
-       {RoundLogCompression::kNone, RoundLogCompression::kXorDelta}) {
-    const std::string path =
-        Path("log_" + std::to_string(static_cast<int>(mode)));
+  for (int index_every : {1, 3}) {  // 3 leaves an unindexed tail to scan
+    const std::string path = Path("log_" + std::to_string(index_every));
     RoundLogOptions options;
-    options.compression = mode;
-    options.index_every = 3;  // leaves an unindexed tail to scan
+    options.index_every = index_every;
     auto writer = RoundLogWriter::Create(path, options);
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     for (int t = 0; t < 7; ++t) {
@@ -182,7 +188,7 @@ TEST_F(RoundLogTest, WriterReaderRoundTripAcrossIndexCadences) {
 
     auto reader = RoundLogReader::Open(path);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    EXPECT_EQ(reader.value()->compression(), mode);
+    EXPECT_EQ(reader.value()->compression(), RoundLogCompression::kNone);
     ASSERT_EQ(reader.value()->rounds(), 7);
     for (int t = 0; t < 7; ++t) {
       RoundRecord decoded;
@@ -283,71 +289,190 @@ TEST_F(RoundLogTest, OpenForAppendReplaysToAByteIdenticalLog) {
             StatusCode::kDataLoss);
   // And a compression-mode mismatch is a config error, not corruption.
   RoundLogOptions other;
-  other.compression = RoundLogCompression::kXorDelta;
+  other.compression = RoundLogCompression::kQuant16;
   EXPECT_EQ(RoundLogWriter::OpenForAppend(b, 3, other).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
-TEST_F(RoundLogTest, WindowedMmapAndPreadServeIdenticalRecords) {
+// ---------------------------------------------------------------------
+// Corruption: hostile lengths, exhaustive sweeps, the retired encoding.
+// ---------------------------------------------------------------------
+
+TEST_F(RoundLogTest, FrameLengthNearTwoToTheSixtyFourEndsTheScan) {
   const std::string path = Path("log");
-  auto writer = RoundLogWriter::Create(path, {});
-  ASSERT_TRUE(writer.ok());
-  for (int t = 0; t < 12; ++t) {
-    ASSERT_TRUE(writer.value()->Append(MakeRecord(t, 4, 64, 2)).ok());
+  {
+    auto writer = RoundLogWriter::Create(path, {});
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer.value()->Append(MakeRecord(0, 3, 16, 1)).ok());
   }
-  const uint64_t total = writer.value()->data_size();
+  // A 24-byte frame whose payload length is 2^64 - 8: header + payload
+  // + trailer wraps to 16, which a scan that adds before it compares
+  // would take for a frame that fits.
+  const std::string frame = LittleEndian(1, 4) + LittleEndian(0, 4) +
+                            LittleEndian(~uint64_t{0} - 7, 8) +
+                            std::string(8, '\0');
+  ASSERT_TRUE(FileEnv::Real()->AppendFile(path, frame).ok());
+  ASSERT_TRUE(FileEnv::Real()->Remove(path + ".idx").ok());
 
-  RoundLogReadOptions mmap_options;
-  mmap_options.use_mmap = true;
-  mmap_options.window_bytes = total / 6;  // well under the file size
-  auto mapped = RoundLogReader::Open(path, mmap_options);
-  ASSERT_TRUE(mapped.ok());
-
-  RoundLogReadOptions pread_options;
-  pread_options.use_mmap = false;
-  auto pread = RoundLogReader::Open(path, pread_options);
-  ASSERT_TRUE(pread.ok());
-
-  for (int t = 0; t < 12; ++t) {
-    RoundRecord via_map, via_pread;
-    ASSERT_TRUE(mapped.value()->Read(t, &via_map).ok());
-    ASSERT_TRUE(pread.value()->Read(t, &via_pread).ok());
-    ExpectRecordBitIdentical(via_map, via_pread);
-  }
-  // The window actually slid (resident memory stayed bounded), and the
-  // pread reader never mapped anything.
-  EXPECT_GT(mapped.value()->remaps(), 1);
-  EXPECT_LE(mapped.value()->window_resident_bytes(),
-            std::max<uint64_t>(mmap_options.window_bytes, total / 6) +
-                4096);
-  EXPECT_EQ(mapped.value()->fallback_reads(), 0);
-  EXPECT_EQ(pread.value()->remaps(), 0);
-  EXPECT_EQ(pread.value()->fallback_reads(), 12);
+  auto reader = RoundLogReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader.value()->rounds(), 1);
+  EXPECT_EQ(RoundLogWriter::OpenForAppend(path, 2, {}).status().code(),
+            StatusCode::kDataLoss);
 }
 
-TEST_F(RoundLogTest, MmapFaultFallsBackToPread) {
+TEST_F(RoundLogTest, TruncationAndByteFlipSweepsNeverServeWrongRecords) {
+  NoSyncEnv env;
+  for (RoundLogCompression mode :
+       {RoundLogCompression::kNone, RoundLogCompression::kQuant16}) {
+    SCOPED_TRACE("compression=" + std::to_string(static_cast<int>(mode)));
+    const std::string path =
+        Path("sweep_" + std::to_string(static_cast<int>(mode)));
+    RoundLogOptions options;
+    options.compression = mode;
+    options.env = &env;
+    std::vector<uint64_t> frame_ends;
+    {
+      auto writer = RoundLogWriter::Create(path, options);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      for (int t = 0; t < 3; ++t) {
+        ASSERT_TRUE(writer.value()->Append(MakeRecord(t, 2, 4, 1)).ok());
+        frame_ends.push_back(writer.value()->data_size());
+      }
+    }
+    Result<std::string> data_read = env.ReadFile(path);
+    Result<std::string> index_read = env.ReadFile(path + ".idx");
+    ASSERT_TRUE(data_read.ok());
+    ASSERT_TRUE(index_read.ok());
+    const std::string data = data_read.value();
+    const std::string index = index_read.value();
+
+    // What the intact log serves; kNone must also be the records
+    // themselves.
+    std::vector<RoundRecord> originals(3);
+    {
+      auto reader = RoundLogReader::Open(path, {&env});
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      ASSERT_EQ(reader.value()->rounds(), 3);
+      for (int t = 0; t < 3; ++t) {
+        ASSERT_TRUE(reader.value()->Read(t, &originals[t]).ok());
+        if (mode == RoundLogCompression::kNone) {
+          ExpectRecordBitIdentical(MakeRecord(t, 2, 4, 1), originals[t]);
+        }
+      }
+    }
+
+    // Installs a (mutated) data file and index (nullptr = no index),
+    // reads every position back, then resumes behind all three frames.
+    // Every record served must be bit-identical to the original at its
+    // position. Returns how many were served, -1 when Open refused.
+    auto check = [&](const std::string& d, const std::string* idx) {
+      EXPECT_TRUE(env.WriteFile(path, d).ok());
+      EXPECT_TRUE((idx != nullptr ? env.WriteFile(path + ".idx", *idx)
+                                  : env.Remove(path + ".idx"))
+                      .ok());
+      int served = -1;
+      auto reader = RoundLogReader::Open(path, {&env});
+      if (reader.ok()) {
+        served = 0;
+        EXPECT_LE(reader.value()->rounds(), 3);
+        for (int pos = 0; pos < reader.value()->rounds(); ++pos) {
+          RoundRecord record;
+          if (!reader.value()->Read(pos, &record).ok()) continue;
+          ExpectRecordBitIdentical(originals[static_cast<size_t>(pos)],
+                                   record);
+          ++served;
+        }
+      }
+      // The resume scan trusts checksums only: it succeeds exactly when
+      // every frame is intact.
+      const Status resumed =
+          RoundLogWriter::OpenForAppend(path, 3, options).status();
+      EXPECT_EQ(resumed.ok(), served == 3) << resumed.ToString();
+      return served;
+    };
+
+    const std::string* no_index = nullptr;
+    for (const std::string* idx : {&index, no_index}) {
+      SCOPED_TRACE(idx != nullptr ? "with index" : "without index");
+      for (size_t keep = 0; keep < data.size(); ++keep) {
+        int whole = 0;
+        for (uint64_t end : frame_ends) whole += end <= keep ? 1 : 0;
+        EXPECT_EQ(check(data.substr(0, keep), idx),
+                  keep < kRoundLogHeaderSize ? -1 : whole)
+            << "data truncated to " << keep;
+      }
+      for (size_t pos = 0; pos < data.size(); ++pos) {
+        std::string corrupted = data;
+        corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x5A);
+        // A flipped byte costs at least the frame (or header) it is in.
+        EXPECT_LT(check(corrupted, idx), 3) << "data byte " << pos;
+      }
+    }
+    // The index is only an accelerator: any damage to it falls back to
+    // the scan, which finds all three frames.
+    for (size_t keep = 0; keep < index.size(); ++keep) {
+      const std::string cut = index.substr(0, keep);
+      EXPECT_EQ(check(data, &cut), 3) << "index truncated to " << keep;
+    }
+    for (size_t pos = 0; pos < index.size(); ++pos) {
+      std::string corrupted = index;
+      corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x5A);
+      EXPECT_EQ(check(data, &corrupted), 3) << "index byte " << pos;
+    }
+  }
+}
+
+TEST_F(RoundLogTest, RetiredXorDeltaValueIsRefused) {
   const std::string path = Path("log");
-  auto writer = RoundLogWriter::Create(path, {});
-  ASSERT_TRUE(writer.ok());
-  for (int t = 0; t < 3; ++t) {
-    ASSERT_TRUE(writer.value()->Append(MakeRecord(t, 3, 16, 1)).ok());
+  {
+    auto writer = RoundLogWriter::Create(path, {});
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer.value()->Append(MakeRecord(0, 3, 16, 1)).ok());
   }
-  FaultInjectingFileEnv fault;
-  FailpointRegistry::Global().Arm(failpoints::kMmap,
-                                  FailpointTrigger::EveryN(1),
-                                  static_cast<int>(FaultAction::kError));
-  RoundLogReadOptions options;
-  options.use_mmap = true;
-  options.env = &fault;
-  auto reader = RoundLogReader::Open(path, options);
+  Result<std::string> read = FileEnv::Real()->ReadFile(path);
+  ASSERT_TRUE(read.ok());
+  const std::string pristine = read.value();
+
+  // A header that says 1 under a valid checksum: a log written before
+  // the xor_delta encoding was retired.
+  std::string old_header = pristine;
+  old_header.replace(8, 4, LittleEndian(1, 4));
+  old_header.replace(
+      16, 8,
+      LittleEndian(Fnv1a64(std::string_view(old_header).substr(0, 16)), 8));
+  ASSERT_TRUE(FileEnv::Real()->WriteFile(path, old_header).ok());
+  EXPECT_EQ(RoundLogReader::Open(path).status().code(),
+            StatusCode::kFailedPrecondition);
+  for (RoundLogCompression mode :
+       {RoundLogCompression::kNone, RoundLogCompression::kQuant16}) {
+    RoundLogOptions options;
+    options.compression = mode;
+    EXPECT_EQ(RoundLogWriter::OpenForAppend(path, 0, options).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+
+  // A kNone log whose one frame says 1 under a valid frame checksum.
+  std::string old_frame = pristine;
+  const size_t frame_at = kRoundLogHeaderSize;
+  const size_t checksum_at = old_frame.size() - 8;
+  old_frame.replace(frame_at + 4, 4, LittleEndian(1, 4));
+  old_frame.replace(
+      checksum_at, 8,
+      LittleEndian(Fnv1a64(std::string_view(old_frame).substr(
+                       frame_at, checksum_at - frame_at)),
+                   8));
+  ASSERT_TRUE(FileEnv::Real()->WriteFile(path, old_frame).ok());
+  auto reader = RoundLogReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  for (int t = 0; t < 3; ++t) {
-    RoundRecord decoded;
-    ASSERT_TRUE(reader.value()->Read(t, &decoded).ok());
-    ExpectRecordBitIdentical(MakeRecord(t, 3, 16, 1), decoded);
-  }
-  EXPECT_EQ(reader.value()->remaps(), 0);
-  EXPECT_EQ(reader.value()->fallback_reads(), 3);
+  ASSERT_EQ(reader.value()->rounds(), 1);
+  RoundRecord decoded;
+  EXPECT_EQ(reader.value()->Read(0, &decoded).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(DecodeRoundRecordPayload(
+                "", static_cast<RoundLogCompression>(1), &decoded)
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------
@@ -412,16 +537,12 @@ TEST_F(RoundLogTest, SpilledValuationMatchesInMemoryAcrossModesAndThreads) {
     const Vector base_fedsv = *baseline.value().fedsv_values;
     const Vector base_comfedsv = baseline.value().comfedsv->values;
 
-    for (RoundLogCompression mode :
-         {RoundLogCompression::kNone, RoundLogCompression::kXorDelta}) {
-      SCOPED_TRACE("compression=" + std::to_string(static_cast<int>(mode)));
-      const std::string tag = std::to_string(threads) + "_" +
-                              std::to_string(static_cast<int>(mode));
+    {
+      const std::string tag = std::to_string(threads);
       CheckpointConfig ckpt;
       ckpt.path = Path("ckpt_" + tag);
       ckpt.keep_generations = 2;
       ckpt.round_log_path = Path("spill_" + tag + ".log");
-      ckpt.round_log_compression = mode;
       Result<ValuationOutcome> spilled = RunValuationCheckpointed(
           model, w.clients, w.test, fed_cfg, request, ckpt, &ctx);
       ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
@@ -434,32 +555,23 @@ TEST_F(RoundLogTest, SpilledValuationMatchesInMemoryAcrossModesAndThreads) {
       ExpectVectorsBitIdentical(*spilled.value().fedsv_values, base_fedsv,
                                 "FedSV of the spilling run");
 
-      for (bool use_mmap : {true, false}) {
-        SCOPED_TRACE(use_mmap ? "mmap" : "pread");
-        RoundLogReadOptions read_options;
-        read_options.use_mmap = use_mmap;
-        read_options.window_bytes = 4096;  // force the window to slide
-        Result<ValuationOutcome> replayed = RunValuationFromLog(
-            model, w.test, kClients, ckpt.round_log_path, request,
-            read_options, &ctx);
-        ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-        EXPECT_EQ(replayed.value().training.rounds_run,
-                  fed_cfg.num_rounds);
-        // Lossless log replay is the same trajectory: bit-identical
-        // FedSV, and the ComFedSV solve sees bit-identical inputs (so
-        // well inside the issue's 1e-9 envelope — it is exact).
-        ExpectVectorsBitIdentical(*replayed.value().fedsv_values,
-                                  base_fedsv, "FedSV from log");
-        ASSERT_EQ(replayed.value().comfedsv->values.size(),
-                  base_comfedsv.size());
-        for (size_t i = 0; i < base_comfedsv.size(); ++i) {
-          EXPECT_NEAR(replayed.value().comfedsv->values[i],
-                      base_comfedsv[i], 1e-9)
-              << "ComFedSV client " << i;
-          EXPECT_EQ(replayed.value().comfedsv->values[i],
-                    base_comfedsv[i])
-              << "lossless replay should be exact, client " << i;
-        }
+      Result<ValuationOutcome> replayed = RunValuationFromLog(
+          model, w.test, kClients, ckpt.round_log_path, request, {}, &ctx);
+      ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+      EXPECT_EQ(replayed.value().training.rounds_run, fed_cfg.num_rounds);
+      // Lossless log replay is the same trajectory: bit-identical FedSV,
+      // and the ComFedSV solve sees bit-identical inputs (so well inside
+      // a 1e-9 envelope — it is exact).
+      ExpectVectorsBitIdentical(*replayed.value().fedsv_values, base_fedsv,
+                                "FedSV from log");
+      ASSERT_EQ(replayed.value().comfedsv->values.size(),
+                base_comfedsv.size());
+      for (size_t i = 0; i < base_comfedsv.size(); ++i) {
+        EXPECT_NEAR(replayed.value().comfedsv->values[i], base_comfedsv[i],
+                    1e-9)
+            << "ComFedSV client " << i;
+        EXPECT_EQ(replayed.value().comfedsv->values[i], base_comfedsv[i])
+            << "lossless replay should be exact, client " << i;
       }
     }
 
@@ -564,6 +676,39 @@ TEST_F(RoundLogTest, EngineRestoreTruncatesLogBackToCheckpointedRound) {
   ASSERT_TRUE(clean_bytes.ok());
   ASSERT_TRUE(crash_bytes.ok());
   EXPECT_EQ(clean_bytes.value(), crash_bytes.value());
+}
+
+TEST_F(RoundLogTest, IndexEveryBelowOneIsAnInvalidArgument) {
+  RoundLogOptions bad;
+  bad.index_every = 0;
+  EXPECT_EQ(RoundLogWriter::Create(Path("log"), bad).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(RoundLogWriter::Create(Path("log"), {}).ok());
+  EXPECT_EQ(RoundLogWriter::OpenForAppend(Path("log"), 0, bad).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // An engine configured directly reaches the writer through
+  // StreamingConfig::spill: the bad value degrades the spill instead of
+  // aborting the process.
+  constexpr int kClients = 3;
+  GoldenWorkload w = MakeGoldenWorkload(kClients, 4242);
+  LogisticRegression model(w.test.dim(), 10);
+  FedAvgConfig fed_cfg;
+  fed_cfg.num_rounds = 1;
+  fed_cfg.clients_per_round = 2;
+  fed_cfg.seed = 17;
+  StreamingConfig cfg;
+  cfg.request = GoldenRequest();
+  cfg.spill.enabled = true;
+  cfg.spill.path = Path("engine.log");
+  cfg.spill.index_every = 0;
+  StreamingValuationEngine engine(&model, &w.test, kClients, cfg);
+  FedAvgTrainer trainer(&model, w.clients, w.test, fed_cfg);
+  ASSERT_TRUE(trainer.Begin().ok());
+  EXPECT_EQ(engine.Consume(trainer.Step()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.health().spill_failures, 1);
+  EXPECT_EQ(engine.rounds_consumed(), 1);
 }
 
 }  // namespace
