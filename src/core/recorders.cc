@@ -29,8 +29,8 @@ void FullUtilityRecorder::OnRound(const RoundRecord& record) {
   // metric (the FedSV evaluators skip it too): record nothing.
   if (record.selected.empty()) return;
   Stopwatch timer;
-  RoundUtility utility(model_, test_data_, &record, &loss_calls_, ctx_,
-                       &stats_);
+  const int64_t calls_before = stats_.loss_calls;
+  RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
   const uint32_t num_cols = 1u << num_clients_;
   // Submit all 2^N - 1 coalitions in mask order: the batched engine
   // evaluates whole chunks per pass over the test set (parallelized over
@@ -50,6 +50,7 @@ void FullUtilityRecorder::OnRound(const RoundRecord& record) {
     row[mask] = utility.Utility(coalitions[mask - 1]);
   }
   rows_.push_back(std::move(row));
+  loss_calls_ += stats_.loss_calls - calls_before;
   seconds_ += timer.ElapsedSeconds();
 }
 
@@ -109,8 +110,8 @@ void ObservedUtilityRecorder::OnRound(const RoundRecord& record) {
   const int t = rounds_recorded_;
   const int m = static_cast<int>(record.selected.size());
   COMFEDSV_CHECK_LE(m, kMaxObservedClients);  // 2^m utilities below
-  RoundUtility utility(model_, test_data_, &record, &loss_calls_, ctx_,
-                       &stats_);
+  const int64_t calls_before = stats_.loss_calls;
+  RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
 
   // Evaluate all 2^m - 1 non-empty observable utilities through the
   // batched engine (a few test-set passes instead of one per coalition),
@@ -136,6 +137,7 @@ void ObservedUtilityRecorder::OnRound(const RoundRecord& record) {
     const int col = interner_.Intern(coalitions[i]);
     triplets_.push_back({t, col, utility.Utility(coalitions[i])});
   }
+  loss_calls_ += stats_.loss_calls - calls_before;
   ++rounds_recorded_;
   seconds_ += timer.ElapsedSeconds();
 }
@@ -230,24 +232,25 @@ void SampledUtilityRecorder::OnRound(const RoundRecord& record) {
   if (record.selected.empty()) return;
   Stopwatch timer;
   const int t = rounds_recorded_;
-  RoundUtility utility(model_, test_data_, &record, &loss_calls_, ctx_,
-                       &stats_);
+  const int64_t calls_before = stats_.loss_calls;
+  RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
   const Coalition selected =
       Coalition::FromMembers(num_clients_, record.selected);
-
   if (sampler_.kind == SamplerKind::kTruncated) {
     RecordTruncatedRound(t, selected, &utility);
-    ++rounds_recorded_;
-    seconds_ += timer.ElapsedSeconds();
-    return;
-  }
-  if (ScreeningActive()) {
+  } else if (ScreeningActive()) {
     RecordScreenedRound(t, selected, &utility);
-    ++rounds_recorded_;
-    seconds_ += timer.ElapsedSeconds();
-    return;
+  } else {
+    RecordPrefixRound(t, selected, &utility);
   }
+  loss_calls_ += stats_.loss_calls - calls_before;
+  ++rounds_recorded_;
+  seconds_ += timer.ElapsedSeconds();
+}
 
+void SampledUtilityRecorder::RecordPrefixRound(int t,
+                                               const Coalition& selected,
+                                               RoundUtility* utility) {
   // Discover the distinct observable prefixes first (cheap — no loss
   // evaluations), deduped in permutation order: several permutations
   // share short prefixes. The discovery order is sequential, so the
@@ -275,15 +278,13 @@ void SampledUtilityRecorder::OnRound(const RoundRecord& record) {
   std::vector<Coalition> coalitions;
   coalitions.reserve(pending.size());
   for (const PendingPrefix& p : pending) coalitions.push_back(p.coalition);
-  utility.EvaluateBatch(coalitions);
+  utility->EvaluateBatch(coalitions);
 
   triplets_.reserve(triplets_.size() + pending.size() + 1);
   triplets_.push_back({t, prefix_columns_[0][0], 0.0});
   for (size_t i = 0; i < pending.size(); ++i) {
-    triplets_.push_back({t, pending[i].col, utility.Utility(coalitions[i])});
+    triplets_.push_back({t, pending[i].col, utility->Utility(coalitions[i])});
   }
-  ++rounds_recorded_;
-  seconds_ += timer.ElapsedSeconds();
 }
 
 void SampledUtilityRecorder::RecordTruncatedRound(int t,

@@ -260,6 +260,10 @@ class SampledUtilityRecorder : public RoundObserver {
   Status RestoreState(SampledRecorderState state);
 
  private:
+  /// The default per-round recording path: every distinct observable
+  /// permutation prefix, measured through one batch.
+  void RecordPrefixRound(int t, const Coalition& selected,
+                         RoundUtility* utility);
   /// The kTruncated per-round recording path (wave-batched walks).
   void RecordTruncatedRound(int t, const Coalition& selected,
                             RoundUtility* utility);

@@ -90,6 +90,27 @@ bool Coalition::operator<(const Coalition& other) const {
   return false;
 }
 
+bool Coalition::MemberListLess(const Coalition& a, const Coalition& b) {
+  COMFEDSV_CHECK_EQ(a.universe_size_, b.universe_size_);
+  const size_t n = a.words_.size();
+  for (size_t w = 0; w < n; ++w) {
+    const uint64_t diff = a.words_[w] ^ b.words_[w];
+    if (diff == 0) continue;
+    // Both lists agree below the lowest differing client d, and exactly
+    // one of them lists d next. The other's next member is larger than
+    // d, or it has none and is a proper prefix, which orders first.
+    const uint64_t low = diff & (~diff + 1);
+    const bool a_has_d = (a.words_[w] & low) != 0;
+    const std::vector<uint64_t>& other = a_has_d ? b.words_ : a.words_;
+    bool other_continues = (other[w] & ~(low | (low - 1))) != 0;
+    for (size_t v = w + 1; v < n && !other_continues; ++v) {
+      other_continues = other[v] != 0;
+    }
+    return a_has_d == other_continues;
+  }
+  return false;
+}
+
 size_t Coalition::Hash() const {
   // FNV-1a over the words plus the universe size.
   uint64_t h = 0xcbf29ce484222325ULL;

@@ -69,6 +69,12 @@ class Coalition {
   /// Lexicographic order on the bit pattern (for deterministic maps).
   bool operator<(const Coalition& other) const;
 
+  /// Lexicographic order of the ascending member lists, e.g.
+  /// {0,1} < {0,1,2} < {0,2} < {1}: coalitions adjacent in this order
+  /// share long ascending prefixes. Reads the bit words directly, so
+  /// sorting by it allocates nothing. Both must share a universe.
+  static bool MemberListLess(const Coalition& a, const Coalition& b);
+
   size_t Hash() const;
 
  private:

@@ -49,8 +49,8 @@ void FedSvEvaluator::OnRound(const RoundRecord& record) {
   // tripping the estimators' "no players" guard.
   if (record.selected.empty()) return;
   const int n = static_cast<int>(values_.size());
-  RoundUtility utility(model_, test_data_, &record, &loss_calls_, ctx_,
-                       &stats_);
+  const int64_t calls_before = stats_.loss_calls;
+  RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
   UtilityFn fn = [&utility](const Coalition& c) {
     return utility.Utility(c);
   };
@@ -78,6 +78,7 @@ void FedSvEvaluator::OnRound(const RoundRecord& record) {
   }
   COMFEDSV_CHECK_OK(round_values.status());
   values_ += round_values.value();
+  loss_calls_ += stats_.loss_calls - calls_before;
 }
 
 }  // namespace comfedsv

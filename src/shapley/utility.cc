@@ -21,6 +21,14 @@ size_t ChunkSize(size_t params_per_coalition) {
                             kMaxChunk);
 }
 
+// Column-slice width of the aggregator's chain: one slice's chain of
+// |S| rows stays cache resident while it walks a whole chunk.
+constexpr size_t kSliceCols = 128;
+
+// Doubles a chunk's means must write before their slices are worth
+// fanning out; smaller chunks run inline on the calling thread.
+constexpr size_t kParallelWork = size_t{1} << 16;
+
 }  // namespace
 
 CoalitionAggregator::CoalitionAggregator(const RoundRecord* record)
@@ -28,57 +36,96 @@ CoalitionAggregator::CoalitionAggregator(const RoundRecord* record)
   COMFEDSV_CHECK(record_ != nullptr);
 }
 
+void CoalitionAggregator::Reserve(size_t max_members) {
+  if (max_members <= capacity_) return;
+  // The slice-major layout depends on capacity_, so the old chain is
+  // dropped (freed before the larger buffer is taken) and rebuilt.
+  partials_ = {};
+  partials_.resize(max_members * dim_);
+  capacity_ = max_members;
+  depth_ = 0;
+}
+
 void CoalitionAggregator::MeanInto(const Coalition& coalition, double* out) {
-  members_scratch_.clear();
-  coalition.ForEachMember([this](int member) {
-    COMFEDSV_CHECK_LT(static_cast<size_t>(member),
-                      record_->local_models.size());
-    members_scratch_.push_back(member);
-  });
-  const size_t count = members_scratch_.size();
-  COMFEDSV_CHECK_GT(count, 0u);
+  MeansInto(&coalition, 1, out, nullptr);
+}
 
-  // Longest shared ascending prefix with the previous coalition's chain.
-  size_t keep = 0;
-  while (keep < depth_ && keep < count &&
-         chain_[keep] == members_scratch_[keep]) {
-    ++keep;
+void CoalitionAggregator::MeansInto(const Coalition* coalitions, size_t n,
+                                    double* out, ExecutionContext* ctx) {
+  size_t max_members = 0;
+  for (size_t r = 0; r < n; ++r) {
+    max_members =
+        std::max(max_members, static_cast<size_t>(coalitions[r].Count()));
   }
-  depth_ = keep;
-  chain_.resize(std::max(chain_.size(), count));
-  // Extend the chain: one Axpy per member beyond the shared prefix.
-  for (size_t k = depth_; k < count; ++k) {
-    if (partials_.size() <= k) partials_.emplace_back(dim_);
-    std::vector<double>& dst = partials_[k];
-    const int member = members_scratch_[k];
-    const Vector& local = record_->local_models[member];
-    COMFEDSV_CHECK_EQ(local.size(), dim_);
-    if (k == 0) {
-      // 0.0 + x, not x: the sequential path Axpys into a zero vector,
-      // which flips -0.0 inputs to +0.0 — reproduce that exactly.
-      const double* lp = local.data();
-      for (size_t i = 0; i < dim_; ++i) dst[i] = 0.0 + lp[i];
-    } else {
-      const std::vector<double>& prev = partials_[k - 1];
-      const double* lp = local.data();
-      for (size_t i = 0; i < dim_; ++i) dst[i] = prev[i] + lp[i];
+  Reserve(max_members);
+
+  // Serial plan: each row's ascending members, and the chain row it
+  // recomputes from — the end of the prefix it shares with the row
+  // before it.
+  members_.clear();
+  keep_.clear();
+  begin_.assign(1, 0);
+  size_t work = 0;  // doubles written: new chain rows plus output rows
+  for (size_t r = 0; r < n; ++r) {
+    const size_t start = members_.size();
+    coalitions[r].ForEachMember([this](int member) {
+      COMFEDSV_CHECK_LT(static_cast<size_t>(member),
+                        record_->local_models.size());
+      COMFEDSV_CHECK_EQ(record_->local_models[member].size(), dim_);
+      members_.push_back(member);
+    });
+    const size_t count = members_.size() - start;
+    COMFEDSV_CHECK_GT(count, 0u);
+    size_t keep = 0;
+    while (keep < depth_ && keep < count &&
+           chain_[keep] == members_[start + keep]) {
+      ++keep;
     }
-    chain_[k] = member;
-    ++depth_;
+    chain_.assign(members_.begin() + static_cast<ptrdiff_t>(start),
+                  members_.end());
+    depth_ = count;
+    keep_.push_back(keep);
+    begin_.push_back(members_.size());
+    work += (count - keep + 1) * dim_;
   }
 
-  const double inv = 1.0 / static_cast<double>(count);
-  const std::vector<double>& sum = partials_[count - 1];
-  for (size_t i = 0; i < dim_; ++i) out[i] = sum[i] * inv;
+  // Each slice walks every row over its own columns of the chain and of
+  // `out`; slices share nothing writable.
+  const int slices = static_cast<int>((dim_ + kSliceCols - 1) / kSliceCols);
+  ParallelFor(work < kParallelWork ? nullptr : ctx, slices, [&](int s) {
+    const size_t j0 = static_cast<size_t>(s) * kSliceCols;
+    const size_t width = std::min(kSliceCols, dim_ - j0);
+    double* chain = partials_.data() + j0 * capacity_;
+    for (size_t r = 0; r < n; ++r) {
+      const int* members = members_.data() + begin_[r];
+      const size_t count = begin_[r + 1] - begin_[r];
+      // Extend the chain: one Axpy per member beyond the shared prefix.
+      for (size_t k = keep_[r]; k < count; ++k) {
+        double* dst = chain + k * width;
+        const double* lp = record_->local_models[members[k]].data() + j0;
+        if (k == 0) {
+          // 0.0 + x, not x: the sequential path Axpys into a zero
+          // vector, which flips -0.0 inputs to +0.0 — reproduce that.
+          for (size_t i = 0; i < width; ++i) dst[i] = 0.0 + lp[i];
+        } else {
+          const double* prev = dst - width;
+          for (size_t i = 0; i < width; ++i) dst[i] = prev[i] + lp[i];
+        }
+      }
+      const double inv = 1.0 / static_cast<double>(count);
+      const double* sum = chain + (count - 1) * width;
+      double* dst = out + r * dim_ + j0;
+      for (size_t i = 0; i < width; ++i) dst[i] = sum[i] * inv;
+    }
+  });
 }
 
 RoundUtility::RoundUtility(const Model* model, const Dataset* test_data,
-                           const RoundRecord* record, int64_t* loss_calls,
-                           ExecutionContext* ctx, UtilityStats* stats)
+                           const RoundRecord* record, ExecutionContext* ctx,
+                           UtilityStats* stats)
     : model_(model),
       test_data_(test_data),
       record_(record),
-      loss_calls_(loss_calls),
       ctx_(ctx),
       stats_(stats) {
   COMFEDSV_CHECK(model_ != nullptr);
@@ -114,7 +161,6 @@ double RoundUtility::Utility(const Coalition& coalition) {
   MutexLock lock(mu_);
   auto [it, inserted] = cache_.emplace(coalition, utility);
   if (inserted) {
-    if (loss_calls_ != nullptr) ++(*loss_calls_);
     ++distinct_evaluations_;
     if (stats_ != nullptr) {
       ++stats_->loss_calls;
@@ -144,8 +190,8 @@ void RoundUtility::RecordPredicted(const Coalition& coalition, double value,
 }
 
 void RoundUtility::EvaluateBatch(const std::vector<Coalition>& coalitions) {
-  // Dedup against the cache and within the batch, preserving submission
-  // order so counters and cache fills are deterministic.
+  // Dedup against the cache and within the batch in submission order, so
+  // which submission of a coalition counts as the memo hit is fixed.
   std::vector<Coalition> pending;
   {
     MutexLock lock(mu_);
@@ -166,20 +212,28 @@ void RoundUtility::EvaluateBatch(const std::vector<Coalition>& coalitions) {
   }
   if (pending.empty()) return;
 
+  // Member-list order makes consecutive coalitions share long ascending
+  // prefixes, so each mean extends the chain by a few Axpys. The order
+  // changes neither a value (see the header) nor a counter: pending is
+  // deduped, so the sorted order is unique, and the chunk count depends
+  // only on its size.
+  std::sort(pending.begin(), pending.end(), Coalition::MemberListLess);
+  size_t max_members = 0;
+  for (const Coalition& c : pending) {
+    max_members = std::max(max_members, static_cast<size_t>(c.Count()));
+  }
   const size_t params = record_->global_before.size();
   const size_t chunk = ChunkSize(params);
   CoalitionAggregator aggregator(record_);
+  aggregator.Reserve(max_members);
   Matrix stacked;
   std::vector<double> losses;
   for (size_t c0 = 0; c0 < pending.size(); c0 += chunk) {
     const size_t n = std::min(c0 + chunk, pending.size()) - c0;
     if (stacked.rows() != n) stacked = Matrix(n, params);
-    // Aggregates are formed sequentially (the incremental chain reuses
-    // the previous coalition's prefix); the loss pass fans out inside
-    // BatchLoss over fixed-size sub-blocks.
-    for (size_t r = 0; r < n; ++r) {
-      aggregator.MeanInto(pending[c0 + r], stacked.RowPtr(r));
-    }
+    // Means fan out over column slices, the loss pass over fixed-size
+    // sub-blocks inside BatchLoss.
+    aggregator.MeansInto(&pending[c0], n, stacked.RowPtr(0), ctx_);
     model_->BatchLoss(stacked, *test_data_, &losses, ctx_);
 
     MutexLock lock(mu_);
@@ -188,7 +242,6 @@ void RoundUtility::EvaluateBatch(const std::vector<Coalition>& coalitions) {
       auto [it, inserted] = cache_.emplace(
           pending[c0 + r], record_->test_loss_before - losses[r]);
       if (inserted) {
-        if (loss_calls_ != nullptr) ++(*loss_calls_);
         ++distinct_evaluations_;
         if (stats_ != nullptr) {
           ++stats_->loss_calls;

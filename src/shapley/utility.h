@@ -9,10 +9,18 @@
 //
 // Batched engine: callers that know their coalition set up front (the
 // recorders, ExactShapley / MonteCarloShapley via the prefetch hook)
-// submit it to EvaluateBatch, which dedups, forms coalition aggregates
-// incrementally, and evaluates whole chunks with one Model::BatchLoss
-// pass over the test set instead of one Model::Loss per coalition —
-// the wall-clock bottleneck behind the paper's Fig. 8 comparison.
+// submit it to EvaluateBatch, which dedups, visits the coalitions in
+// member-list order, forms their means in parallel over column slices,
+// and evaluates whole chunks with one Model::BatchLoss pass over the test
+// set instead of one Model::Loss per coalition — the wall-clock
+// bottleneck behind the paper's Fig. 8 comparison.
+//
+// Bit identity: every coordinate of a mean is the sum of the members'
+// coordinates in ascending member order, starting from 0.0, times
+// 1/|S| — exactly what Utility() computes. No coordinate depends on
+// another, on the coalitions formed before it, or on which thread formed
+// it, so visiting order, column slicing and thread count cannot change a
+// bit.
 #ifndef COMFEDSV_SHAPLEY_UTILITY_H_
 #define COMFEDSV_SHAPLEY_UTILITY_H_
 
@@ -65,34 +73,55 @@ struct UtilityStats {
   }
 };
 
-/// Forms coalition parameter averages incrementally. Keeps the ascending
+/// Forms coalition parameter means incrementally. Keeps the ascending
 /// chain of partial sums of the previous coalition's members; a new
 /// coalition reuses the longest shared ascending prefix and extends it
 /// with one Axpy per remaining member, instead of re-summing all |S|
-/// local models. Because every partial sum adds members in ascending
-/// order — the order RoundUtility::Utility sums them in — the produced
-/// aggregates are bit-identical to the sequential path.
+/// local models. Every partial sum adds members in ascending order from
+/// 0.0 — the order RoundUtility::Utility sums them in — so the means are
+/// bit-identical to the sequential path whatever the chain's history.
 ///
-/// Consecutive queries in subset-mask or sorted order share long
-/// prefixes, so amortized cost per coalition is O(1) Axpys.
+/// The chain buffer is stored slice-major: each fixed-width column slice
+/// holds its own |S| x width block, so one slice's chain stays cache
+/// resident while it walks many coalitions, and slices are independent.
+/// Coalitions adjacent in Coalition::MemberListLess order share long
+/// prefixes, which makes the amortized cost a few Axpys per coalition.
 class CoalitionAggregator {
  public:
   /// `record` must outlive the aggregator.
   explicit CoalitionAggregator(const RoundRecord* record);
+
+  /// Sizes the chain buffer for coalitions of up to `max_members`
+  /// clients. Queries with more members grow it, restarting the chain.
+  void Reserve(size_t max_members);
 
   /// Writes the member mean (ascending-order sum scaled by 1/|S|) into
   /// `out`, a buffer of record->global_before.size() doubles. The
   /// coalition must be non-empty.
   void MeanInto(const Coalition& coalition, double* out);
 
+  /// Writes the means of coalitions[0, n) into `out`, n rows of
+  /// record->global_before.size() doubles each, extending the chain
+  /// through them in the given order. Column slices run in parallel on
+  /// `ctx` once the rows' Axpy work clears a fixed cutoff (a property of
+  /// the rows, never of the thread count); less work runs inline. Each
+  /// slice writes only its own columns, so the bits are the same either
+  /// way.
+  void MeansInto(const Coalition* coalitions, size_t n, double* out,
+                 ExecutionContext* ctx);
+
  private:
   const RoundRecord* record_;
   size_t dim_;
-  std::vector<int> chain_;     // ascending member chain of the last query
-  size_t depth_ = 0;           // live prefix length of chain_/partials_
-  std::vector<std::vector<double>> partials_;  // partials_[k]: sum of
-                                               // chain_[0..k]
-  std::vector<int> members_scratch_;
+  size_t capacity_ = 0;          // chain rows partials_ holds
+  std::vector<double> partials_;  // capacity_ x dim_, slice-major
+  std::vector<int> chain_;        // ascending members of the last query
+  size_t depth_ = 0;              // live chain rows in partials_
+  // MeansInto's plan: row r sums members_[begin_[r], begin_[r + 1]) and
+  // recomputes chain rows from keep_[r] on.
+  std::vector<int> members_;
+  std::vector<size_t> begin_;
+  std::vector<size_t> keep_;
 };
 
 /// Evaluates coalition utilities for one round, memoizing by coalition so
@@ -108,15 +137,14 @@ class CoalitionAggregator {
 /// cached value is deterministic either way.
 class RoundUtility {
  public:
-  /// `loss_calls` is an optional shared counter of test-loss evaluations,
-  /// accumulated across rounds by the callers that own it. `ctx`
-  /// (optional) parallelizes EvaluateBatch; a null context evaluates
-  /// batches inline. `stats` (optional) accumulates the full measured
-  /// accounting (loss calls, batch passes, memo hits) across rounds;
-  /// its loss_calls field advances in lockstep with `loss_calls`.
+  /// `ctx` (optional) parallelizes EvaluateBatch; a null context
+  /// evaluates batches inline. `stats` (optional) accumulates the
+  /// measured accounting (loss calls, batch passes, memo hits) across
+  /// rounds; callers that checkpoint a loss-call total advance it by the
+  /// round's stats.loss_calls delta.
   RoundUtility(const Model* model, const Dataset* test_data,
-               const RoundRecord* record, int64_t* loss_calls = nullptr,
-               ExecutionContext* ctx = nullptr, UtilityStats* stats = nullptr);
+               const RoundRecord* record, ExecutionContext* ctx = nullptr,
+               UtilityStats* stats = nullptr);
 
   /// Records a utility value supplied by a surrogate predictor instead of
   /// a measurement: future Utility()/EvaluateBatch queries for this
@@ -132,10 +160,11 @@ class RoundUtility {
   double Utility(const Coalition& coalition);
 
   /// Evaluates (and caches) every coalition in `coalitions` through the
-  /// batched engine: dedups against the cache and within the batch
-  /// (preserving submission order), forms aggregates incrementally, and
-  /// computes whole chunks with one Model::BatchLoss pass over the test
-  /// set each. Subsequent Utility() calls are cache hits. Counters
+  /// batched engine: dedups against the cache and within the batch,
+  /// sorts what is left by Coalition::MemberListLess, forms each chunk's
+  /// means with one CoalitionAggregator (parallel over column slices on
+  /// `ctx`), and computes each chunk with one Model::BatchLoss pass over
+  /// the test set. Subsequent Utility() calls are cache hits. Counters
   /// advance once per distinct coalition, exactly as if each had been
   /// evaluated singly; cached values are bit-identical to the unbatched
   /// path for any thread count. Call from one thread (typically before
@@ -153,10 +182,9 @@ class RoundUtility {
   const Dataset* test_data_;
   const RoundRecord* record_;
   mutable Mutex mu_;  // guards the memo table and every counter
-  // Caller-owned counter/stats sinks: the pointers are set once in the
-  // constructor, but the pointees are only ever mutated with mu_ held.
-  int64_t* loss_calls_ PT_GUARDED_BY(mu_);
   ExecutionContext* ctx_;  // not owned; null = inline batch evaluation
+  // Caller-owned stats sink: the pointer is set once in the constructor,
+  // but the pointee is only ever mutated with mu_ held.
   UtilityStats* stats_ PT_GUARDED_BY(mu_);  // not owned; optional
   int64_t distinct_evaluations_ GUARDED_BY(mu_) = 0;
   std::unordered_map<Coalition, double, CoalitionHash> cache_

@@ -5,6 +5,9 @@
 // RoundUtility::EvaluateBatch vs the unbatched Utility path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <unordered_set>
 #include <vector>
 
 #include "common/execution_context.h"
@@ -212,24 +215,26 @@ TEST(BatchLossTest, EvaluateBatchMatchesUnbatchedUtility) {
     coalitions.push_back(c);
   }
 
-  int64_t unbatched_calls = 0;
-  RoundUtility unbatched(&model, &test, &rec, &unbatched_calls);
+  UtilityStats unbatched_stats;
+  RoundUtility unbatched(&model, &test, &rec, nullptr, &unbatched_stats);
   for (int threads : {1, 4}) {
     ExecutionContext ctx(threads);
-    int64_t batched_calls = 0;
-    RoundUtility batched(&model, &test, &rec, &batched_calls,
-                         threads == 1 ? nullptr : &ctx);
+    UtilityStats batched_stats;
+    RoundUtility batched(&model, &test, &rec,
+                         threads == 1 ? nullptr : &ctx, &batched_stats);
     batched.EvaluateBatch(coalitions);
     for (const Coalition& c : coalitions) {
       EXPECT_EQ(batched.Utility(c), unbatched.Utility(c)) << "threads="
                                                           << threads;
     }
     // One loss call per distinct coalition, exactly like the single path.
-    EXPECT_EQ(batched_calls, static_cast<int64_t>(coalitions.size()));
+    EXPECT_EQ(batched_stats.loss_calls,
+              static_cast<int64_t>(coalitions.size()));
     EXPECT_EQ(batched.distinct_evaluations(),
               static_cast<int64_t>(coalitions.size()));
   }
-  EXPECT_EQ(unbatched_calls, static_cast<int64_t>(coalitions.size()));
+  EXPECT_EQ(unbatched_stats.loss_calls,
+            static_cast<int64_t>(coalitions.size()));
 }
 
 // Every non-empty submission — whether through Utility() or a batch —
@@ -249,8 +254,7 @@ TEST(BatchLossTest, EvaluateBatchStatsAccountEverySubmissionOnce) {
   Coalition c = Coalition::FromMembers(n, {0, 1, 2});
 
   UtilityStats stats;
-  int64_t calls = 0;
-  RoundUtility utility(&model, &test, &rec, &calls, nullptr, &stats);
+  RoundUtility utility(&model, &test, &rec, nullptr, &stats);
   utility.Utility(a);  // pre-cache one entry before the batch
   EXPECT_EQ(stats.loss_calls, 1);
   EXPECT_EQ(stats.memo_hits, 0);
@@ -262,7 +266,6 @@ TEST(BatchLossTest, EvaluateBatchStatsAccountEverySubmissionOnce) {
   EXPECT_EQ(stats.distinct_coalitions, 3);
   EXPECT_EQ(stats.memo_hits, 2);            // cached a + duplicate b
   EXPECT_EQ(stats.batched_calls, 1);
-  EXPECT_EQ(calls, 3);
 
   // Resubmitting the whole batch resolves every non-empty entry as a
   // hit: the submission count and the counter total stay in lockstep.
@@ -299,8 +302,7 @@ TEST(BatchLossTest, EvaluateBatchRacingUtilityKeepsCountsDeterministic) {
   const int kQueryTasks = 3;
   for (int iter = 0; iter < 20; ++iter) {
     UtilityStats stats;
-    int64_t calls = 0;
-    RoundUtility utility(&model, &test, &rec, &calls, nullptr, &stats);
+    RoundUtility utility(&model, &test, &rec, nullptr, &stats);
     ctx.ParallelFor(kQueryTasks + 1, [&](int task) {
       if (task == 0) {
         utility.EvaluateBatch(coalitions);
@@ -311,10 +313,124 @@ TEST(BatchLossTest, EvaluateBatchRacingUtilityKeepsCountsDeterministic) {
     const int64_t submissions = distinct * (kQueryTasks + 1);
     EXPECT_EQ(stats.loss_calls, distinct) << "iter=" << iter;
     EXPECT_EQ(stats.distinct_coalitions, distinct) << "iter=" << iter;
-    EXPECT_EQ(calls, distinct) << "iter=" << iter;
     EXPECT_EQ(stats.loss_calls + stats.memo_hits, submissions)
         << "iter=" << iter;
     EXPECT_EQ(utility.distinct_evaluations(), distinct) << "iter=" << iter;
+  }
+}
+
+// The recording hot path's shape: Monte-Carlo permutation prefixes over
+// a 70-client universe (two bitset words), an MLP whose parameter count
+// is not a multiple of the aggregator's column-slice width, several
+// BatchLoss chunks per call, duplicates, entries cached before the
+// batch, and local models holding -0.0. Every cached utility must match
+// the unbatched Utility() path byte for byte at 1, 2 and 4 threads, and
+// the counters must match a submission-by-submission reference.
+TEST(BatchLossTest, EvaluateBatchPermutationPrefixesBitIdentical) {
+  const int n = 70;
+  Mlp model({30, 11, 5}, 1e-4);  // 401 parameters
+  ASSERT_NE(model.num_params() % 128, 0u);
+  Dataset test = MakeData(25, 30, 5, 61, true);
+  RoundRecord rec = MakeRoundRecord(model, test, n, 62);
+  // -0.0 in every local model at two coordinates in different slices:
+  // the ascending sum from 0.0 is +0.0, a sum seeded with the first
+  // member would stay -0.0.
+  for (Vector& local : rec.local_models) {
+    local[5] = -0.0;
+    local[300] = -0.0;
+  }
+
+  // 24 players spread over both words, 40 permutations of them.
+  std::vector<int> players;
+  for (int k = 1; k < n; k += 3) players.push_back(k);
+  Rng rng(63);
+  std::vector<Coalition> prefixes;
+  for (int p = 0; p < 40; ++p) {
+    std::vector<int> order = players;
+    rng.Shuffle(&order);
+    Coalition prefix(n);
+    for (int member : order) {
+      prefix.Add(member);
+      prefixes.push_back(prefix);
+    }
+  }
+  const std::vector<Coalition> cached_first = {
+      prefixes[0], prefixes[30], Coalition::FromMembers(n, {1, 64, 67})};
+  // Two submissions: the first half of the prefixes, then all of them
+  // (so the second call mixes fresh, in-batch duplicate and cached).
+  const std::vector<Coalition> first(prefixes.begin(),
+                                     prefixes.begin() + prefixes.size() / 2);
+  const std::vector<std::vector<Coalition>> calls = {first, prefixes};
+
+  // Counter reference: one loss call per coalition not yet known, one
+  // memo hit per repeat, ceil(new / 256) BatchLoss passes per call.
+  UtilityStats expected;
+  std::unordered_set<Coalition, CoalitionHash> known(cached_first.begin(),
+                                                     cached_first.end());
+  std::vector<Coalition> distinct = cached_first;  // first-seen order
+  expected.loss_calls = static_cast<int64_t>(known.size());
+  for (const std::vector<Coalition>& call : calls) {
+    int64_t fresh = 0;
+    for (const Coalition& c : call) {
+      if (known.insert(c).second) {
+        distinct.push_back(c);
+        ++fresh;
+      } else {
+        ++expected.memo_hits;
+      }
+    }
+    expected.loss_calls += fresh;
+    expected.batched_calls += (fresh + 255) / 256;
+  }
+  ASSERT_GT(expected.loss_calls, 256);  // more than one chunk
+
+  RoundUtility reference(&model, &test, &rec);
+  for (int threads : {1, 2, 4}) {
+    ExecutionContext ctx(threads);
+    UtilityStats stats;
+    RoundUtility batched(&model, &test, &rec, &ctx, &stats);
+    for (const Coalition& c : cached_first) (void)batched.Utility(c);
+    for (const std::vector<Coalition>& call : calls) {
+      batched.EvaluateBatch(call);
+    }
+    EXPECT_EQ(stats.loss_calls, expected.loss_calls) << threads;
+    EXPECT_EQ(stats.batched_calls, expected.batched_calls) << threads;
+    EXPECT_EQ(stats.memo_hits, expected.memo_hits) << threads;
+    for (const Coalition& c : distinct) {
+      const double got = batched.Utility(c);
+      const double want = reference.Utility(c);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "threads=" << threads << " got=" << got << " want=" << want;
+    }
+    // Every lookup above was a cache hit: nothing new was measured.
+    EXPECT_EQ(stats.loss_calls, expected.loss_calls) << threads;
+  }
+
+  // The means themselves, through both aggregator entry points, against
+  // the ascending sum from 0.0 that Utility() forms.
+  const size_t params = model.num_params();
+  auto expect_mean = [&](const Coalition& c, const double* got) {
+    Vector want(params);
+    c.ForEachMember([&](int k) { want.Axpy(1.0, rec.local_models[k]); });
+    want.Scale(1.0 / c.Count());
+    EXPECT_EQ(std::memcmp(got, want.data(), params * sizeof(double)), 0)
+        << ::testing::PrintToString(c.Members());
+  };
+  // Submission order: the first permutation grows the chain buffer at
+  // every step while sharing an ascending prefix with the last query.
+  CoalitionAggregator single(&rec);
+  std::vector<double> row(params);
+  for (const Coalition& c : prefixes) {
+    single.MeanInto(c, row.data());
+    expect_mean(c, row.data());
+  }
+  std::sort(distinct.begin(), distinct.end(), Coalition::MemberListLess);
+  Matrix means(distinct.size(), params);
+  ExecutionContext ctx(4);
+  CoalitionAggregator sliced(&rec);
+  sliced.MeansInto(distinct.data(), distinct.size(), means.RowPtr(0), &ctx);
+  for (size_t r = 0; r < distinct.size(); ++r) {
+    expect_mean(distinct[r], means.RowPtr(r));
   }
 }
 
@@ -331,12 +447,12 @@ TEST(BatchLossTest, EvaluateBatchDedupsResubmissions) {
   batch.push_back(b);
   batch.push_back(a);               // duplicate within the batch
   batch.push_back(Coalition(n));    // empty: skipped, utility 0
-  int64_t calls = 0;
-  RoundUtility utility(&model, &test, &rec, &calls);
+  UtilityStats stats;
+  RoundUtility utility(&model, &test, &rec, nullptr, &stats);
   utility.EvaluateBatch(batch);
-  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(stats.loss_calls, 2);
   utility.EvaluateBatch(batch);     // fully cached: no new calls
-  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(stats.loss_calls, 2);
   EXPECT_EQ(utility.Utility(Coalition(n)), 0.0);
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <unordered_set>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace comfedsv {
 namespace {
@@ -107,6 +111,79 @@ TEST(CoalitionTest, OrderingIsStrictWeak) {
   EXPECT_TRUE(b < c);
   EXPECT_TRUE(a < c);
   EXPECT_FALSE(a < a);
+}
+
+// Reference for MemberListLess: lexicographic order of Members().
+bool MembersLess(const Coalition& a, const Coalition& b) {
+  const std::vector<int> ma = a.Members();
+  const std::vector<int> mb = b.Members();
+  return std::lexicographical_compare(ma.begin(), ma.end(), mb.begin(),
+                                      mb.end());
+}
+
+void ExpectMemberOrderMatchesReference(const Coalition& a,
+                                       const Coalition& b) {
+  EXPECT_EQ(Coalition::MemberListLess(a, b), MembersLess(a, b))
+      << "a=" << ::testing::PrintToString(a.Members())
+      << " b=" << ::testing::PrintToString(b.Members());
+  EXPECT_EQ(Coalition::MemberListLess(b, a), MembersLess(b, a))
+      << "a=" << ::testing::PrintToString(a.Members())
+      << " b=" << ::testing::PrintToString(b.Members());
+}
+
+TEST(CoalitionTest, MemberListLessHandPickedPairs) {
+  const int n = 130;  // three bit words
+  auto c = [n](std::vector<int> members) {
+    return Coalition::FromMembers(n, members);
+  };
+  const Coalition empty(n);
+  // Empty vs empty, and equal coalitions, are not less either way.
+  EXPECT_FALSE(Coalition::MemberListLess(empty, empty));
+  EXPECT_FALSE(Coalition::MemberListLess(c({3, 70}), c({3, 70})));
+  // The empty list is a prefix of every list.
+  EXPECT_TRUE(Coalition::MemberListLess(empty, c({129})));
+  EXPECT_FALSE(Coalition::MemberListLess(c({129}), empty));
+  // A proper prefix orders first, within a word and across words.
+  EXPECT_TRUE(Coalition::MemberListLess(c({0, 1}), c({0, 1, 2})));
+  EXPECT_TRUE(Coalition::MemberListLess(c({5, 63}), c({5, 63, 64})));
+  EXPECT_TRUE(Coalition::MemberListLess(c({5}), c({5, 128})));
+  EXPECT_FALSE(Coalition::MemberListLess(c({5, 128}), c({5})));
+  // {0,1,2} < {0,2}: the first difference decides, not the size.
+  EXPECT_TRUE(Coalition::MemberListLess(c({0, 1, 2}), c({0, 2})));
+  // Multi-word: the lowest differing client sits in the second word.
+  EXPECT_TRUE(Coalition::MemberListLess(c({1, 64, 129}), c({1, 65})));
+  EXPECT_FALSE(Coalition::MemberListLess(c({1, 65}), c({1, 64, 129})));
+  // Bit 63, the top of the first word, differs.
+  EXPECT_TRUE(Coalition::MemberListLess(c({63, 100}), c({100})));
+  EXPECT_TRUE(Coalition::MemberListLess(c({62}), c({62, 63})));
+
+  const std::vector<Coalition> cases = {
+      empty,        c({0}),        c({0, 1}),      c({0, 1, 2}),
+      c({0, 2}),    c({63}),       c({63, 64}),    c({64}),
+      c({1, 64}),   c({1, 65}),    c({1, 64, 129}), c({5, 128}),
+      c({5}),       c({129}),      c({62, 63}),    c({63, 100})};
+  for (const Coalition& a : cases) {
+    for (const Coalition& b : cases) ExpectMemberOrderMatchesReference(a, b);
+  }
+}
+
+TEST(CoalitionTest, MemberListLessMatchesReferenceOnRandomPairs) {
+  Rng rng(2024);
+  for (int n : {7, 64, 70, 130}) {
+    for (int trial = 0; trial < 400; ++trial) {
+      // Sparse and dense draws, plus a shared random prefix so many
+      // pairs agree on their first members.
+      const double density = trial % 2 == 0 ? 0.1 : 0.6;
+      Coalition a(n), b(n);
+      const int shared = static_cast<int>(rng.NextUint64(n + 1));
+      for (int k = 0; k < n; ++k) {
+        const bool in_a = rng.NextBernoulli(density);
+        if (in_a) a.Add(k);
+        if (k < shared ? in_a : rng.NextBernoulli(density)) b.Add(k);
+      }
+      ExpectMemberOrderMatchesReference(a, b);
+    }
+  }
 }
 
 }  // namespace

@@ -73,8 +73,8 @@ TEST(RoundUtilityTest, MatchesHandComputation) {
   Dataset test = ScalarDataset({1.0});  // loss(w) = (w-1)^2
   // Global w=0 (loss 1). Locals: w0=1 (loss 0), w1=0.5 (loss 0.25).
   RoundRecord rec = MakeRecord(0.0, {1.0, 0.5}, {0, 1}, model, test);
-  int64_t calls = 0;
-  RoundUtility util(&model, &test, &rec, &calls);
+  UtilityStats stats;
+  RoundUtility util(&model, &test, &rec, nullptr, &stats);
 
   EXPECT_DOUBLE_EQ(util.Utility(Coalition(2)), 0.0);  // empty
   // U({0}) = 1 - 0 = 1.
@@ -84,20 +84,20 @@ TEST(RoundUtilityTest, MatchesHandComputation) {
   // U({0,1}): mean model = 0.75, loss = 0.0625, utility = 0.9375.
   EXPECT_DOUBLE_EQ(util.Utility(Coalition::FromMembers(2, {0, 1})),
                    0.9375);
-  EXPECT_EQ(calls, 3);  // empty coalition costs nothing
+  EXPECT_EQ(stats.loss_calls, 3);  // empty coalition costs nothing
 }
 
 TEST(RoundUtilityTest, MemoizesRepeatedQueries) {
   QuadraticModel model;
   Dataset test = ScalarDataset({2.0});
   RoundRecord rec = MakeRecord(0.0, {1.0, 2.0}, {0, 1}, model, test);
-  int64_t calls = 0;
-  RoundUtility util(&model, &test, &rec, &calls);
+  UtilityStats stats;
+  RoundUtility util(&model, &test, &rec, nullptr, &stats);
   Coalition c = Coalition::FromMembers(2, {0, 1});
   const double u1 = util.Utility(c);
   const double u2 = util.Utility(c);
   EXPECT_DOUBLE_EQ(u1, u2);
-  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(stats.loss_calls, 1);
   EXPECT_EQ(util.distinct_evaluations(), 1);
 }
 
@@ -148,8 +148,7 @@ TEST(FedSvRoundTest, RoundBalanceEqualsSelectedUtility) {
   FedSvConfig cfg;
   FedSvEvaluator eval(&model, &test, 3, cfg);
   eval.OnRound(rec);
-  int64_t calls = 0;
-  RoundUtility util(&model, &test, &rec, &calls);
+  RoundUtility util(&model, &test, &rec);
   const double full = util.Utility(Coalition::FromMembers(3, {0, 1, 2}));
   EXPECT_NEAR(eval.values().Sum(), full, 1e-10);
 }
