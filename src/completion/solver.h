@@ -135,9 +135,9 @@ Result<CompletionResult> CompleteMatrix(const ObservationSet& observations,
 /// seeded random init), and ALS skips its staged rank-growth pre-phase
 /// because the warm factors already select a basin. With factors carried
 /// over from the previous streaming re-solve this reaches the same final
-/// objective in measurably fewer sweeps than a cold CompleteMatrix
-/// (bench/streaming.cc records the gap). `warm` ranks must equal
-/// config.rank.
+/// objective in fewer sweeps than a cold CompleteMatrix (perfbench's
+/// `completion.warm_sweeps` tracks the warm count). `warm` ranks must
+/// equal config.rank.
 Result<CompletionResult> CompleteMatrixWarm(
     const ObservationSet& observations, const CompletionConfig& config,
     const FactorPair& warm, ExecutionContext* ctx = nullptr);

@@ -48,8 +48,10 @@ struct CheckpointConfig {
 
   /// 1 (default) = the legacy single file at exactly `path`;
   /// >= 2 = rotated generations with salvage fallback on resume.
+  /// < 1 is an InvalidArgument.
   int keep_generations = 1;
-  /// Retries per transient (Unavailable) I/O failure.
+  /// Retries per transient (Unavailable) I/O failure. Must be >= 0
+  /// (InvalidArgument otherwise).
   int max_retries = 2;
   /// Base of the deterministic exponential retry backoff, ms.
   int retry_backoff_ms = 5;
@@ -73,7 +75,7 @@ struct CheckpointConfig {
   /// spill off.
   std::string round_log_path;
   /// On-disk encoding; kNone replays bit-identically, kQuant16 trades
-  /// bounded valuation drift for space (see BENCH_roundlog.json).
+  /// bounded valuation drift for space (tests/io_roundlog_test.cc).
   RoundLogCompression round_log_compression = RoundLogCompression::kNone;
   /// Persist the footer index every k-th append.
   int round_log_index_every = 1;

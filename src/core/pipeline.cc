@@ -76,6 +76,14 @@ Result<ValuationOutcome> RunValuationImpl(const Model& model,
       return Status::InvalidArgument(
           "checkpoint round_log_index_every must be positive");
     }
+    if (checkpoint->keep_generations < 1) {
+      return Status::InvalidArgument(
+          "checkpoint keep_generations must be positive");
+    }
+    if (checkpoint->max_retries < 0) {
+      return Status::InvalidArgument(
+          "checkpoint max_retries must be non-negative");
+    }
     config.spill.enabled = !checkpoint->round_log_path.empty();
     config.spill.path = checkpoint->round_log_path;
     config.spill.compression = checkpoint->round_log_compression;

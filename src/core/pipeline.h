@@ -97,8 +97,8 @@ Result<ValuationOutcome> RunValuationCheckpointed(
 /// batch-equivalent read. On a log written with the lossless encoding
 /// (kNone) the outputs are bit-identical to the RunValuation that
 /// produced the trajectory, for any thread count; kQuant16 drifts by the
-/// quantization step (bench/roundlog.cc measures it). The log must be
-/// complete: a spill run that degraded mid-stream leaves gaps that
+/// quantization step (tests/io_roundlog_test.cc bounds it). The log must
+/// be complete: a spill run that degraded mid-stream leaves gaps that
 /// surface here as a shorter round count.
 Result<ValuationOutcome> RunValuationFromLog(
     const Model& model, const Dataset& test_data, int num_clients,

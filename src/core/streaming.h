@@ -15,8 +15,8 @@
 //     any time. The expensive part (the completion solve) is re-run only
 //     every `resolve_cadence` new rounds and warm-starts from the
 //     previous solve's factors (CompleteMatrixWarm), which reaches the
-//     same final objective in measurably fewer sweeps than a cold solve
-//     (bench/streaming.cc records the gap).
+//     same final objective in fewer sweeps than a cold solve
+//     (perfbench's `completion.warm_sweeps` tracks the warm count).
 //   * Finalize() is the batch-equivalent read: a cold solve exactly like
 //     ComFedSvEvaluator::Finalize, so after the full round sequence its
 //     outputs are bit-identical to RunValuation on the same trajectory

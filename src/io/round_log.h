@@ -25,7 +25,8 @@
 //   * kNone — lossless: valuation from the log is bit-identical.
 //   * kQuant16 — lossy: local-model deltas uniformly quantized to u16 on
 //     a per-vector [min,max] grid. Valuation drift is bounded by the
-//     grid step; bench/roundlog.cc measures ratio-vs-drift.
+//     grid step; tests/io_roundlog_test.cc bounds the drift and
+//     perfbench's `io.log_compression_ratio` tracks the ratio.
 //
 // File layout (all little-endian):
 //   data file:  header (24 B): u32 magic "CFRL", u32 version, u32

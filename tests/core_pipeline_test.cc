@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "data/image_sim.h"
 #include "data/noise.h"
@@ -219,6 +220,40 @@ TEST(PipelineTest, RejectsNegativeTruncationTolerance) {
   req.comfedsv.sampler.kind = SamplerKind::kTruncated;
   req.comfedsv.sampler.truncation_tolerance = -0.5;
   ExpectEveryDriverRejects(req, 3, "comfedsv.sampler.truncation_tolerance");
+}
+
+// CheckpointManager CHECKs its durability options, so
+// RunValuationCheckpointed must reject them as a Status first — and
+// before any file is touched.
+TEST(PipelineTest, RejectsInvalidCheckpointDurabilityOptions) {
+  Workload w = MakeWorkload(2, 107);
+  LogisticRegression model(w.test.dim(), 10);
+  const std::string path =
+      ::testing::TempDir() + "comfedsv_bad_durability.ckpt";
+  std::remove(path.c_str());
+  ValuationRequest req;
+  req.compute_fedsv = true;
+  req.compute_comfedsv = false;
+
+  CheckpointConfig no_generations;
+  no_generations.path = path;
+  no_generations.keep_generations = 0;
+  CheckpointConfig negative_retries;
+  negative_retries.path = path;
+  negative_retries.max_retries = -1;
+  const std::pair<CheckpointConfig, std::string> cases[] = {
+      {no_generations, "keep_generations"},
+      {negative_retries, "max_retries"},
+  };
+  for (const auto& [ckpt, field] : cases) {
+    Result<ValuationOutcome> outcome = RunValuationCheckpointed(
+        model, w.clients, w.test, FedConfig(2, 2, 109), req, ckpt);
+    ASSERT_FALSE(outcome.ok()) << field;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(outcome.status().message().find(field), std::string::npos)
+        << outcome.status().ToString();
+    EXPECT_FALSE(FileEnv::Real()->Exists(path));
+  }
 }
 
 }  // namespace

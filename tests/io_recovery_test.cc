@@ -303,19 +303,23 @@ TEST_F(IoRecoveryTest, PruneNeverDeletesTheSalvagedGeneration) {
   EXPECT_EQ(newest.value().payload, "gen6");
 }
 
-TEST_F(IoRecoveryTest, SalvageQuarantinesCorruptNewestGeneration) {
-  const std::string stem = Dir("salvage") + "/v.ckpt";
+// Flips byte `offset` (negative: counted from the end) of the newest of
+// three generations and expects Load to quarantine it and salvage gen2.
+void ExpectSalvageAfterFlip(const std::string& stem, int offset) {
+  SCOPED_TRACE("corrupted offset " + std::to_string(offset));
   CheckpointManager manager(stem, FastOptions(FileEnv::Real(), 3));
   ASSERT_TRUE(manager.Write(ChunkTag::kVector, "gen1").ok());
   ASSERT_TRUE(manager.Write(ChunkTag::kVector, "gen2").ok());
   ASSERT_TRUE(manager.Write(ChunkTag::kVector, "gen3").ok());
 
-  // Flip a payload byte of the newest generation: checksum mismatch.
   const std::string newest = manager.ListGenerations().back().second;
   Result<std::string> bytes = FileEnv::Real()->ReadFile(newest);
   ASSERT_TRUE(bytes.ok());
   std::string corrupted = bytes.value();
-  corrupted.back() ^= 0x40;
+  const size_t pos =
+      offset < 0 ? corrupted.size() + offset : static_cast<size_t>(offset);
+  ASSERT_LT(pos, corrupted.size());
+  corrupted[pos] ^= 0x40;
   ASSERT_TRUE(FileEnv::Real()->WriteFile(newest, corrupted).ok());
 
   Result<CheckpointManager::LoadInfo> loaded =
@@ -337,6 +341,22 @@ TEST_F(IoRecoveryTest, SalvageQuarantinesCorruptNewestGeneration) {
   }
   EXPECT_EQ(manager.Load(ChunkTag::kVector).status().code(),
             StatusCode::kDataLoss);
+}
+
+// Every DataLoss-class header field and both payload ends salvage. The
+// version (4) and root tag (8) bytes are left out: they propagate as
+// FailedPrecondition / InvalidArgument by design.
+TEST_F(IoRecoveryTest, SalvageQuarantinesCorruptNewestGeneration) {
+  const struct {
+    const char* field;
+    int offset;
+  } flips[] = {
+      {"magic", 0},     {"length", 12},        {"sequence", 20},
+      {"checksum", 28}, {"payload_first", 36}, {"payload_last", -1},
+  };
+  for (const auto& flip : flips) {
+    ExpectSalvageAfterFlip(Dir(flip.field) + "/v.ckpt", flip.offset);
+  }
 }
 
 TEST_F(IoRecoveryTest, TornRenameIsAbsorbedBySalvage) {

@@ -6,6 +6,7 @@
 // bit-for-bit, for any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <memory>
@@ -597,6 +598,61 @@ TEST_F(RoundLogTest, SpilledValuationMatchesInMemoryAcrossModesAndThreads) {
       }
     }
   }
+}
+
+// The bounded-memory claim: the reader holds one frame at a time, so a
+// trajectory whose kNone log is at least 9x its largest frame re-values
+// from disk to the in-memory FedSV bit for bit.
+TEST_F(RoundLogTest, LogAtLeastNineFramesLargeRevaluesBitIdentical) {
+  constexpr int kClients = 4;
+  GoldenWorkload w = MakeGoldenWorkload(kClients, 2323);
+  LogisticRegression model(w.test.dim(), 10);
+  FedAvgConfig fed_cfg;
+  fed_cfg.num_rounds = 12;
+  fed_cfg.clients_per_round = 3;
+  fed_cfg.seed = 31;
+  const ValuationRequest request = GoldenRequest();
+
+  Result<ValuationOutcome> baseline =
+      RunValuation(model, w.clients, w.test, fed_cfg, request);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  CheckpointConfig ckpt;
+  ckpt.path = Path("run.ckpt");
+  ckpt.every_rounds = 4;
+  ckpt.round_log_path = Path("rounds.log");
+  ASSERT_EQ(ckpt.round_log_compression, RoundLogCompression::kNone);
+  Result<ValuationOutcome> spilled = RunValuationCheckpointed(
+      model, w.clients, w.test, fed_cfg, request, ckpt);
+  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+
+  // Re-append the spilled records, measuring each frame; the copy must
+  // be byte-for-byte the same size as the log it came from.
+  Result<std::unique_ptr<RoundLogReader>> reader =
+      RoundLogReader::Open(ckpt.round_log_path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_GE(reader.value()->rounds(), 10);
+  Result<std::unique_ptr<RoundLogWriter>> copy =
+      RoundLogWriter::Create(Path("copy.log"));
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  uint64_t max_frame_bytes = 0;
+  RoundRecord record;
+  for (int pos = 0; pos < reader.value()->rounds(); ++pos) {
+    ASSERT_TRUE(reader.value()->Read(pos, &record).ok());
+    const uint64_t before = copy.value()->data_size();
+    ASSERT_TRUE(copy.value()->Append(record).ok());
+    max_frame_bytes =
+        std::max(max_frame_bytes, copy.value()->data_size() - before);
+  }
+  EXPECT_EQ(copy.value()->data_size(), reader.value()->data_size());
+  EXPECT_GE(reader.value()->data_size(), 9 * max_frame_bytes);
+
+  Result<ValuationOutcome> replayed = RunValuationFromLog(
+      model, w.test, kClients, ckpt.round_log_path, request);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  ExpectVectorsBitIdentical(*replayed.value().fedsv_values,
+                            *baseline.value().fedsv_values,
+                            "FedSV from a 9x-frame log");
 }
 
 // ---------------------------------------------------------------------

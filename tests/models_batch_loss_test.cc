@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -48,8 +49,9 @@ Matrix RandomParams(const Model& model, int batch, uint64_t seed) {
 }
 
 void ExpectBatchMatchesLoss(const Model& model, const Dataset& data,
-                            uint64_t seed) {
-  for (int batch : {1, 7, 64}) {
+                            uint64_t seed,
+                            const std::vector<int>& batches = {1, 7, 64}) {
+  for (int batch : batches) {
     const Matrix rows = RandomParams(model, batch, seed + batch);
     std::vector<double> sequential(batch);
     for (int b = 0; b < batch; ++b) {
@@ -103,6 +105,33 @@ TEST(BatchLossTest, DefaultImplementationCoversCnn) {
   cfg.num_classes = 4;
   Cnn model(cfg);
   ExpectBatchMatchesLoss(model, MakeData(20, 36, 4, 10, false), 16);
+}
+
+// Wide shapes, d >= 64 up to the rows where the tiled GEMM dominates the
+// softmax tail: 256 samples, 10 classes, full chunks of 64 coalitions
+// and one short batch of 8.
+TEST(BatchLossTest, BenchShapesBitIdenticalToSequentialLoss) {
+  struct Shape {
+    bool mlp;
+    int dim;
+    int batch;
+  };
+  const Shape shapes[] = {
+      {false, 64, 64}, {false, 256, 64}, {false, 1024, 64},
+      {false, 256, 8}, {true, 192, 64},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE("dim=" + std::to_string(shape.dim) +
+                 " batch=" + std::to_string(shape.batch));
+    const Dataset data = MakeData(256, shape.dim, 10, 51, false);
+    if (shape.mlp) {
+      Mlp model({static_cast<size_t>(shape.dim), 32, 10}, 1e-4);
+      ExpectBatchMatchesLoss(model, data, 52, {shape.batch});
+    } else {
+      LogisticRegression model(shape.dim, 10, 1e-3);
+      ExpectBatchMatchesLoss(model, data, 52, {shape.batch});
+    }
+  }
 }
 
 TEST(BatchLossTest, EmptyDatasetYieldsRegularizerOnly) {
