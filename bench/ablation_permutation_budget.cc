@@ -86,7 +86,7 @@ int AblationPermutationsMain(int argc, char** argv) {
     Result<double> rho = SpearmanCorrelation(exact_values, v);
     table.AddRow({std::to_string(budgets[b]),
                   rho.ok() ? Table::Num(rho.value(), 3) : "n/a",
-                  std::to_string(out.value().loss_calls),
+                  std::to_string(out.value().stats.loss_calls),
                   std::to_string(out.value().num_columns)});
   }
   std::printf("%s\n", table.ToText().c_str());

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/comfedsv_api.h"
+#include "stopwatch.h"
 
 namespace comfedsv {
 namespace bench {

@@ -63,7 +63,7 @@ int Fig2Main(int argc, char** argv) {
                 "evals)\n",
                 w.dataset_name.c_str(), w.model_name.c_str(), u.rows(),
                 u.cols(), timer.ElapsedSeconds(),
-                static_cast<long long>(recorder.loss_calls()));
+                static_cast<long long>(recorder.stats().loss_calls));
     Table table({"k", "sigma_k", "sigma_k/sigma_1", "cum. energy"});
     double cum = 0.0;
     for (size_t k = 0; k < std::min<size_t>(s.size(), 12); ++k) {

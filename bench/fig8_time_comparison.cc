@@ -1,14 +1,13 @@
 // Figure 8: computing-time comparison. For N = 10..100 clients with 30%
-// participation, measures the wall time (and test-loss call counts) of
+// participation, measures the wall time and test-loss call counts of
 // FedSV (Monte-Carlo, O(T K^2 log K) calls) and ComFedSV (Algorithm 1,
 // O(T N K log N) calls), and their ratio — which the paper shows
 // approaching the participation rate K/N.
 //
-// Each method runs twice, on ExecutionContext(1) and ExecutionContext(T)
-// (T from --threads, default 4), seeding the perf trajectory: the run
-// emits machine-readable BENCH_fig8_time_comparison.json with both wall
-// times, the speedup, and a check that the valuation outputs are
-// bit-identical across thread counts.
+// Both methods run single-threaded on hand-driven trainers, timing only
+// the valuation work, and the run emits BENCH_fig8_time_comparison.json.
+// Multi-thread timing and the thread-count identity check belong to
+// perfbench (valuation_1t_s, valuation_s) and determinism_test.
 #include "bench_common.h"
 
 namespace comfedsv {
@@ -17,21 +16,19 @@ namespace {
 struct TimedRun {
   double fedsv_seconds = 0.0;
   double comfedsv_seconds = 0.0;
-  double completion_seconds = 0.0;
-  double completion_entries = 0.0;
-  int completion_iterations = 0;
   int64_t fedsv_calls = 0;
   int64_t comfedsv_calls = 0;
-  Vector fedsv_values;
-  Vector comfedsv_values;
 };
 
 TimedRun RunBothPipelines(const bench::Workload& w, int rounds, int k,
-                          uint64_t seed, ExecutionContext* ctx) {
+                          uint64_t seed) {
   // The two methods are timed as standalone pipelines, as in the
   // paper: FedSV runs plain FedAvg (it never needs the everyone-heard
   // round), while ComFedSV runs with Assumption 1 and pays for the
-  // full first round — that is part of its honest cost.
+  // full first round — that is part of its honest cost. Each is driven
+  // by hand so only its valuation work is timed, not the FedAvg steps
+  // that feed it.
+  const int n = static_cast<int>(w.clients.size());
   FedAvgConfig fedsv_cfg;
   fedsv_cfg.num_rounds = rounds;
   fedsv_cfg.clients_per_round = k;
@@ -44,51 +41,46 @@ TimedRun RunBothPipelines(const bench::Workload& w, int rounds, int k,
   fedsv_config.permutations_per_round = 0;  // O(K log K), VII-D
   fedsv_config.seed = seed + 2;
 
-  // FedSV is driven by hand so only its per-round evaluation is timed,
-  // not the FedAvg steps that feed it.
   TimedRun out;
-  FedAvgTrainer trainer(w.model.get(), w.clients, w.test, fedsv_cfg, ctx);
-  FedSvEvaluator fedsv(w.model.get(), &trainer.test_data(),
-                       static_cast<int>(w.clients.size()), fedsv_config,
-                       ctx);
-  COMFEDSV_CHECK_OK(trainer.Begin());
-  while (!trainer.Done()) {
-    const RoundRecord& record = trainer.Step();
+  FedAvgTrainer fedsv_trainer(w.model.get(), w.clients, w.test, fedsv_cfg);
+  FedSvEvaluator fedsv(w.model.get(), &fedsv_trainer.test_data(), n,
+                       fedsv_config);
+  COMFEDSV_CHECK_OK(fedsv_trainer.Begin());
+  while (!fedsv_trainer.Done()) {
+    const RoundRecord& record = fedsv_trainer.Step();
     Stopwatch timer;
     fedsv.OnRound(record);
     out.fedsv_seconds += timer.ElapsedSeconds();
   }
+  out.fedsv_calls = fedsv.stats().loss_calls;
 
   FedAvgConfig com_cfg = fedsv_cfg;
   com_cfg.select_all_first_round = true;  // Assumption 1
-  com_cfg.seed = seed + 1;
 
-  ValuationRequest com_req;
-  com_req.compute_fedsv = false;
-  com_req.compute_comfedsv = true;
-  com_req.comfedsv.mode = ComFedSvConfig::Mode::kSampled;
-  com_req.comfedsv.num_permutations = 0;  // O(N log N), Sec. VI-E
-  com_req.comfedsv.completion.rank = 3;
-  com_req.comfedsv.completion.lambda = 1e-4;
-  com_req.comfedsv.completion.temporal_smoothing = 0.1;
-  com_req.comfedsv.completion.max_iters = 60;
-  com_req.comfedsv.seed = seed + 3;
+  ComFedSvConfig com_config;
+  com_config.mode = ComFedSvConfig::Mode::kSampled;
+  com_config.num_permutations = 0;  // O(N log N), Sec. VI-E
+  com_config.completion.rank = 3;
+  com_config.completion.lambda = 1e-4;
+  com_config.completion.temporal_smoothing = 0.1;
+  com_config.completion.max_iters = 60;
+  com_config.seed = seed + 3;
 
-  Result<ValuationOutcome> com_run =
-      RunValuation(*w.model, w.clients, w.test, com_cfg, com_req, ctx);
-  COMFEDSV_CHECK_OK(com_run.status());
-
-  out.comfedsv_seconds = com_run.value().comfedsv->seconds;
-  const ComFedSvOutput& com = *com_run.value().comfedsv;
-  out.completion_seconds = com.completion_seconds;
-  out.completion_entries = com.observed_density *
-                           static_cast<double>(rounds) *
-                           static_cast<double>(com.num_columns);
-  out.completion_iterations = com.completion.iterations;
-  out.fedsv_calls = fedsv.loss_calls();
-  out.comfedsv_calls = com_run.value().comfedsv->loss_calls;
-  out.fedsv_values = fedsv.values();
-  out.comfedsv_values = com_run.value().comfedsv->values;
+  FedAvgTrainer com_trainer(w.model.get(), w.clients, w.test, com_cfg);
+  ComFedSvEvaluator comfedsv(w.model.get(), &com_trainer.test_data(), n,
+                             com_config);
+  COMFEDSV_CHECK_OK(com_trainer.Begin());
+  while (!com_trainer.Done()) {
+    const RoundRecord& record = com_trainer.Step();
+    Stopwatch timer;
+    comfedsv.OnRound(record);
+    out.comfedsv_seconds += timer.ElapsedSeconds();
+  }
+  Stopwatch timer;
+  Result<ComFedSvOutput> com = comfedsv.Finalize();
+  out.comfedsv_seconds += timer.ElapsedSeconds();
+  COMFEDSV_CHECK_OK(com.status());
+  out.comfedsv_calls = com.value().stats.loss_calls;
   return out;
 }
 
@@ -96,12 +88,10 @@ TimedRun RunBothPipelines(const bench::Workload& w, int rounds, int k,
 
 int Fig8Main(int argc, char** argv) {
   const bool full = bench::FullScale(argc, argv);
-  const int threads = bench::BenchThreads(argc, argv);
   bench::PrintHeader(
       "Figure 8",
       "Valuation time of FedSV vs ComFedSV and their ratio, as the\n"
-      "number of clients grows (30% participation). Each method is run\n"
-      "single-threaded and on a shared ExecutionContext.",
+      "number of clients grows (30% participation).",
       full);
 
   const int max_clients = full ? 100 : 60;
@@ -109,15 +99,10 @@ int Fig8Main(int argc, char** argv) {
 
   bench::BenchJsonWriter json("fig8_time_comparison");
   json.Meta("scale", full ? "paper" : "reduced");
-  json.Meta("threads_compared", static_cast<double>(threads));
   json.Meta("rounds", static_cast<double>(rounds));
 
-  ExecutionContext threaded(threads);
-  bool all_outputs_identical = true;
-
   Table table({"N", "K", "FedSV secs", "ComFedSV secs", "ratio",
-               "FedSV calls", "ComFedSV calls", "call ratio",
-               std::to_string(threads) + "t speedup F/C"});
+               "FedSV calls", "ComFedSV calls", "call ratio"});
   for (int n = 10; n <= max_clients; n += 10) {
     const int k = std::max(2, n * 30 / 100);
 
@@ -130,75 +115,36 @@ int Fig8Main(int argc, char** argv) {
     bench::Workload w =
         bench::MakeWorkload(bench::PaperDataset::kMnist, opt);
 
-    TimedRun single = RunBothPipelines(w, rounds, k, opt.seed, nullptr);
-    TimedRun multi = RunBothPipelines(w, rounds, k, opt.seed, &threaded);
-
-    const bool identical = single.fedsv_values == multi.fedsv_values &&
-                           single.comfedsv_values == multi.comfedsv_values;
-    all_outputs_identical = all_outputs_identical && identical;
-
-    const double fedsv_speedup = single.fedsv_seconds / multi.fedsv_seconds;
-    const double comfedsv_speedup =
-        single.comfedsv_seconds / multi.comfedsv_seconds;
-
-    for (const char* method : {"fedsv", "comfedsv"}) {
-      const bool is_fedsv = std::strcmp(method, "fedsv") == 0;
+    const TimedRun run = RunBothPipelines(w, rounds, k, opt.seed);
+    for (const bool is_fedsv : {true, false}) {
       json.BeginRecord();
-      json.Field("method", method);
+      json.Field("method", is_fedsv ? "fedsv" : "comfedsv");
       json.Field("clients", static_cast<double>(n));
       json.Field("selected_per_round", static_cast<double>(k));
-      json.Field("seconds_1_thread", is_fedsv ? single.fedsv_seconds
-                                              : single.comfedsv_seconds);
-      json.Field("seconds_n_threads", is_fedsv ? multi.fedsv_seconds
-                                               : multi.comfedsv_seconds);
-      json.Field("speedup", is_fedsv ? fedsv_speedup : comfedsv_speedup);
-      json.Field("loss_calls", static_cast<double>(is_fedsv
-                                                       ? single.fedsv_calls
-                                                       : single.comfedsv_calls));
-      json.Field("outputs_identical_across_threads",
-                 identical ? 1.0 : 0.0);
-      if (!is_fedsv) {
-        // The completion-engine datapoint of the perf trajectory: time
-        // spent inside CompleteMatrix and its observed-entry throughput.
-        json.Field("completion_seconds_1_thread",
-                   single.completion_seconds);
-        json.Field("completion_seconds_n_threads",
-                   multi.completion_seconds);
-        json.Field("completion_observed_entries",
-                   single.completion_entries);
-        json.Field("completion_iterations",
-                   static_cast<double>(single.completion_iterations));
-        json.Field("completion_entries_per_sec_1_thread",
-                   single.completion_entries *
-                       single.completion_iterations /
-                       std::max(1e-12, single.completion_seconds));
-      }
+      json.Field("seconds",
+                 is_fedsv ? run.fedsv_seconds : run.comfedsv_seconds);
+      json.Field("loss_calls", static_cast<double>(
+                                   is_fedsv ? run.fedsv_calls
+                                            : run.comfedsv_calls));
     }
 
     table.AddRow({std::to_string(n), std::to_string(k),
-                  Table::Num(single.fedsv_seconds, 3),
-                  Table::Num(single.comfedsv_seconds, 3),
-                  Table::Num(single.fedsv_seconds / single.comfedsv_seconds,
-                             3),
-                  std::to_string(single.fedsv_calls),
-                  std::to_string(single.comfedsv_calls),
-                  Table::Num(static_cast<double>(single.fedsv_calls) /
-                                 static_cast<double>(single.comfedsv_calls),
-                             3),
-                  Table::Num(fedsv_speedup, 2) + "/" +
-                      Table::Num(comfedsv_speedup, 2)});
+                  Table::Num(run.fedsv_seconds, 3),
+                  Table::Num(run.comfedsv_seconds, 3),
+                  Table::Num(run.fedsv_seconds / run.comfedsv_seconds, 3),
+                  std::to_string(run.fedsv_calls),
+                  std::to_string(run.comfedsv_calls),
+                  Table::Num(static_cast<double>(run.fedsv_calls) /
+                                 static_cast<double>(run.comfedsv_calls),
+                             3)});
   }
   std::printf("%s\n", table.ToText().c_str());
   std::printf(
       "Shape check vs paper: both costs grow with N; the FedSV/ComFedSV\n"
       "ratio settles near a constant on the order of the participation\n"
-      "rate (0.3), as in Fig. 8. Valuation outputs across thread counts\n"
-      "identical: %s.\n",
-      all_outputs_identical ? "yes" : "NO — determinism regression");
-  json.Meta("outputs_identical_across_threads",
-            all_outputs_identical ? 1.0 : 0.0);
+      "rate (0.3), as in Fig. 8.\n");
   json.WriteFile();
-  return all_outputs_identical ? 0 : 1;
+  return 0;
 }
 
 }  // namespace comfedsv

@@ -1,6 +1,8 @@
-// Wall-clock stopwatch used by the time-comparison experiment (Fig. 8).
-#ifndef COMFEDSV_COMMON_STOPWATCH_H_
-#define COMFEDSV_COMMON_STOPWATCH_H_
+// Wall-clock stopwatch for the bench binaries' timing columns (Fig. 8,
+// solver ablations). The library itself reads no clock: its cost unit
+// is the loss-call count in UtilityStats.
+#ifndef COMFEDSV_BENCH_STOPWATCH_H_
+#define COMFEDSV_BENCH_STOPWATCH_H_
 
 #include <chrono>
 
@@ -29,4 +31,4 @@ class Stopwatch {
 
 }  // namespace comfedsv
 
-#endif  // COMFEDSV_COMMON_STOPWATCH_H_
+#endif  // COMFEDSV_BENCH_STOPWATCH_H_

@@ -68,6 +68,30 @@ Status LoadTriplets(BinaryReader* in, std::vector<Observation>* triplets) {
   return Status::Ok();
 }
 
+// An evaluator's cost counters, written inline in its state chunk.
+void SaveStats(const UtilityStats& stats, BinaryWriter* out) {
+  out->I64(stats.loss_calls);
+  out->I64(stats.batched_calls);
+  out->I64(stats.memo_hits);
+  out->I64(stats.surrogate_skips);
+  out->F64(stats.surrogate_bias_bound);
+}
+
+Status LoadStats(BinaryReader* in, UtilityStats* stats) {
+  UtilityStats loaded;
+  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.loss_calls));
+  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.batched_calls));
+  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.memo_hits));
+  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.surrogate_skips));
+  COMFEDSV_RETURN_IF_ERROR(in->F64(&loaded.surrogate_bias_bound));
+  if (!loaded.Valid()) {
+    return Status::DataLoss(
+        "corrupt evaluator state: negative count or bad bias bound");
+  }
+  *stats = loaded;
+  return Status::Ok();
+}
+
 // Presence flag + state chunk for one optional evaluator. Restoring a
 // checkpoint whose flags disagree with the current request is an error.
 Status LoadPresence(BinaryReader* in, bool expected, const char* what) {
@@ -121,7 +145,7 @@ void SaveFedSvState(const FedSvEvaluatorState& s, BinaryWriter* out) {
   const size_t handle = out->BeginChunk(ChunkTag::kFedSvState);
   SaveVector(s.values, out);
   SaveRngState(s.rng, out);
-  out->I64(s.loss_calls);
+  SaveStats(s.stats, out);
   out->EndChunk(handle);
 }
 
@@ -131,12 +155,8 @@ Status LoadFedSvState(BinaryReader* in, FedSvEvaluatorState* s) {
   FedSvEvaluatorState loaded;
   COMFEDSV_RETURN_IF_ERROR(LoadVector(in, &loaded.values));
   COMFEDSV_RETURN_IF_ERROR(LoadRngState(in, &loaded.rng));
-  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.loss_calls));
+  COMFEDSV_RETURN_IF_ERROR(LoadStats(in, &loaded.stats));
   COMFEDSV_RETURN_IF_ERROR(in->EndChunk(end));
-  if (loaded.loss_calls < 0) {
-    return Status::DataLoss("corrupt FedSV state: negative "
-                                   "loss_calls");
-  }
   *s = std::move(loaded);
   return Status::Ok();
 }
@@ -148,8 +168,7 @@ void SaveFullRecorderState(const FullRecorderState& s, BinaryWriter* out) {
     out->U64(row.size());
     for (double v : row) out->F64(v);
   }
-  out->I64(s.loss_calls);
-  out->F64(s.seconds);
+  SaveStats(s.stats, out);
   out->EndChunk(handle);
 }
 
@@ -173,8 +192,7 @@ Status LoadFullRecorderState(BinaryReader* in, FullRecorderState* s) {
           "corrupt full-recorder state: ragged rows");
     }
   }
-  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.loss_calls));
-  COMFEDSV_RETURN_IF_ERROR(in->F64(&loaded.seconds));
+  COMFEDSV_RETURN_IF_ERROR(LoadStats(in, &loaded.stats));
   COMFEDSV_RETURN_IF_ERROR(in->EndChunk(end));
   *s = std::move(loaded);
   return Status::Ok();
@@ -186,8 +204,7 @@ void SaveObservedRecorderState(const ObservedRecorderState& s,
   SaveInterner(s.interner, out);
   SaveTriplets(s.triplets, out);
   out->I32(s.rounds_recorded);
-  out->I64(s.loss_calls);
-  out->F64(s.seconds);
+  SaveStats(s.stats, out);
   out->EndChunk(handle);
 }
 
@@ -200,8 +217,7 @@ Status LoadObservedRecorderState(BinaryReader* in,
   COMFEDSV_RETURN_IF_ERROR(LoadInterner(in, &loaded.interner));
   COMFEDSV_RETURN_IF_ERROR(LoadTriplets(in, &loaded.triplets));
   COMFEDSV_RETURN_IF_ERROR(in->I32(&loaded.rounds_recorded));
-  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.loss_calls));
-  COMFEDSV_RETURN_IF_ERROR(in->F64(&loaded.seconds));
+  COMFEDSV_RETURN_IF_ERROR(LoadStats(in, &loaded.stats));
   COMFEDSV_RETURN_IF_ERROR(in->EndChunk(end));
   // Structural validation (triplets against interner/rounds) happens in
   // ObservedUtilityRecorder::RestoreState, which owns the invariants.
@@ -214,11 +230,10 @@ void SaveSampledRecorderState(const SampledRecorderState& s,
   const size_t handle = out->BeginChunk(ChunkTag::kSampledRecorderState);
   SaveTriplets(s.triplets, out);
   out->I32(s.rounds_recorded);
-  out->I64(s.loss_calls);
-  out->F64(s.seconds);
+  SaveStats(s.stats, out);
   // Surrogate-screening extension: written only when screening is
-  // configured, so non-screening checkpoints keep the exact pre-existing
-  // chunk layout (and old files load unchanged). The loader detects the
+  // configured, so non-screening checkpoints keep the plain chunk
+  // layout. The loader detects the
   // extension by chunk length; MixSampler folds the screening knobs into
   // the fingerprint, so the two layouts can never be confused for the
   // same config.
@@ -246,8 +261,7 @@ Status LoadSampledRecorderState(BinaryReader* in,
   SampledRecorderState loaded;
   COMFEDSV_RETURN_IF_ERROR(LoadTriplets(in, &loaded.triplets));
   COMFEDSV_RETURN_IF_ERROR(in->I32(&loaded.rounds_recorded));
-  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.loss_calls));
-  COMFEDSV_RETURN_IF_ERROR(in->F64(&loaded.seconds));
+  COMFEDSV_RETURN_IF_ERROR(LoadStats(in, &loaded.stats));
   if (in->position() < end) {  // surrogate-screening extension present
     uint8_t has_surrogate = 0;
     COMFEDSV_RETURN_IF_ERROR(in->U8(&has_surrogate));

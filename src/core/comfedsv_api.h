@@ -23,7 +23,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "common/table.h"
 #include "completion/solver.h"
 #include "core/checkpointing.h"

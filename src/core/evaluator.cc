@@ -1,7 +1,6 @@
 #include "core/evaluator.h"
 
 #include "common/check.h"
-#include "common/stopwatch.h"
 #include "core/comfedsv_values.h"
 #include "shapley/shapley.h"
 
@@ -73,7 +72,6 @@ Result<ComFedSvOutput> ComFedSvEvaluator::FinalizeWarm(
 
 Result<ComFedSvOutput> ComFedSvEvaluator::FinalizeImpl(
     const FactorPair* warm, int max_iters_override) const {
-  Stopwatch timer;
   ComFedSvOutput out;
   CompletionConfig completion_config = config_.completion;
   if (max_iters_override > 0) {
@@ -92,9 +90,7 @@ Result<ComFedSvOutput> ComFedSvEvaluator::FinalizeImpl(
     ObservationSet obs = full_recorder_->BuildObservations();
     out.observed_density = obs.Density();
     out.num_columns = obs.num_cols();
-    Stopwatch completion_timer;
     Result<CompletionResult> completion = solve(obs);
-    out.completion_seconds = completion_timer.ElapsedSeconds();
     if (!completion.ok()) return completion.status();
     PinEmptyColumnFactor(
         full_recorder_->interner().Find(Coalition(num_clients_)),
@@ -105,9 +101,7 @@ Result<ComFedSvOutput> ComFedSvEvaluator::FinalizeImpl(
     if (!values.ok()) return values.status();
     out.values = std::move(values).value();
     out.completion = std::move(completion).value();
-    out.loss_calls = full_recorder_->loss_calls();
     out.stats = full_recorder_->stats();
-    out.seconds = full_recorder_->seconds() + timer.ElapsedSeconds();
     return out;
   }
 
@@ -117,9 +111,7 @@ Result<ComFedSvOutput> ComFedSvEvaluator::FinalizeImpl(
   ObservationSet obs = sampled_recorder_->BuildObservations();
   out.observed_density = obs.Density();
   out.num_columns = obs.num_cols();
-  Stopwatch completion_timer;
   Result<CompletionResult> completion = solve(obs);
-  out.completion_seconds = completion_timer.ElapsedSeconds();
   if (!completion.ok()) return completion.status();
   PinEmptyColumnFactor(sampled_recorder_->prefix_columns()[0][0],
                        &completion.value().h);
@@ -130,9 +122,7 @@ Result<ComFedSvOutput> ComFedSvEvaluator::FinalizeImpl(
   if (!values.ok()) return values.status();
   out.values = std::move(values).value();
   out.completion = std::move(completion).value();
-  out.loss_calls = sampled_recorder_->loss_calls();
   out.stats = sampled_recorder_->stats();
-  out.seconds = sampled_recorder_->seconds() + timer.ElapsedSeconds();
   return out;
 }
 

@@ -50,12 +50,10 @@ struct ComFedSvOutput {
   CompletionResult completion;  ///< the fitted factors and diagnostics
   double observed_density = 0.0;  ///< fraction of matrix entries observed
   int num_columns = 0;            ///< columns in the completion problem
-  int64_t loss_calls = 0;         ///< test-loss evaluations spent
-  double seconds = 0.0;           ///< recording + completion + formula time
-  double completion_seconds = 0.0;  ///< wall time inside CompleteMatrix
   /// Measured evaluation accounting from the active recorder: loss
-  /// calls, batch passes, memo hits, and — under surrogate screening —
-  /// skips and the accumulated skip-bias bound.
+  /// calls (the Fig. 8 cost unit), batch passes, memo hits, and — under
+  /// surrogate screening — skips and the accumulated skip-bias bound.
+  /// Checkpointed with the recorder.
   UtilityStats stats;
 };
 
@@ -132,8 +130,8 @@ class GroundTruthEvaluator : public RoundObserver {
   /// The full T x 2^N utility matrix (Figs. 2 and 3 analyse it directly).
   Matrix UtilityMatrix() const { return recorder_.ToMatrix(); }
 
-  int64_t loss_calls() const { return recorder_.loss_calls(); }
-  double seconds() const { return recorder_.seconds(); }
+  /// Measured evaluation accounting of the exhaustive recording.
+  const UtilityStats& stats() const { return recorder_.stats(); }
 
   /// The underlying recorder, exposed for checkpoint save/restore.
   FullUtilityRecorder* recorder() { return &recorder_; }

@@ -33,15 +33,17 @@ struct ValuationOutcome {
   TrainingResult training;
 
   std::optional<Vector> fedsv_values;
-  int64_t fedsv_loss_calls = 0;
   /// Measured FedSV evaluation accounting (loss calls, batch passes,
   /// memo hits); ComFedSV's equivalent rides inside `comfedsv->stats`.
+  /// Every stats field is checkpointed, so a resumed run reports the
+  /// uninterrupted run's counts.
   UtilityStats fedsv_stats;
 
   std::optional<ComFedSvOutput> comfedsv;
 
   std::optional<Vector> ground_truth_values;
-  int64_t ground_truth_loss_calls = 0;
+  /// Measured accounting of the exhaustive ground-truth recording.
+  UtilityStats ground_truth_stats;
 
   /// How the run's spill and checkpoint I/O fared (failed saves
   /// survived in degraded mode, salvage activity at resume). A run that

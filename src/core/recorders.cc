@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
 #include "shapley/utility.h"
 
 namespace comfedsv {
@@ -28,8 +27,6 @@ void FullUtilityRecorder::OnRound(const RoundRecord& record) {
   // A round with no selected clients contributes zero to every valuation
   // metric (the FedSV evaluators skip it too): record nothing.
   if (record.selected.empty()) return;
-  Stopwatch timer;
-  const int64_t calls_before = stats_.loss_calls;
   RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
   const uint32_t num_cols = 1u << num_clients_;
   // Submit all 2^N - 1 coalitions in mask order: the batched engine
@@ -50,12 +47,10 @@ void FullUtilityRecorder::OnRound(const RoundRecord& record) {
     row[mask] = utility.Utility(coalitions[mask - 1]);
   }
   rows_.push_back(std::move(row));
-  loss_calls_ += stats_.loss_calls - calls_before;
-  seconds_ += timer.ElapsedSeconds();
 }
 
 FullRecorderState FullUtilityRecorder::SaveState() const {
-  return {rows_, loss_calls_, seconds_};
+  return {rows_, stats_};
 }
 
 Status FullUtilityRecorder::RestoreState(FullRecorderState state) {
@@ -66,13 +61,11 @@ Status FullUtilityRecorder::RestoreState(FullRecorderState state) {
           "full recorder state row width does not match 2^num_clients");
     }
   }
-  if (state.loss_calls < 0) {
-    return Status::InvalidArgument("full recorder state loss_calls "
-                                   "negative");
+  if (!state.stats.Valid()) {
+    return Status::InvalidArgument("full recorder state counters invalid");
   }
   rows_ = std::move(state.rows);
-  loss_calls_ = state.loss_calls;
-  seconds_ = state.seconds;
+  stats_ = state.stats;
   return Status::Ok();
 }
 
@@ -106,11 +99,9 @@ void ObservedUtilityRecorder::OnRound(const RoundRecord& record) {
   // Nothing is observable in a round with no selected clients: skip it
   // (no triplets, no row) rather than emitting an all-empty row.
   if (record.selected.empty()) return;
-  Stopwatch timer;
   const int t = rounds_recorded_;
   const int m = static_cast<int>(record.selected.size());
   COMFEDSV_CHECK_LE(m, kMaxObservedClients);  // 2^m utilities below
-  const int64_t calls_before = stats_.loss_calls;
   RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
 
   // Evaluate all 2^m - 1 non-empty observable utilities through the
@@ -137,9 +128,7 @@ void ObservedUtilityRecorder::OnRound(const RoundRecord& record) {
     const int col = interner_.Intern(coalitions[i]);
     triplets_.push_back({t, col, utility.Utility(coalitions[i])});
   }
-  loss_calls_ += stats_.loss_calls - calls_before;
   ++rounds_recorded_;
-  seconds_ += timer.ElapsedSeconds();
 }
 
 ObservationSet ObservedUtilityRecorder::BuildObservations() const {
@@ -151,7 +140,7 @@ ObservationSet ObservedUtilityRecorder::BuildObservations() const {
 }
 
 ObservedRecorderState ObservedUtilityRecorder::SaveState() const {
-  return {interner_, triplets_, rounds_recorded_, loss_calls_, seconds_};
+  return {interner_, triplets_, rounds_recorded_, stats_};
 }
 
 Status ObservedUtilityRecorder::RestoreState(ObservedRecorderState state) {
@@ -162,9 +151,8 @@ Status ObservedUtilityRecorder::RestoreState(ObservedRecorderState state) {
         "observed recorder state interner does not anchor the empty "
         "coalition of this client universe at column 0");
   }
-  if (state.rounds_recorded < 0 || state.loss_calls < 0) {
-    return Status::InvalidArgument(
-        "observed recorder state counters negative");
+  if (state.rounds_recorded < 0 || !state.stats.Valid()) {
+    return Status::InvalidArgument("observed recorder state counters invalid");
   }
   for (const Observation& o : state.triplets) {
     if (o.row < 0 || o.row >= state.rounds_recorded || o.col < 0 ||
@@ -176,8 +164,7 @@ Status ObservedUtilityRecorder::RestoreState(ObservedRecorderState state) {
   interner_ = std::move(state.interner);
   triplets_ = std::move(state.triplets);
   rounds_recorded_ = state.rounds_recorded;
-  loss_calls_ = state.loss_calls;
-  seconds_ = state.seconds;
+  stats_ = state.stats;
   return Status::Ok();
 }
 
@@ -230,9 +217,7 @@ void SampledUtilityRecorder::OnRound(const RoundRecord& record) {
   // Nothing is observable in a round with no selected clients: skip it
   // (no triplets, no row), matching the FedSV evaluators' convention.
   if (record.selected.empty()) return;
-  Stopwatch timer;
   const int t = rounds_recorded_;
-  const int64_t calls_before = stats_.loss_calls;
   RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
   const Coalition selected =
       Coalition::FromMembers(num_clients_, record.selected);
@@ -243,9 +228,7 @@ void SampledUtilityRecorder::OnRound(const RoundRecord& record) {
   } else {
     RecordPrefixRound(t, selected, &utility);
   }
-  loss_calls_ += stats_.loss_calls - calls_before;
   ++rounds_recorded_;
-  seconds_ += timer.ElapsedSeconds();
 }
 
 void SampledUtilityRecorder::RecordPrefixRound(int t,
@@ -508,8 +491,7 @@ SampledRecorderState SampledUtilityRecorder::SaveState() const {
   SampledRecorderState state;
   state.triplets = triplets_;
   state.rounds_recorded = rounds_recorded_;
-  state.loss_calls = loss_calls_;
-  state.seconds = seconds_;
+  state.stats = stats_;
   // Screening decisions depend on this cross-round state, so it must
   // resume bit-identically whenever screening is configured (even if the
   // predictor is not currently armed).
@@ -523,9 +505,8 @@ SampledRecorderState SampledUtilityRecorder::SaveState() const {
 }
 
 Status SampledUtilityRecorder::RestoreState(SampledRecorderState state) {
-  if (state.rounds_recorded < 0 || state.loss_calls < 0) {
-    return Status::InvalidArgument(
-        "sampled recorder state counters negative");
+  if (state.rounds_recorded < 0 || !state.stats.Valid()) {
+    return Status::InvalidArgument("sampled recorder state counters invalid");
   }
   for (const Observation& o : state.triplets) {
     if (o.row < 0 || o.row >= state.rounds_recorded || o.col < 0 ||
@@ -550,8 +531,7 @@ Status SampledUtilityRecorder::RestoreState(SampledRecorderState state) {
   }
   triplets_ = std::move(state.triplets);
   rounds_recorded_ = state.rounds_recorded;
-  loss_calls_ = state.loss_calls;
-  seconds_ = state.seconds;
+  stats_ = state.stats;
   return Status::Ok();
 }
 

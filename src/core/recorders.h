@@ -39,8 +39,7 @@ using SurrogatePredictorFn = std::function<double(int round, int col)>;
 /// Checkpointable mid-run state of FullUtilityRecorder.
 struct FullRecorderState {
   std::vector<std::vector<double>> rows;
-  int64_t loss_calls = 0;
-  double seconds = 0.0;
+  UtilityStats stats;
 };
 
 /// Checkpointable mid-run state of ObservedUtilityRecorder. The interner
@@ -50,8 +49,7 @@ struct ObservedRecorderState {
   CoalitionInterner interner;
   std::vector<Observation> triplets;
   int rounds_recorded = 0;
-  int64_t loss_calls = 0;
-  double seconds = 0.0;
+  UtilityStats stats;
 };
 
 /// Checkpointable mid-run state of SampledUtilityRecorder. The
@@ -65,8 +63,7 @@ struct ObservedRecorderState {
 struct SampledRecorderState {
   std::vector<Observation> triplets;
   int rounds_recorded = 0;
-  int64_t loss_calls = 0;
-  double seconds = 0.0;
+  UtilityStats stats;
   /// True when the saving recorder had surrogate screening configured
   /// (sampler.screen_threshold > 0); the fields below are live then.
   bool has_surrogate = false;
@@ -115,12 +112,9 @@ class FullUtilityRecorder : public RoundObserver {
   int rounds_recorded() const { return static_cast<int>(rows_.size()); }
 
   int num_clients() const { return num_clients_; }
-  int64_t loss_calls() const { return loss_calls_; }
-  double seconds() const { return seconds_; }
 
   /// Measured evaluation accounting (loss calls, batch passes, memo
-  /// hits) accumulated across rounds. Diagnostic — not checkpointed, so
-  /// after RestoreState it covers the resumed portion only.
+  /// hits) accumulated across rounds; checkpointed with the recording.
   const UtilityStats& stats() const { return stats_; }
 
   /// Snapshot / resume of the recording after any number of rounds.
@@ -133,8 +127,6 @@ class FullUtilityRecorder : public RoundObserver {
   int num_clients_;
   ExecutionContext* ctx_;
   std::vector<std::vector<double>> rows_;
-  int64_t loss_calls_ = 0;
-  double seconds_ = 0.0;
   UtilityStats stats_;
 };
 
@@ -160,10 +152,8 @@ class ObservedUtilityRecorder : public RoundObserver {
 
   const CoalitionInterner& interner() const { return interner_; }
   int rounds_recorded() const { return rounds_recorded_; }
-  int64_t loss_calls() const { return loss_calls_; }
-  double seconds() const { return seconds_; }
 
-  /// Measured evaluation accounting; diagnostic, not checkpointed.
+  /// Measured evaluation accounting; checkpointed with the recording.
   const UtilityStats& stats() const { return stats_; }
 
   /// Snapshot / resume of the recording after any number of rounds.
@@ -178,8 +168,6 @@ class ObservedUtilityRecorder : public RoundObserver {
   CoalitionInterner interner_;
   std::vector<Observation> triplets_;
   int rounds_recorded_ = 0;
-  int64_t loss_calls_ = 0;
-  double seconds_ = 0.0;
   UtilityStats stats_;
 };
 
@@ -226,11 +214,9 @@ class SampledUtilityRecorder : public RoundObserver {
     return prefix_columns_;
   }
   int rounds_recorded() const { return rounds_recorded_; }
-  int64_t loss_calls() const { return loss_calls_; }
-  double seconds() const { return seconds_; }
 
   /// Measured evaluation accounting, including surrogate skips and the
-  /// accumulated skip-bias bound; diagnostic, not checkpointed.
+  /// accumulated skip-bias bound; checkpointed with the recording.
   const UtilityStats& stats() const { return stats_; }
 
   /// Arms (or clears, with nullptr-like empty fn) the factor-based
@@ -284,8 +270,6 @@ class SampledUtilityRecorder : public RoundObserver {
   CoalitionInterner interner_;
   std::vector<Observation> triplets_;
   int rounds_recorded_ = 0;
-  int64_t loss_calls_ = 0;
-  double seconds_ = 0.0;
   UtilityStats stats_;
   SurrogatePredictorFn predictor_;
   /// Cross-round screening state (checkpointed when screening is

@@ -18,7 +18,6 @@ StreamingValuationEngine::StreamingValuationEngine(
   COMFEDSV_CHECK(model_ != nullptr);
   COMFEDSV_CHECK(test_data_ != nullptr);
   COMFEDSV_CHECK_GT(num_clients_, 0);
-  COMFEDSV_CHECK_GE(config_.resolve_cadence, 1);
   if (config_.request.compute_fedsv) {
     fedsv_ = std::make_unique<FedSvEvaluator>(
         model_, test_data_, num_clients_, config_.request.fedsv, ctx);
@@ -103,6 +102,10 @@ Status StreamingValuationEngine::SyncSpill() {
 }
 
 Result<ValuationOutcome> StreamingValuationEngine::Snapshot() {
+  if (config_.resolve_cadence < 1) {
+    return Status::InvalidArgument(
+        "StreamingConfig::resolve_cadence must be >= 1");
+  }
   std::optional<ComFedSvOutput> comfedsv;
   if (comfedsv_ != nullptr) {
     const bool stale_ok =
@@ -152,7 +155,6 @@ Result<ValuationOutcome> StreamingValuationEngine::Outcome(
   out.training.test_loss_history = test_loss_history_;
   if (fedsv_ != nullptr) {
     out.fedsv_values = fedsv_->values();
-    out.fedsv_loss_calls = fedsv_->loss_calls();
     out.fedsv_stats = fedsv_->stats();
   }
   out.comfedsv = std::move(comfedsv);
@@ -160,7 +162,7 @@ Result<ValuationOutcome> StreamingValuationEngine::Outcome(
     Result<Vector> values = ground_truth_->Finalize();
     if (!values.ok()) return values.status();
     out.ground_truth_values = std::move(values).value();
-    out.ground_truth_loss_calls = ground_truth_->loss_calls();
+    out.ground_truth_stats = ground_truth_->stats();
   }
   out.health = health_;
   return out;

@@ -68,7 +68,8 @@ struct StreamingConfig {
   /// new rounds arrived since the last solve (1 = every snapshot sees
   /// fresh factors; larger amortizes the solve over more rounds).
   /// Snapshots in between reuse the previous ComFedSV output with
-  /// up-to-date FedSV / ground-truth values.
+  /// up-to-date FedSV / ground-truth values. Below 1, Snapshot() returns
+  /// InvalidArgument (Consume and Finalize do not read it).
   int resolve_cadence = 1;
   /// Warm-start each re-solve from the previous factors. Off = every
   /// snapshot solve is cold (only useful for measuring the warm-start
@@ -130,7 +131,8 @@ class StreamingValuationEngine : public RoundObserver {
   /// output (FedSV / ground truth still current) and health() reports
   /// the failure instead of the call erroring out. The next successful
   /// solve clears the degraded state. A solve failure with no previous
-  /// output to fall back on is still an error.
+  /// output to fall back on is still an error, and so is a
+  /// resolve_cadence below 1 (InvalidArgument).
   Result<ValuationOutcome> Snapshot();
 
   /// Degraded-mode bookkeeping (stale snapshots, failed saves).

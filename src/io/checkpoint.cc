@@ -167,56 +167,6 @@ Status LoadMatrix(BinaryReader* in, Matrix* m) {
   return Status::Ok();
 }
 
-void SaveDataset(const Dataset& d, BinaryWriter* out) {
-  const size_t handle = out->BeginChunk(ChunkTag::kDataset);
-  out->I32(d.num_classes());
-  SaveMatrix(d.features(), out);
-  out->U64(d.labels().size());
-  for (int label : d.labels()) out->I32(label);
-  out->EndChunk(handle);
-}
-
-Status LoadDataset(BinaryReader* in, Dataset* d) {
-  size_t end = 0;
-  COMFEDSV_RETURN_IF_ERROR(in->BeginChunk(ChunkTag::kDataset, &end));
-  int32_t num_classes = 0;
-  COMFEDSV_RETURN_IF_ERROR(in->I32(&num_classes));
-  Matrix features;
-  COMFEDSV_RETURN_IF_ERROR(LoadMatrix(in, &features));
-  uint64_t num_labels = 0;
-  COMFEDSV_RETURN_IF_ERROR(in->Count(4, &num_labels));
-  if (num_labels != features.rows()) {
-    return Status::DataLoss(
-        "corrupt dataset: label count does not match feature rows");
-  }
-  std::vector<int> labels(num_labels);
-  for (uint64_t i = 0; i < num_labels; ++i) {
-    int32_t label = 0;
-    COMFEDSV_RETURN_IF_ERROR(in->I32(&label));
-    if (label < 0 || label >= num_classes) {
-      return Status::DataLoss(
-          "corrupt dataset: label out of [0, num_classes)");
-    }
-    labels[i] = label;
-  }
-  COMFEDSV_RETURN_IF_ERROR(in->EndChunk(end));
-  if (num_classes == 0) {
-    // Only the default (empty) dataset has no classes; its constructor
-    // requires num_classes > 0, so rebuild it as a default object.
-    if (features.rows() != 0 || features.cols() != 0) {
-      return Status::DataLoss(
-          "corrupt dataset: zero classes with non-empty features");
-    }
-    *d = Dataset();
-    return Status::Ok();
-  }
-  if (num_classes < 0) {
-    return Status::DataLoss("corrupt dataset: negative num_classes");
-  }
-  *d = Dataset(std::move(features), std::move(labels), num_classes);
-  return Status::Ok();
-}
-
 void SaveRngState(const RngState& s, BinaryWriter* out) {
   const size_t handle = out->BeginChunk(ChunkTag::kRngState);
   for (uint64_t word : s.words) out->U64(word);
@@ -305,32 +255,6 @@ Status LoadRoundRecord(BinaryReader* in, RoundRecord* r) {
   return Status::Ok();
 }
 
-void SaveTrainingResult(const TrainingResult& t, BinaryWriter* out) {
-  const size_t handle = out->BeginChunk(ChunkTag::kTrainingResult);
-  out->I32(t.rounds_run);
-  out->F64(t.final_test_accuracy);
-  SaveVector(t.final_params, out);
-  SaveDoubleSpan(t.test_loss_history.data(), t.test_loss_history.size(),
-                 out);
-  SaveQuarantineReport(t.quarantine, out);
-  out->EndChunk(handle);
-}
-
-Status LoadTrainingResult(BinaryReader* in, TrainingResult* t) {
-  size_t end = 0;
-  COMFEDSV_RETURN_IF_ERROR(in->BeginChunk(ChunkTag::kTrainingResult, &end));
-  TrainingResult loaded;
-  COMFEDSV_RETURN_IF_ERROR(in->I32(&loaded.rounds_run));
-  COMFEDSV_RETURN_IF_ERROR(CheckNonNegative(loaded.rounds_run, "rounds_run"));
-  COMFEDSV_RETURN_IF_ERROR(in->F64(&loaded.final_test_accuracy));
-  COMFEDSV_RETURN_IF_ERROR(LoadVector(in, &loaded.final_params));
-  COMFEDSV_RETURN_IF_ERROR(LoadDoubleSpan(in, &loaded.test_loss_history));
-  COMFEDSV_RETURN_IF_ERROR(LoadQuarantineReport(in, &loaded.quarantine));
-  COMFEDSV_RETURN_IF_ERROR(in->EndChunk(end));
-  *t = std::move(loaded);
-  return Status::Ok();
-}
-
 void SaveInterner(const CoalitionInterner& interner, BinaryWriter* out) {
   const size_t handle = out->BeginChunk(ChunkTag::kCoalitionInterner);
   const int size = interner.size();
@@ -383,60 +307,6 @@ Status LoadInterner(BinaryReader* in, CoalitionInterner* interner) {
   }
   COMFEDSV_RETURN_IF_ERROR(in->EndChunk(end));
   *interner = std::move(loaded);
-  return Status::Ok();
-}
-
-void SaveObservationSet(const ObservationSet& obs, BinaryWriter* out) {
-  const size_t handle = out->BeginChunk(ChunkTag::kObservationSet);
-  out->I32(obs.num_rows());
-  out->I32(obs.num_cols());
-  out->U8(obs.finalized() ? 1 : 0);
-  out->U64(obs.entries().size());
-  for (const Observation& o : obs.entries()) {
-    out->I32(o.row);
-    out->I32(o.col);
-    out->F64(o.value);
-  }
-  out->EndChunk(handle);
-}
-
-Status LoadObservationSet(BinaryReader* in, ObservationSet* obs) {
-  size_t end = 0;
-  COMFEDSV_RETURN_IF_ERROR(in->BeginChunk(ChunkTag::kObservationSet, &end));
-  int32_t num_rows = 0, num_cols = 0;
-  COMFEDSV_RETURN_IF_ERROR(in->I32(&num_rows));
-  COMFEDSV_RETURN_IF_ERROR(in->I32(&num_cols));
-  if (num_rows <= 0 || num_cols <= 0) {
-    return Status::DataLoss(
-        "corrupt observation set: non-positive shape");
-  }
-  uint8_t finalized = 0;
-  COMFEDSV_RETURN_IF_ERROR(in->U8(&finalized));
-  if (finalized > 1) {
-    return Status::DataLoss(
-        "corrupt observation set: bad finalized flag");
-  }
-  uint64_t count = 0;
-  COMFEDSV_RETURN_IF_ERROR(in->Count(16, &count));
-  ObservationSet loaded(num_rows, num_cols);
-  loaded.Reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    int32_t row = 0, col = 0;
-    double value = 0.0;
-    COMFEDSV_RETURN_IF_ERROR(in->I32(&row));
-    COMFEDSV_RETURN_IF_ERROR(in->I32(&col));
-    COMFEDSV_RETURN_IF_ERROR(in->F64(&value));
-    if (row < 0 || row >= num_rows || col < 0 || col >= num_cols) {
-      return Status::DataLoss(
-          "corrupt observation set: entry out of bounds");
-    }
-    loaded.Add(row, col, value);
-  }
-  COMFEDSV_RETURN_IF_ERROR(in->EndChunk(end));
-  // The CSR/CSC views are a deterministic function of the triplets, so
-  // finalized sets rebuild them rather than trusting serialized arrays.
-  if (finalized != 0) loaded.Finalize();
-  *obs = std::move(loaded);
   return Status::Ok();
 }
 

@@ -3,10 +3,10 @@
 //
 // Contract: Save* writes one complete chunk; Load* validates the chunk
 // tag/length, every structural invariant of the type (shape consistency,
-// labels within range, observation coordinates in bounds, dense interner
-// ids), and returns an error Status on any violation — a loader never
-// CHECK-crashes on malformed bytes and never hands back an object that
-// would fail the type's own constructor checks.
+// client sets sorted and in range, dense interner ids), and returns an
+// error Status on any violation — a loader never CHECK-crashes on
+// malformed bytes and never hands back an object that would fail the
+// type's own constructor checks.
 //
 // Composite checkpoint state (whole-pipeline ValuationCheckpoint,
 // StreamingValuationEngine state) lives one layer up in
@@ -17,9 +17,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "completion/interner.h"
-#include "completion/observations.h"
 #include "completion/solver.h"
-#include "data/dataset.h"
 #include "fl/fedavg.h"
 #include "fl/round_record.h"
 #include "io/serialize.h"
@@ -34,29 +32,16 @@ Status LoadVector(BinaryReader* in, Vector* v);
 void SaveMatrix(const Matrix& m, BinaryWriter* out);
 Status LoadMatrix(BinaryReader* in, Matrix* m);
 
-void SaveDataset(const Dataset& d, BinaryWriter* out);
-Status LoadDataset(BinaryReader* in, Dataset* d);
-
 void SaveRngState(const RngState& s, BinaryWriter* out);
 Status LoadRngState(BinaryReader* in, RngState* s);
 
 void SaveRoundRecord(const RoundRecord& r, BinaryWriter* out);
 Status LoadRoundRecord(BinaryReader* in, RoundRecord* r);
 
-void SaveTrainingResult(const TrainingResult& t, BinaryWriter* out);
-Status LoadTrainingResult(BinaryReader* in, TrainingResult* t);
-
 /// Columns are stored in id order, so reloading by re-interning yields
 /// the identical bijection.
 void SaveInterner(const CoalitionInterner& interner, BinaryWriter* out);
 Status LoadInterner(BinaryReader* in, CoalitionInterner* interner);
-
-/// Both lifecycle phases round-trip: an in-progress set reloads
-/// in-progress (recording may continue), a finalized set reloads
-/// finalized (the CSR/CSC views are rebuilt from the triplets, which is
-/// deterministic, rather than stored).
-void SaveObservationSet(const ObservationSet& obs, BinaryWriter* out);
-Status LoadObservationSet(BinaryReader* in, ObservationSet* obs);
 
 void SaveFactorPair(const FactorPair& f, BinaryWriter* out);
 Status LoadFactorPair(BinaryReader* in, FactorPair* f);

@@ -40,18 +40,20 @@ inline constexpr uint32_t kCheckpointMagic = 0x56534643u;
 /// checkpoint stream, used by CheckpointManager generation rotation)
 /// and the checksum now covers the header prefix as well as the
 /// payload, so corruption of any header field is detected.
-inline constexpr uint32_t kCheckpointVersion = 3;
+/// v4: every evaluator state chunk carries its UtilityStats cost
+/// counters in place of a loss-call total (and, in the recorder states,
+/// a wall-clock time), so checkpoint bytes depend only on the run.
+inline constexpr uint32_t kCheckpointVersion = 4;
 
 /// Chunk type tags. Stable on disk — append, never renumber.
 enum class ChunkTag : uint32_t {
   kVector = 1,
   kMatrix = 2,
-  kDataset = 3,
+  // 3 (Dataset), 6 (TrainingResult) and 8 (ObservationSet) are retired;
+  // keep them reserved.
   kRngState = 4,
   kRoundRecord = 5,
-  kTrainingResult = 6,
   kCoalitionInterner = 7,
-  kObservationSet = 8,
   kFactorPair = 9,
   kTrainerState = 10,
   kFedSvState = 11,

@@ -24,7 +24,7 @@ FedSvEvaluatorState FedSvEvaluator::SaveState() const {
   FedSvEvaluatorState state;
   state.values = values_;
   state.rng = rng_.SaveState();
-  state.loss_calls = loss_calls_;
+  state.stats = stats_;
   return state;
 }
 
@@ -33,12 +33,12 @@ Status FedSvEvaluator::RestoreState(const FedSvEvaluatorState& state) {
     return Status::InvalidArgument(
         "FedSV state has a different client count");
   }
-  if (state.loss_calls < 0) {
-    return Status::InvalidArgument("FedSV state loss_calls negative");
+  if (!state.stats.Valid()) {
+    return Status::InvalidArgument("FedSV state counters invalid");
   }
   values_ = state.values;
   rng_ = Rng::FromState(state.rng);
-  loss_calls_ = state.loss_calls;
+  stats_ = state.stats;
   return Status::Ok();
 }
 
@@ -49,7 +49,6 @@ void FedSvEvaluator::OnRound(const RoundRecord& record) {
   // tripping the estimators' "no players" guard.
   if (record.selected.empty()) return;
   const int n = static_cast<int>(values_.size());
-  const int64_t calls_before = stats_.loss_calls;
   RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
   UtilityFn fn = [&utility](const Coalition& c) {
     return utility.Utility(c);
@@ -78,7 +77,6 @@ void FedSvEvaluator::OnRound(const RoundRecord& record) {
   }
   COMFEDSV_CHECK_OK(round_values.status());
   values_ += round_values.value();
-  loss_calls_ += stats_.loss_calls - calls_before;
 }
 
 }  // namespace comfedsv

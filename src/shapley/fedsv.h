@@ -40,22 +40,12 @@ struct FedSvConfig {
 };
 
 /// Checkpointable mid-run FedSV accumulation: the running per-client
-/// sums, the Monte-Carlo permutation stream, and the loss-call counter.
+/// sums, the Monte-Carlo permutation stream, and the cost counters.
 /// Serialized by the core checkpoint layer; restored via
 /// FedSvEvaluator::RestoreState.
 struct FedSvEvaluatorState {
   Vector values;
   RngState rng;
-  int64_t loss_calls = 0;
-};
-
-/// Everything a FedSV run produced: the accumulated values plus the
-/// measured evaluation-cost accounting (satellite of the adaptive
-/// estimator work — benches read measured counts from here instead of
-/// re-deriving them).
-struct FedSvOutput {
-  Vector values;
-  int64_t loss_calls = 0;
   UtilityStats stats;
 };
 
@@ -76,18 +66,11 @@ class FedSvEvaluator : public RoundObserver {
   /// Per-client FedSV s_i accumulated so far (length num_clients).
   const Vector& values() const { return values_; }
 
-  /// Total test-loss evaluations spent (the Fig. 8 cost unit).
-  int64_t loss_calls() const { return loss_calls_; }
-
   /// Measured evaluation accounting accumulated across rounds (loss
-  /// calls, batched passes, memo hits, distinct coalitions). Diagnostic:
-  /// not checkpointed, so after RestoreState it covers the resumed
-  /// portion only (loss_calls stays authoritative either way).
+  /// calls — the Fig. 8 cost unit — batched passes, memo hits).
+  /// Checkpointed, so a resumed run reports the uninterrupted run's
+  /// counts.
   const UtilityStats& stats() const { return stats_; }
-
-  /// values/loss_calls/stats bundled for callers that surface them
-  /// together (bench, pipeline).
-  FedSvOutput Output() const { return {values_, loss_calls_, stats_}; }
 
   /// Snapshot of the accumulation after any number of rounds.
   FedSvEvaluatorState SaveState() const;
@@ -104,7 +87,6 @@ class FedSvEvaluator : public RoundObserver {
   ExecutionContext* ctx_;  // not owned; null = inline execution
   Vector values_;
   Rng rng_;
-  int64_t loss_calls_ = 0;
   UtilityStats stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "shapley/utility.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -30,6 +31,12 @@ constexpr size_t kSliceCols = 128;
 constexpr size_t kParallelWork = size_t{1} << 16;
 
 }  // namespace
+
+bool UtilityStats::Valid() const {
+  return loss_calls >= 0 && batched_calls >= 0 && memo_hits >= 0 &&
+         surrogate_skips >= 0 && std::isfinite(surrogate_bias_bound) &&
+         surrogate_bias_bound >= 0.0;
+}
 
 CoalitionAggregator::CoalitionAggregator(const RoundRecord* record)
     : record_(record), dim_(record->global_before.size()) {
@@ -160,16 +167,10 @@ double RoundUtility::Utility(const Coalition& coalition) {
 
   MutexLock lock(mu_);
   auto [it, inserted] = cache_.emplace(coalition, utility);
-  if (inserted) {
-    ++distinct_evaluations_;
-    if (stats_ != nullptr) {
-      ++stats_->loss_calls;
-      ++stats_->distinct_coalitions;
-    }
-  } else if (stats_ != nullptr) {
-    // Lost a compute race: the value was already cached by another
-    // thread, so this thread's work resolved as a hit.
-    ++stats_->memo_hits;
+  if (stats_ != nullptr) {
+    // A lost compute race (the value was already cached by another
+    // thread) resolves this thread's work as a hit.
+    ++(inserted ? stats_->loss_calls : stats_->memo_hits);
   }
   return it->second;
 }
@@ -180,13 +181,9 @@ void RoundUtility::RecordPredicted(const Coalition& coalition, double value,
   MutexLock lock(mu_);
   auto [it, inserted] = cache_.emplace(coalition, value);
   (void)it;
-  if (!inserted) return;
-  ++distinct_evaluations_;
-  if (stats_ != nullptr) {
-    ++stats_->distinct_coalitions;
-    ++stats_->surrogate_skips;
-    stats_->surrogate_bias_bound += bias_bound;
-  }
+  if (!inserted || stats_ == nullptr) return;
+  ++stats_->surrogate_skips;
+  stats_->surrogate_bias_bound += bias_bound;
 }
 
 void RoundUtility::EvaluateBatch(const std::vector<Coalition>& coalitions) {
@@ -241,20 +238,13 @@ void RoundUtility::EvaluateBatch(const std::vector<Coalition>& coalitions) {
     for (size_t r = 0; r < n; ++r) {
       auto [it, inserted] = cache_.emplace(
           pending[c0 + r], record_->test_loss_before - losses[r]);
-      if (inserted) {
-        ++distinct_evaluations_;
-        if (stats_ != nullptr) {
-          ++stats_->loss_calls;
-          ++stats_->distinct_coalitions;
-        }
-      } else if (stats_ != nullptr) {
-        // Lost a fill race with a concurrent Utility() for the same
-        // coalition: resolve this submission as a hit, mirroring the
-        // race-loser branch in Utility(). Every submitted coalition
-        // thereby lands in exactly one counter, so loss_calls +
-        // memo_hits + surrogate_skips equals total submissions no
-        // matter how the race interleaves.
-        ++stats_->memo_hits;
+      // A submission that lost a fill race with a concurrent Utility()
+      // for the same coalition resolves as a hit, mirroring Utility().
+      // Every submitted coalition thereby lands in exactly one counter,
+      // so loss_calls + memo_hits + surrogate_skips equals total
+      // submissions no matter how the race interleaves.
+      if (stats_ != nullptr) {
+        ++(inserted ? stats_->loss_calls : stats_->memo_hits);
       }
     }
   }

@@ -37,10 +37,13 @@
 
 namespace comfedsv {
 
-/// Measured evaluation-cost accounting for one estimator run. Filled by
-/// RoundUtility (counting fields) and the surrogate-screening recorder
-/// path (skip fields); surfaced through FedSvOutput / ComFedSvOutput so
-/// benches report measured counts instead of re-deriving them.
+/// Measured evaluation-cost accounting of one estimator: what it alone
+/// paid, accumulated across rounds. Filled by RoundUtility (counting
+/// fields) and the surrogate-screening recorder path (skip fields). Each
+/// evaluator checkpoints its stats, so a resumed run reports the same
+/// counts as an uninterrupted one; surfaced as
+/// ValuationOutcome::fedsv_stats, ComFedSvOutput::stats and
+/// ValuationOutcome::ground_truth_stats.
 struct UtilityStats {
   /// Test-loss evaluations actually spent: one per distinct non-empty
   /// coalition measured (the unit of the paper's Fig. 8 cost axis).
@@ -51,9 +54,6 @@ struct UtilityStats {
   /// Cache hits: queries answered from the per-round memo without a loss
   /// call (repeated Monte-Carlo draws, batch re-submissions).
   int64_t memo_hits = 0;
-  /// Distinct non-empty coalitions evaluated (= loss_calls unless a
-  /// surrogate recorded predicted values without measuring).
-  int64_t distinct_coalitions = 0;
   /// Coalitions recorded at their factor-predicted utility with the real
   /// loss call skipped (surrogate screening only).
   int64_t surrogate_skips = 0;
@@ -63,14 +63,9 @@ struct UtilityStats {
   /// perturbation of recorded utilities is <= this value.
   double surrogate_bias_bound = 0.0;
 
-  void MergeFrom(const UtilityStats& other) {
-    loss_calls += other.loss_calls;
-    batched_calls += other.batched_calls;
-    memo_hits += other.memo_hits;
-    distinct_coalitions += other.distinct_coalitions;
-    surrogate_skips += other.surrogate_skips;
-    surrogate_bias_bound += other.surrogate_bias_bound;
-  }
+  /// True when every count is non-negative and the bias bound is finite
+  /// and non-negative — what any accumulation can reach.
+  bool Valid() const;
 };
 
 /// Forms coalition parameter means incrementally. Keeps the ascending
@@ -131,17 +126,16 @@ class CoalitionAggregator {
 ///
 /// Thread-safe: concurrent Utility() calls from a ThreadPool are allowed.
 /// The expensive test-loss evaluation runs outside the cache lock, so two
-/// threads may race to compute the same coalition; the loss-call and
-/// distinct-evaluation counters are incremented once per distinct
-/// coalition (matching single-threaded accounting exactly), and the
-/// cached value is deterministic either way.
+/// threads may race to compute the same coalition; the loss-call
+/// counter is incremented once per distinct coalition (matching
+/// single-threaded accounting exactly), and the cached value is
+/// deterministic either way.
 class RoundUtility {
  public:
   /// `ctx` (optional) parallelizes EvaluateBatch; a null context
   /// evaluates batches inline. `stats` (optional) accumulates the
   /// measured accounting (loss calls, batch passes, memo hits) across
-  /// rounds; callers that checkpoint a loss-call total advance it by the
-  /// round's stats.loss_calls delta.
+  /// rounds.
   RoundUtility(const Model* model, const Dataset* test_data,
                const RoundRecord* record, ExecutionContext* ctx = nullptr,
                UtilityStats* stats = nullptr);
@@ -149,7 +143,7 @@ class RoundUtility {
   /// Records a utility value supplied by a surrogate predictor instead of
   /// a measurement: future Utility()/EvaluateBatch queries for this
   /// coalition are cache hits at `value`, and no loss call is ever spent
-  /// on it. Counts as a distinct coalition and a surrogate skip, with
+  /// on it. Counts as a surrogate skip, with
   /// `bias_bound` added to the accumulated skip-bias bound. No-op if the
   /// coalition was already evaluated.
   void RecordPredicted(const Coalition& coalition, double value,
@@ -171,12 +165,6 @@ class RoundUtility {
   /// fanning out readers).
   void EvaluateBatch(const std::vector<Coalition>& coalitions);
 
-  /// Number of distinct coalitions evaluated so far this round.
-  int64_t distinct_evaluations() const {
-    MutexLock lock(mu_);
-    return distinct_evaluations_;
-  }
-
  private:
   const Model* model_;
   const Dataset* test_data_;
@@ -186,7 +174,6 @@ class RoundUtility {
   // Caller-owned stats sink: the pointer is set once in the constructor,
   // but the pointee is only ever mutated with mu_ held.
   UtilityStats* stats_ PT_GUARDED_BY(mu_);  // not owned; optional
-  int64_t distinct_evaluations_ GUARDED_BY(mu_) = 0;
   std::unordered_map<Coalition, double, CoalitionHash> cache_
       GUARDED_BY(mu_);
 };

@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "../bench/stopwatch.h"
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
 

@@ -475,8 +475,8 @@ TEST(ComFedSvEvaluatorTest, TruncatedSamplingStaysCloseToUniform) {
   ASSERT_TRUE(uniform_out.ok()) << uniform_out.status().ToString();
   ASSERT_TRUE(truncated_out.ok()) << truncated_out.status().ToString();
 
-  EXPECT_LE(truncated_out.value().loss_calls,
-            uniform_out.value().loss_calls + 6);  // <= 1 reference/round
+  EXPECT_LE(truncated_out.value().stats.loss_calls,
+            uniform_out.value().stats.loss_calls + 6);  // <= 1 reference/round
   const double scale = uniform_out.value().values.MaxAbs() + 1e-12;
   for (int i = 0; i < 5; ++i) {
     EXPECT_LT(std::fabs(truncated_out.value().values[i] -

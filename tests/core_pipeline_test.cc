@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "core/streaming.h"
 #include "data/image_sim.h"
 #include "data/noise.h"
 #include "data/partition.h"
@@ -65,9 +66,9 @@ TEST(PipelineTest, ComputesAllRequestedMetrics) {
   EXPECT_EQ(o.fedsv_values->size(), 5u);
   EXPECT_EQ(o.comfedsv->values.size(), 5u);
   EXPECT_EQ(o.ground_truth_values->size(), 5u);
-  EXPECT_GT(o.fedsv_loss_calls, 0);
-  EXPECT_GT(o.comfedsv->loss_calls, 0);
-  EXPECT_GT(o.ground_truth_loss_calls, o.comfedsv->loss_calls);
+  EXPECT_GT(o.fedsv_stats.loss_calls, 0);
+  EXPECT_GT(o.comfedsv->stats.loss_calls, 0);
+  EXPECT_GT(o.ground_truth_stats.loss_calls, o.comfedsv->stats.loss_calls);
   EXPECT_EQ(o.training.rounds_run, 5);
 }
 
@@ -254,6 +255,107 @@ TEST(PipelineTest, RejectsInvalidCheckpointDurabilityOptions) {
         << outcome.status().ToString();
     EXPECT_FALSE(FileEnv::Real()->Exists(path));
   }
+}
+
+// A config value must never reach a CHECK: a resolve cadence below 1
+// surfaces from Snapshot() as InvalidArgument naming the field, while
+// the engine still consumes rounds and Finalize() (which never reads the
+// cadence) still values them.
+TEST(PipelineTest, StreamingSnapshotRejectsResolveCadenceBelowOne) {
+  Workload w = MakeWorkload(4, 111);
+  LogisticRegression model(w.test.dim(), 10);
+  FedAvgConfig fed = FedConfig(1, 2, 113);
+  fed.select_all_first_round = true;
+  for (int cadence : {0, -1}) {
+    StreamingConfig config;
+    config.request = DefaultRequest();
+    config.resolve_cadence = cadence;
+    FedAvgTrainer trainer(&model, w.clients, w.test, fed);
+    StreamingValuationEngine engine(&model, &trainer.test_data(), 4,
+                                    config);
+    ASSERT_TRUE(trainer.Begin().ok());
+    ASSERT_TRUE(engine.Consume(trainer.Step()).ok());
+    Result<ValuationOutcome> snapshot = engine.Snapshot();
+    ASSERT_FALSE(snapshot.ok()) << cadence;
+    EXPECT_EQ(snapshot.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(snapshot.status().message().find(
+                  "StreamingConfig::resolve_cadence"),
+              std::string::npos)
+        << snapshot.status().ToString();
+    Result<ValuationOutcome> final_outcome = engine.Finalize();
+    ASSERT_TRUE(final_outcome.ok()) << final_outcome.status().ToString();
+    EXPECT_EQ(final_outcome.value().comfedsv->values.size(), 4u);
+  }
+}
+
+// The kValuationCheckpoint decoder, swept over a real payload that holds
+// every evaluator state, the sampled recorder's surrogate-screening tail
+// included: every truncation must fail, and every flipped byte must come
+// back as a Status — a corrupt payload never reaches a CHECK.
+TEST(PipelineTest, ValuationCheckpointDecoderSurvivesEveryCorruption) {
+  constexpr int kClients = 4;
+  SimulatedImageConfig data_cfg;
+  data_cfg.num_samples = 20 * kClients + 20;
+  data_cfg.image_side = 2;
+  data_cfg.num_classes = 2;
+  data_cfg.seed = 117;
+  Dataset pool = GenerateSimulatedImages(data_cfg);
+  Rng rng(118);
+  auto [train_pool, test] = pool.RandomSplit(0.2, &rng);
+  const std::vector<Dataset> clients =
+      PartitionIid(train_pool, kClients, &rng);
+  LogisticRegression model(test.dim(), 2);
+
+  FedAvgConfig fed = FedConfig(2, 2, 119);
+  fed.select_all_first_round = true;
+  ValuationRequest request;
+  request.fedsv.mode = FedSvConfig::Mode::kMonteCarlo;
+  request.fedsv.permutations_per_round = 4;
+  request.comfedsv.mode = ComFedSvConfig::Mode::kSampled;
+  request.comfedsv.num_permutations = 4;
+  request.comfedsv.sampler.screen_threshold = 0.05;
+  request.compute_ground_truth = true;
+
+  FedAvgTrainer trainer(&model, clients, test, fed);
+  FedSvEvaluator fedsv(&model, &trainer.test_data(), kClients,
+                       request.fedsv);
+  ComFedSvEvaluator comfedsv(&model, &trainer.test_data(), kClients,
+                             request.comfedsv);
+  GroundTruthEvaluator truth(&model, &trainer.test_data(), kClients);
+  ASSERT_TRUE(trainer.Begin().ok());
+  while (!trainer.Done()) {
+    const RoundRecord& record = trainer.Step();
+    fedsv.OnRound(record);
+    comfedsv.OnRound(record);
+    truth.OnRound(record);
+  }
+  ASSERT_TRUE(comfedsv.sampled_recorder()->SaveState().has_surrogate);
+  const uint64_t fingerprint = ValuationFingerprint(trainer, request);
+  const std::string payload = SerializeValuationCheckpoint(
+      fingerprint, trainer, &fedsv, &comfedsv, &truth);
+
+  auto restore = [&](std::string_view bytes) {
+    FedAvgTrainer t(&model, clients, test, fed);
+    FedSvEvaluator f(&model, &t.test_data(), kClients, request.fedsv);
+    ComFedSvEvaluator c(&model, &t.test_data(), kClients,
+                        request.comfedsv);
+    GroundTruthEvaluator g(&model, &t.test_data(), kClients);
+    return RestoreValuationCheckpoint(bytes, fingerprint, &t, &f, &c, &g);
+  };
+  ASSERT_TRUE(restore(payload).ok());
+  for (size_t keep = 0; keep < payload.size(); ++keep) {
+    EXPECT_FALSE(restore(std::string_view(payload).substr(0, keep)).ok())
+        << "accepted truncation to " << keep;
+  }
+  size_t rejected = 0;
+  for (size_t pos = 0; pos < payload.size(); ++pos) {
+    std::string corrupted = payload;
+    corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x5A);
+    if (!restore(corrupted).ok()) ++rejected;
+  }
+  // Flips inside a stored double can decode to another valid state;
+  // flips in the framing and counters cannot.
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

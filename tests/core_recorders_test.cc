@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <tuple>
 #include <utility>
 
+#include "core/checkpointing.h"
 #include "data/image_sim.h"
 #include "data/partition.h"
 #include "fl/fedavg.h"
@@ -55,7 +57,67 @@ TEST(FullUtilityRecorderTest, MatrixShapeAndEmptyColumn) {
   // Column 0 is the empty coalition: always zero.
   for (size_t t = 0; t < 3; ++t) EXPECT_DOUBLE_EQ(u(t, 0), 0.0);
   // 2^N - 1 utility evaluations per round.
-  EXPECT_EQ(recorder.loss_calls(), 3 * 15);
+  EXPECT_EQ(recorder.stats().loss_calls, 3 * 15);
+}
+
+// The cost counters are part of the recorder state: a save/load/restore
+// round trip brings back every UtilityStats field, and a state whose
+// counters no accumulation can reach is refused — DataLoss from the
+// decoder, InvalidArgument from RestoreState.
+TEST(FullUtilityRecorderTest, StatsRoundTripThroughTheCheckpointState) {
+  Workload w = MakeWorkload(4, 5);
+  LogisticRegression model(w.test.dim(), 10);
+  FullUtilityRecorder recorder(&model, &w.test, 4);
+  FedAvgTrainer trainer(&model, w.clients, w.test,
+                        SmallFedConfig(2, 2, 9));
+  ASSERT_TRUE(trainer.Train(&recorder).ok());
+  const UtilityStats& saved = recorder.stats();
+  ASSERT_EQ(saved.loss_calls, 2 * 15);
+
+  BinaryWriter out;
+  SaveFullRecorderState(recorder.SaveState(), &out);
+  BinaryReader in(out.buffer());
+  FullRecorderState loaded;
+  ASSERT_TRUE(LoadFullRecorderState(&in, &loaded).ok());
+  FullUtilityRecorder restored(&model, &w.test, 4);
+  ASSERT_TRUE(restored.RestoreState(std::move(loaded)).ok());
+  EXPECT_EQ(restored.stats().loss_calls, saved.loss_calls);
+  EXPECT_EQ(restored.stats().batched_calls, saved.batched_calls);
+  EXPECT_EQ(restored.stats().memo_hits, saved.memo_hits);
+  EXPECT_EQ(restored.stats().surrogate_skips, saved.surrogate_skips);
+  EXPECT_EQ(restored.stats().surrogate_bias_bound,
+            saved.surrogate_bias_bound);
+
+  const std::pair<const char*, void (*)(UtilityStats*)> bad[] = {
+      {"loss_calls", [](UtilityStats* s) { s->loss_calls = -1; }},
+      {"batched_calls", [](UtilityStats* s) { s->batched_calls = -1; }},
+      {"memo_hits", [](UtilityStats* s) { s->memo_hits = -1; }},
+      {"surrogate_skips", [](UtilityStats* s) { s->surrogate_skips = -1; }},
+      {"negative bias", [](UtilityStats* s) { s->surrogate_bias_bound = -1; }},
+      {"NaN bias",
+       [](UtilityStats* s) {
+         s->surrogate_bias_bound = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"infinite bias",
+       [](UtilityStats* s) {
+         s->surrogate_bias_bound = std::numeric_limits<double>::infinity();
+       }},
+  };
+  for (const auto& [what, corrupt] : bad) {
+    FullRecorderState state = recorder.SaveState();
+    corrupt(&state.stats);
+    BinaryWriter bad_out;
+    SaveFullRecorderState(state, &bad_out);
+    BinaryReader bad_in(bad_out.buffer());
+    FullRecorderState ignored;
+    EXPECT_EQ(LoadFullRecorderState(&bad_in, &ignored).code(),
+              StatusCode::kDataLoss)
+        << what;
+    FullUtilityRecorder target(&model, &w.test, 4);
+    EXPECT_EQ(target.RestoreState(std::move(state)).code(),
+              StatusCode::kInvalidArgument)
+        << what;
+  }
 }
 
 TEST(FullUtilityRecorderTest, EntriesMatchDirectUtility) {
@@ -213,7 +275,7 @@ TEST(RecorderEmptyRoundTest, EmptySelectedRoundsAreSkipped) {
 
   FullUtilityRecorder full(&model, &w.test, 3);
   full.OnRound(empty);
-  EXPECT_EQ(full.loss_calls(), 0);
+  EXPECT_EQ(full.stats().loss_calls, 0);
   full.OnRound(real);
   full.OnRound(empty);
   EXPECT_EQ(full.ToMatrix().rows(), 1u);
@@ -221,7 +283,7 @@ TEST(RecorderEmptyRoundTest, EmptySelectedRoundsAreSkipped) {
   ObservedUtilityRecorder observed(&model, &w.test, 3);
   observed.OnRound(empty);
   EXPECT_EQ(observed.rounds_recorded(), 0);
-  EXPECT_EQ(observed.loss_calls(), 0);
+  EXPECT_EQ(observed.stats().loss_calls, 0);
   observed.OnRound(real);
   EXPECT_EQ(observed.rounds_recorded(), 1);
 
@@ -232,7 +294,7 @@ TEST(RecorderEmptyRoundTest, EmptySelectedRoundsAreSkipped) {
     SampledUtilityRecorder sampled(&model, &w.test, 3, 4, 7, cfg);
     sampled.OnRound(empty);
     EXPECT_EQ(sampled.rounds_recorded(), 0) << SamplerKindName(kind);
-    EXPECT_EQ(sampled.loss_calls(), 0) << SamplerKindName(kind);
+    EXPECT_EQ(sampled.stats().loss_calls, 0) << SamplerKindName(kind);
     sampled.OnRound(real);
     EXPECT_EQ(sampled.rounds_recorded(), 1) << SamplerKindName(kind);
   }
@@ -289,15 +351,15 @@ TEST(SampledUtilityRecorderTest, TruncatedModeSkipsTailLossCalls) {
   // of permutation-order — the entry sets must match exactly, values
   // included.
   EXPECT_EQ(entry_set(tight_obs), entry_set(uniform_obs));
-  EXPECT_GE(truncated_tight.loss_calls(), uniform.loss_calls());
+  EXPECT_GE(truncated_tight.stats().loss_calls, uniform.stats().loss_calls);
   // At most one extra U_t(I_t) reference call per recorded round.
-  EXPECT_LE(truncated_tight.loss_calls(),
-            uniform.loss_calls() + truncated_tight.rounds_recorded());
+  EXPECT_LE(truncated_tight.stats().loss_calls,
+            uniform.stats().loss_calls + truncated_tight.rounds_recorded());
 
   // Effectively-infinite tolerance: every walk stops measuring after
   // position 0, but the observed (round, column) coverage is preserved —
   // the Assumption-1 anchor the completion relies on.
-  EXPECT_LT(truncated_loose.loss_calls(), uniform.loss_calls());
+  EXPECT_LT(truncated_loose.stats().loss_calls, uniform.stats().loss_calls);
   EXPECT_EQ(cell_set(loose_obs), cell_set(uniform_obs));
 }
 
@@ -312,7 +374,7 @@ TEST(SampledUtilityRecorderTest, SupportsManyClients) {
   ObservationSet obs = recorder.BuildObservations();
   EXPECT_EQ(obs.num_rows(), 3);
   EXPECT_GT(obs.size(), 0u);
-  EXPECT_GT(recorder.loss_calls(), 0);
+  EXPECT_GT(recorder.stats().loss_calls, 0);
 }
 
 }  // namespace

@@ -50,6 +50,19 @@ void ExpectBitIdentical(const Vector& a, const Vector& b,
   }
 }
 
+// Every cost counter, not just loss_calls: the counters are part of the
+// checkpointed state, so resume and thread count must not move any.
+void ExpectStatsEqual(const UtilityStats& a, const UtilityStats& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.loss_calls, b.loss_calls) << what << " loss_calls";
+  EXPECT_EQ(a.batched_calls, b.batched_calls) << what << " batched_calls";
+  EXPECT_EQ(a.memo_hits, b.memo_hits) << what << " memo_hits";
+  EXPECT_EQ(a.surrogate_skips, b.surrogate_skips)
+      << what << " surrogate_skips";
+  EXPECT_EQ(a.surrogate_bias_bound, b.surrogate_bias_bound)
+      << what << " surrogate_bias_bound";
+}
+
 ValuationOutcome RunWith(const Workload& w, const Model& model,
                          const FedAvgConfig& fed_cfg,
                          const ValuationRequest& request,
@@ -130,11 +143,12 @@ TEST(DeterminismTest, SampledPipelineIsThreadCountInvariant) {
                      threaded_run.comfedsv->values,
                      "ComFedSV inline vs threads=4");
 
-  // Loss-call accounting counts distinct coalitions, which is also
-  // thread-count invariant.
-  EXPECT_EQ(inline_run.fedsv_loss_calls, threaded_run.fedsv_loss_calls);
-  EXPECT_EQ(inline_run.comfedsv->loss_calls,
-            threaded_run.comfedsv->loss_calls);
+  // Every cost counter is thread-count invariant too: loss calls count
+  // distinct coalitions, whichever thread evaluates them.
+  ExpectStatsEqual(inline_run.fedsv_stats, threaded_run.fedsv_stats,
+                   "FedSV");
+  ExpectStatsEqual(inline_run.comfedsv->stats, threaded_run.comfedsv->stats,
+                   "ComFedSV");
 
   // Training itself must match too (pre-split per-client RNG streams).
   ExpectBitIdentical(inline_run.training.final_params,
@@ -202,9 +216,10 @@ TEST(DeterminismTest, SamplerPipelinesAreThreadCountInvariant) {
     ExpectBitIdentical(inline_run.comfedsv->values,
                        threaded_run.comfedsv->values,
                        "sampler ComFedSV inline vs threads=4");
-    EXPECT_EQ(inline_run.fedsv_loss_calls, threaded_run.fedsv_loss_calls);
-    EXPECT_EQ(inline_run.comfedsv->loss_calls,
-              threaded_run.comfedsv->loss_calls);
+    ExpectStatsEqual(inline_run.fedsv_stats, threaded_run.fedsv_stats,
+                     "sampler FedSV");
+    ExpectStatsEqual(inline_run.comfedsv->stats,
+                     threaded_run.comfedsv->stats, "sampler ComFedSV");
   }
 }
 
@@ -251,9 +266,10 @@ TEST(DeterminismTest, BatchedEngineMlpPipelineIsThreadCountInvariant) {
   ExpectBitIdentical(inline_run.comfedsv->values,
                      threaded_run.comfedsv->values,
                      "MLP ComFedSV inline vs threads=4");
-  EXPECT_EQ(inline_run.fedsv_loss_calls, threaded_run.fedsv_loss_calls);
-  EXPECT_EQ(inline_run.comfedsv->loss_calls,
-            threaded_run.comfedsv->loss_calls);
+  ExpectStatsEqual(inline_run.fedsv_stats, threaded_run.fedsv_stats,
+                   "FedSV");
+  ExpectStatsEqual(inline_run.comfedsv->stats, threaded_run.comfedsv->stats,
+                   "ComFedSV");
 }
 
 TEST(DeterminismTest, SmoothedAlsCompletionIsThreadCountInvariant) {
@@ -371,12 +387,14 @@ void ExpectOutcomesBitIdentical(const ValuationOutcome& a,
   ASSERT_EQ(a.fedsv_values.has_value(), b.fedsv_values.has_value()) << what;
   if (a.fedsv_values.has_value()) {
     ExpectBitIdentical(*a.fedsv_values, *b.fedsv_values, what);
-    EXPECT_EQ(a.fedsv_loss_calls, b.fedsv_loss_calls) << what;
+    ExpectStatsEqual(a.fedsv_stats, b.fedsv_stats,
+                     std::string(what) + " FedSV");
   }
   ASSERT_EQ(a.comfedsv.has_value(), b.comfedsv.has_value()) << what;
   if (a.comfedsv.has_value()) {
     ExpectBitIdentical(a.comfedsv->values, b.comfedsv->values, what);
-    EXPECT_EQ(a.comfedsv->loss_calls, b.comfedsv->loss_calls) << what;
+    ExpectStatsEqual(a.comfedsv->stats, b.comfedsv->stats,
+                     std::string(what) + " ComFedSV");
     EXPECT_TRUE(a.comfedsv->completion.w == b.comfedsv->completion.w)
         << what << " completion W";
     EXPECT_TRUE(a.comfedsv->completion.h == b.comfedsv->completion.h)
@@ -388,7 +406,8 @@ void ExpectOutcomesBitIdentical(const ValuationOutcome& a,
   if (a.ground_truth_values.has_value()) {
     ExpectBitIdentical(*a.ground_truth_values, *b.ground_truth_values,
                        what);
-    EXPECT_EQ(a.ground_truth_loss_calls, b.ground_truth_loss_calls) << what;
+    ExpectStatsEqual(a.ground_truth_stats, b.ground_truth_stats,
+                     std::string(what) + " ground truth");
   }
 }
 
@@ -559,30 +578,6 @@ TEST(DeterminismTest, CheckpointPayloadMatchesHandDrivenSerialization) {
     fedsv.OnRound(record);
     comfedsv.OnRound(record);
     ground_truth.OnRound(record);
-  }
-  // The recorders keep their wall-clock recording time in their state.
-  // Copy the file's timings into the hand-driven recorders, so every
-  // other byte is compared against independently computed state.
-  {
-    FedAvgTrainer restored(&model, w.clients, w.test, fed_cfg);
-    FedSvEvaluator restored_fedsv(&model, &restored.test_data(), n,
-                                  request.fedsv);
-    ComFedSvEvaluator restored_comfedsv(&model, &restored.test_data(), n,
-                                        request.comfedsv);
-    GroundTruthEvaluator restored_truth(&model, &restored.test_data(), n);
-    ASSERT_TRUE(RestoreValuationCheckpoint(
-                    written.value(), ValuationFingerprint(restored, request),
-                    &restored, &restored_fedsv, &restored_comfedsv,
-                    &restored_truth)
-                    .ok());
-    SampledRecorderState sampled = comfedsv.sampled_recorder()->SaveState();
-    sampled.seconds =
-        restored_comfedsv.sampled_recorder()->SaveState().seconds;
-    ASSERT_TRUE(
-        comfedsv.sampled_recorder()->RestoreState(std::move(sampled)).ok());
-    FullRecorderState full = ground_truth.recorder()->SaveState();
-    full.seconds = restored_truth.recorder()->SaveState().seconds;
-    ASSERT_TRUE(ground_truth.recorder()->RestoreState(std::move(full)).ok());
   }
   const std::string expected = SerializeValuationCheckpoint(
       ValuationFingerprint(trainer, request), trainer, &fedsv, &comfedsv,
@@ -900,17 +895,10 @@ TEST(DeterminismTest, AdaptiveAndScreenedPipelineIsThreadCountInvariant) {
 
   // The full accounting — loss calls, memo hits, skips, and the bias
   // bound — is part of the determinism contract too.
-  EXPECT_EQ(inline_run.fedsv_loss_calls, threaded_run.fedsv_loss_calls);
-  EXPECT_EQ(inline_run.comfedsv->loss_calls,
-            threaded_run.comfedsv->loss_calls);
-  EXPECT_EQ(inline_run.comfedsv->stats.loss_calls,
-            threaded_run.comfedsv->stats.loss_calls);
-  EXPECT_EQ(inline_run.comfedsv->stats.memo_hits,
-            threaded_run.comfedsv->stats.memo_hits);
-  EXPECT_EQ(inline_run.comfedsv->stats.surrogate_skips,
-            threaded_run.comfedsv->stats.surrogate_skips);
-  EXPECT_EQ(inline_run.comfedsv->stats.surrogate_bias_bound,
-            threaded_run.comfedsv->stats.surrogate_bias_bound);
+  ExpectStatsEqual(inline_run.fedsv_stats, threaded_run.fedsv_stats,
+                   "FedSV");
+  ExpectStatsEqual(inline_run.comfedsv->stats, threaded_run.comfedsv->stats,
+                   "ComFedSV");
 
   // The run must actually exercise the screened path, or this test
   // proves nothing.

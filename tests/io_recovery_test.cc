@@ -75,6 +75,20 @@ void Arm(const char* name, FailpointTrigger trigger, FaultAction action,
                                   arg);
 }
 
+// Rewrites a checkpoint container's version field and re-seals the
+// checksum (which covers the header prefix), so only the version
+// differs from what the writer produced.
+std::string WithFormatVersion(std::string file, uint32_t version) {
+  BinaryWriter stamp;
+  stamp.U32(version);
+  file.replace(4, 4, stamp.buffer());
+  const std::string_view bytes(file);
+  BinaryWriter checksum;
+  checksum.U64(Fnv1a64(bytes.substr(36), Fnv1a64(bytes.substr(0, 28))));
+  file.replace(28, 8, checksum.buffer());
+  return file;
+}
+
 // ---------------------------------------------------------------------
 // Failpoint policy determinism.
 // ---------------------------------------------------------------------
@@ -153,6 +167,29 @@ TEST_F(IoRecoveryTest, LoadEdgeCasesMapToDistinctCodes) {
   EXPECT_FALSE(FileEnv::Real()->Exists(stem + ".tmp"));
   EXPECT_EQ(manager.Load(ChunkTag::kVector).status().code(),
             StatusCode::kNotFound);
+}
+
+// A generation in the previous format (v3, whose evaluator states held a
+// loss-call total and a wall-clock time instead of UtilityStats) is
+// version skew: Load refuses it and leaves the file in place, instead of
+// misparsing it or quarantining it as corrupt.
+TEST_F(IoRecoveryTest, PreviousFormatVersionIsRefusedInPlace) {
+  ASSERT_EQ(kCheckpointVersion, 4u);
+  CheckpointManager manager(Dir("v3") + "/v.ckpt",
+                            FastOptions(FileEnv::Real()));
+  ASSERT_TRUE(manager.Write(ChunkTag::kVector, "gen1").ok());
+  const std::string file = manager.ListGenerations().back().second;
+  Result<std::string> bytes = FileEnv::Real()->ReadFile(file);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_TRUE(
+      FileEnv::Real()->WriteFile(file, WithFormatVersion(bytes.value(), 3))
+          .ok());
+
+  EXPECT_EQ(manager.Load(ChunkTag::kVector).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(FileEnv::Real()->Exists(file));
+  EXPECT_FALSE(FileEnv::Real()->Exists(file + ".corrupt"));
+  EXPECT_EQ(manager.quarantined_total(), 0);
 }
 
 TEST_F(IoRecoveryTest, SweepRemovesOnlyThisFamilysTempFiles) {

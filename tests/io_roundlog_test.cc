@@ -199,6 +199,20 @@ TEST_F(RoundLogTest, WriterReaderRoundTripAcrossIndexCadences) {
   }
 }
 
+// Rewrites a checkpoint container's version field and re-seals the
+// checksum (which covers the header prefix), so only the version
+// differs from what the writer produced.
+std::string WithFormatVersion(std::string file, uint32_t version) {
+  BinaryWriter stamp;
+  stamp.U32(version);
+  file.replace(4, 4, stamp.buffer());
+  const std::string_view bytes(file);
+  BinaryWriter checksum;
+  checksum.U64(Fnv1a64(bytes.substr(36), Fnv1a64(bytes.substr(0, 28))));
+  file.replace(28, 8, checksum.buffer());
+  return file;
+}
+
 TEST_F(RoundLogTest, ReaderRebuildsFromScanWhenIndexIsMissing) {
   const std::string path = Path("log");
   auto writer = RoundLogWriter::Create(path, {});
@@ -214,6 +228,37 @@ TEST_F(RoundLogTest, ReaderRebuildsFromScanWhenIndexIsMissing) {
   RoundRecord decoded;
   ASSERT_TRUE(reader.value()->Read(4, &decoded).ok());
   ExpectRecordBitIdentical(MakeRecord(4, 3, 16, 1), decoded);
+}
+
+// The footer index shares the checkpoint container's version, so an
+// index from the previous format (v3) is refused and the reader falls
+// back to scanning the data file.
+TEST_F(RoundLogTest, PreviousFormatIndexFallsBackToScan) {
+  const std::string path = Path("log");
+  auto writer = RoundLogWriter::Create(path, {});
+  ASSERT_TRUE(writer.ok());
+  for (int t = 0; t < 5; ++t) {
+    ASSERT_TRUE(writer.value()->Append(MakeRecord(t, 3, 16, 1)).ok());
+  }
+  Result<std::string> index = FileEnv::Real()->ReadFile(path + ".idx");
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE(FileEnv::Real()
+                  ->WriteFile(path + ".idx",
+                              WithFormatVersion(index.value(), 3))
+                  .ok());
+  EXPECT_EQ(ReadCheckpointFile(path + ".idx", ChunkTag::kRoundLogIndex)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+
+  auto reader = RoundLogReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader.value()->rounds(), 5);
+  for (int t = 0; t < 5; ++t) {
+    RoundRecord decoded;
+    ASSERT_TRUE(reader.value()->Read(t, &decoded).ok());
+    ExpectRecordBitIdentical(MakeRecord(t, 3, 16, 1), decoded);
+  }
 }
 
 TEST_F(RoundLogTest, TornTailFrameIsIgnoredOnOpen) {

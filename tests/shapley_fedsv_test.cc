@@ -98,7 +98,7 @@ TEST(RoundUtilityTest, MemoizesRepeatedQueries) {
   const double u2 = util.Utility(c);
   EXPECT_DOUBLE_EQ(u1, u2);
   EXPECT_EQ(stats.loss_calls, 1);
-  EXPECT_EQ(util.distinct_evaluations(), 1);
+  EXPECT_EQ(stats.memo_hits, 1);
 }
 
 TEST(FedSvRoundTest, HandComputedTwoClientRound) {
@@ -172,7 +172,7 @@ TEST(FedSvRoundTest, EmptySelectedRoundIsSkippedInBothModes) {
     eval.OnRound(empty_rec);
     EXPECT_DOUBLE_EQ(eval.values()[0], 0.0);
     EXPECT_DOUBLE_EQ(eval.values()[1], 0.0);
-    EXPECT_EQ(eval.loss_calls(), 0);
+    EXPECT_EQ(eval.stats().loss_calls, 0);
 
     eval.OnRound(real_rec);
     EXPECT_NE(eval.values()[0], 0.0);

@@ -11,7 +11,7 @@
 //                     recorder).
 //   raw-rng           direct rand()/std::random_device/std::mt19937/
 //                     time()/system_clock use outside common/rng.{h,cc}
-//                     and common/stopwatch.h — all randomness must come
+//                     and bench/stopwatch.h — all randomness must come
 //                     from the seeded Rng sub-streams, all timing from
 //                     the monotonic Stopwatch.
 //   raw-file-io       std::ofstream/std::ifstream/fopen/std::filesystem
@@ -597,7 +597,7 @@ void CheckRawRng(const SourceFile& file, std::vector<Finding>* findings) {
   };
   CheckTokens(file, kRuleRawRng, kTokens,
               "derive randomness from common/rng.h sub-streams and timing "
-              "from common/stopwatch.h",
+              "from bench/stopwatch.h",
               findings);
 }
 
@@ -863,7 +863,7 @@ void PrintRules() {
   std::printf("%-18s iteration over std::unordered_* containers\n",
               kRuleUnorderedIter);
   std::printf("%-18s rand()/random_device/mt19937/time()/system_clock "
-              "outside common/rng, common/stopwatch\n",
+              "outside common/rng, bench/stopwatch\n",
               kRuleRawRng);
   std::printf("%-18s ofstream/ifstream/fopen/std::filesystem in src/ "
               "outside io/file_env\n",
