@@ -536,23 +536,6 @@ double CompletionResult::Predict(int row, int col) const {
   return acc;
 }
 
-double PredictedUtility(const FactorPair& factors, int round, int col) {
-  if (factors.w.rows() == 0 || factors.h.rows() == 0) return 0.0;
-  COMFEDSV_CHECK_GE(round, 0);
-  COMFEDSV_CHECK_GE(col, 0);
-  COMFEDSV_CHECK_LT(static_cast<size_t>(col), factors.h.rows());
-  COMFEDSV_CHECK_EQ(factors.w.cols(), factors.h.cols());
-  // Rounds beyond the fitted horizon clamp to the last fitted row
-  // (temporal smoothness, Proposition 1).
-  const size_t row = std::min(static_cast<size_t>(round),
-                              factors.w.rows() - 1);
-  const double* wr = factors.w.RowPtr(row);
-  const double* hr = factors.h.RowPtr(static_cast<size_t>(col));
-  double acc = 0.0;
-  for (size_t k = 0; k < factors.w.cols(); ++k) acc += wr[k] * hr[k];
-  return acc;
-}
-
 namespace {
 
 // Shared entry point of the cold and warm solves: `warm` (optional)

@@ -90,16 +90,6 @@ struct FactorPair {
   Matrix h;
 };
 
-/// Factor-predicted utility w_round . h_col — the surrogate the adaptive
-/// estimators use to pre-screen coalitions (a coalition column whose
-/// predicted marginal is confidently negligible skips its real BatchLoss
-/// call). `round` is clamped to the last fitted W row: the paper's
-/// Proposition 1 (temporal smoothness — a coalition's utility changes
-/// slowly across successive rounds) makes the latest fitted row the
-/// natural extrapolation for rounds the factors have not seen yet.
-/// `col` must be a fitted column. Returns 0 for empty factors.
-double PredictedUtility(const FactorPair& factors, int round, int col);
-
 /// Result of a completion solve.
 struct CompletionResult {
   Matrix w;  ///< num_rows x rank

@@ -11,10 +11,9 @@ namespace {
 void MixSampler(uint64_t* hash, const SamplerConfig& sampler) {
   FingerprintMix(hash, static_cast<uint64_t>(sampler.kind));
   FingerprintMix(hash, sampler.truncation_tolerance);
-  // Adaptive allocation and surrogate screening change which coalitions
-  // are drawn/recorded, so their knobs must break fingerprint
-  // compatibility — but only when the feature is on, so checkpoints from
-  // before these knobs existed keep their fingerprints.
+  // Adaptive allocation changes which coalitions are drawn, so its knobs
+  // must break fingerprint compatibility — but only when it is on, so
+  // checkpoints from before these knobs existed keep their fingerprints.
   if (sampler.adaptive.enabled) {
     FingerprintMix(hash, uint64_t{0x41444150});  // "ADAP"
     FingerprintMix(hash,
@@ -22,13 +21,6 @@ void MixSampler(uint64_t* hash, const SamplerConfig& sampler) {
     FingerprintMix(hash, static_cast<uint64_t>(sampler.adaptive.waves));
     FingerprintMix(hash,
                    static_cast<uint64_t>(sampler.adaptive.min_cell_samples));
-  }
-  if (sampler.screen_threshold > 0.0) {
-    FingerprintMix(hash, uint64_t{0x53435245});  // "SCRE"
-    FingerprintMix(hash, sampler.screen_threshold);
-    FingerprintMix(hash, sampler.screen_confidence);
-    FingerprintMix(hash, static_cast<uint64_t>(sampler.screen_audit_every));
-    FingerprintMix(hash, static_cast<uint64_t>(sampler.screen_min_audits));
   }
 }
 
@@ -73,8 +65,6 @@ void SaveStats(const UtilityStats& stats, BinaryWriter* out) {
   out->I64(stats.loss_calls);
   out->I64(stats.batched_calls);
   out->I64(stats.memo_hits);
-  out->I64(stats.surrogate_skips);
-  out->F64(stats.surrogate_bias_bound);
 }
 
 Status LoadStats(BinaryReader* in, UtilityStats* stats) {
@@ -82,11 +72,8 @@ Status LoadStats(BinaryReader* in, UtilityStats* stats) {
   COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.loss_calls));
   COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.batched_calls));
   COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.memo_hits));
-  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.surrogate_skips));
-  COMFEDSV_RETURN_IF_ERROR(in->F64(&loaded.surrogate_bias_bound));
   if (!loaded.Valid()) {
-    return Status::DataLoss(
-        "corrupt evaluator state: negative count or bad bias bound");
+    return Status::DataLoss("corrupt evaluator state: negative count");
   }
   *stats = loaded;
   return Status::Ok();
@@ -231,25 +218,6 @@ void SaveSampledRecorderState(const SampledRecorderState& s,
   SaveTriplets(s.triplets, out);
   out->I32(s.rounds_recorded);
   SaveStats(s.stats, out);
-  // Surrogate-screening extension: written only when screening is
-  // configured, so non-screening checkpoints keep the plain chunk
-  // layout. The loader detects the
-  // extension by chunk length; MixSampler folds the screening knobs into
-  // the fingerprint, so the two layouts can never be confused for the
-  // same config.
-  if (s.has_surrogate) {
-    out->U8(1);
-    out->I64(s.audit_error.count);
-    out->F64(s.audit_error.mean);
-    out->F64(s.audit_error.m2);
-    out->I64(s.screen_candidates);
-    out->U64(s.position_cells.size());
-    for (const WelfordStat& c : s.position_cells) {
-      out->I64(c.count);
-      out->F64(c.mean);
-      out->F64(c.m2);
-    }
-  }
   out->EndChunk(handle);
 }
 
@@ -262,27 +230,6 @@ Status LoadSampledRecorderState(BinaryReader* in,
   COMFEDSV_RETURN_IF_ERROR(LoadTriplets(in, &loaded.triplets));
   COMFEDSV_RETURN_IF_ERROR(in->I32(&loaded.rounds_recorded));
   COMFEDSV_RETURN_IF_ERROR(LoadStats(in, &loaded.stats));
-  if (in->position() < end) {  // surrogate-screening extension present
-    uint8_t has_surrogate = 0;
-    COMFEDSV_RETURN_IF_ERROR(in->U8(&has_surrogate));
-    if (has_surrogate != 1) {
-      return Status::DataLoss(
-          "corrupt sampled-recorder state: bad surrogate flag");
-    }
-    loaded.has_surrogate = true;
-    COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.audit_error.count));
-    COMFEDSV_RETURN_IF_ERROR(in->F64(&loaded.audit_error.mean));
-    COMFEDSV_RETURN_IF_ERROR(in->F64(&loaded.audit_error.m2));
-    COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.screen_candidates));
-    uint64_t num_cells = 0;
-    COMFEDSV_RETURN_IF_ERROR(in->Count(24, &num_cells));
-    loaded.position_cells.resize(num_cells);
-    for (WelfordStat& c : loaded.position_cells) {
-      COMFEDSV_RETURN_IF_ERROR(in->I64(&c.count));
-      COMFEDSV_RETURN_IF_ERROR(in->F64(&c.mean));
-      COMFEDSV_RETURN_IF_ERROR(in->F64(&c.m2));
-    }
-  }
   COMFEDSV_RETURN_IF_ERROR(in->EndChunk(end));
   *s = std::move(loaded);
   return Status::Ok();

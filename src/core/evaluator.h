@@ -51,8 +51,7 @@ struct ComFedSvOutput {
   double observed_density = 0.0;  ///< fraction of matrix entries observed
   int num_columns = 0;            ///< columns in the completion problem
   /// Measured evaluation accounting from the active recorder: loss
-  /// calls (the Fig. 8 cost unit), batch passes, memo hits, and — under
-  /// surrogate screening — skips and the accumulated skip-bias bound.
+  /// calls (the Fig. 8 cost unit), batch passes and memo hits.
   /// Checkpointed with the recorder.
   UtilityStats stats;
 };

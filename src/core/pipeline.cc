@@ -8,10 +8,7 @@
 #include "core/streaming.h"
 
 namespace comfedsv {
-namespace {
 
-// The requests the recorders cannot serve (they CHECK these), rejected
-// before any component is built.
 Status ValidateRequest(const ValuationRequest& request, int num_clients) {
   if (num_clients <= 0) {
     return Status::InvalidArgument("num_clients must be positive");
@@ -21,6 +18,13 @@ Status ValidateRequest(const ValuationRequest& request, int num_clients) {
         "compute_ground_truth needs num_clients <= " +
         std::to_string(kMaxFullClients) + ", got " +
         std::to_string(num_clients));
+  }
+  if (request.compute_fedsv &&
+      request.fedsv.mode == FedSvConfig::Mode::kMonteCarlo &&
+      request.fedsv.sampler.kind == SamplerKind::kTruncated &&
+      request.fedsv.sampler.truncation_tolerance < 0.0) {
+    return Status::InvalidArgument(
+        "fedsv.sampler.truncation_tolerance must be >= 0");
   }
   if (!request.compute_comfedsv) return Status::Ok();
   if (request.comfedsv.mode == ComFedSvConfig::Mode::kFull &&
@@ -38,6 +42,8 @@ Status ValidateRequest(const ValuationRequest& request, int num_clients) {
   }
   return Status::Ok();
 }
+
+namespace {
 
 // Shared driver of the plain and checkpointed pipelines: the trainer is
 // stepped one round at a time into a StreamingValuationEngine, which

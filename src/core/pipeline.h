@@ -52,17 +52,23 @@ struct ValuationOutcome {
   StreamingHealth health;
 };
 
+/// The requests the evaluators cannot serve (they CHECK these). Returns
+/// InvalidArgument naming the field for no clients, a ground truth over
+/// more than 16 clients, a kFull ComFedSV over more than 20 (Assumption
+/// 1's all-client round 0 records 2^N utilities), or a truncated sampler
+/// with a negative truncation_tolerance — the Monte-Carlo FedSV sampler
+/// or the sampled ComFedSV one. Every RunValuation* driver and the
+/// StreamingValuationEngine constructor call it before building any
+/// evaluator.
+Status ValidateRequest(const ValuationRequest& request, int num_clients);
+
 /// Runs FedAvg over `client_data` and evaluates the requested metrics.
 /// `model` must outlive the call. When the request includes ComFedSV in
 /// kFull mode or the ground truth, `fed_config.select_all_first_round`
 /// must be true (Assumption 1).
 ///
-/// Every RunValuation* driver checks the request before building any
-/// component, and returns InvalidArgument naming the field for no
-/// clients, a ground truth over more than 16 clients, a kFull ComFedSV
-/// over more than 20 (Assumption 1's all-client round 0 records 2^N
-/// utilities), or a truncated ComFedSV sampler with a negative
-/// truncation_tolerance.
+/// Every RunValuation* driver checks the request with ValidateRequest
+/// before building any component.
 ///
 /// `ctx` (optional) parallelizes the whole pipeline — local client
 /// updates, per-round Shapley sampling and utility recording, and the

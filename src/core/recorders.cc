@@ -179,9 +179,7 @@ SampledUtilityRecorder::SampledUtilityRecorder(const Model* model,
       test_data_(test_data),
       num_clients_(num_clients),
       sampler_(sampler),
-      ctx_(ctx),
-      position_stats_(num_clients,
-                      std::max(1, sampler.adaptive.min_cell_samples)) {
+      ctx_(ctx) {
   COMFEDSV_CHECK(model_ != nullptr);
   COMFEDSV_CHECK(test_data_ != nullptr);
   COMFEDSV_CHECK_GT(num_clients_, 0);
@@ -223,8 +221,6 @@ void SampledUtilityRecorder::OnRound(const RoundRecord& record) {
       Coalition::FromMembers(num_clients_, record.selected);
   if (sampler_.kind == SamplerKind::kTruncated) {
     RecordTruncatedRound(t, selected, &utility);
-  } else if (ScreeningActive()) {
-    RecordScreenedRound(t, selected, &utility);
   } else {
     RecordPrefixRound(t, selected, &utility);
   }
@@ -353,132 +349,6 @@ void SampledUtilityRecorder::RecordTruncatedRound(int t,
   }
 }
 
-void SampledUtilityRecorder::SetSurrogatePredictor(
-    SurrogatePredictorFn predictor) {
-  predictor_ = std::move(predictor);
-}
-
-bool SampledUtilityRecorder::ScreeningActive() const {
-  return predictor_ != nullptr && sampler_.screen_threshold > 0.0 &&
-         sampler_.kind != SamplerKind::kTruncated;
-}
-
-void SampledUtilityRecorder::RecordScreenedRound(int t,
-                                                 const Coalition& selected,
-                                                 RoundUtility* utility) {
-  // Surrogate-screened recording: walk every permutation's observable
-  // prefixes position-by-position in waves. For each *new* column the
-  // factor surrogate predicts U(t, col); if the predicted marginal is
-  // confidently negligible and the surrogate is trusted, the column is
-  // recorded at the predicted value and its loss call is never spent.
-  // Everything else — untrusted bootstrap, large or uncertain marginals,
-  // and every screen_audit_every-th eligible column (the audit cycle) —
-  // is measured through the batched engine, and each measured column's
-  // realized |predicted - measured| updates the error estimate that the
-  // trust test and the bias bound are built from. All decisions run
-  // sequentially in permutation order on the calling thread, so the
-  // recording is identical for any thread count.
-  struct Walk {
-    Coalition prefix;
-    double prev_value = 0.0;  // U of the previous prefix (measured or
-                              // predicted); the marginal baseline
-    bool active = true;       // still inside I_t
-  };
-  std::vector<Walk> walks(permutations_.size());
-  for (Walk& w : walks) w.prefix = Coalition(num_clients_);
-
-  std::unordered_set<int> seen;
-  seen.insert(prefix_columns_[0][0]);  // empty prefix, recorded at 0
-  triplets_.push_back({t, prefix_columns_[0][0], 0.0});
-
-  // Per-walk wave bookkeeping: what was decided for the column this walk
-  // reached (only the first walk to reach a column owns the decision).
-  enum class Decision : uint8_t { kNone, kMeasure, kSkip };
-  std::vector<Decision> decision(walks.size());
-  std::vector<double> predicted(walks.size(), 0.0);
-  std::vector<Coalition> wave;
-  for (int l = 0; l < num_clients_; ++l) {
-    wave.clear();
-    bool any_active = false;
-    // Decision pass (sequential): extend each walk, decide measure/skip
-    // for columns first reached in this wave.
-    for (size_t m = 0; m < permutations_.size(); ++m) {
-      Walk& w = walks[m];
-      decision[m] = Decision::kNone;
-      if (!w.active) continue;
-      const int member = permutations_[m][l];
-      if (!selected.Contains(member)) {  // longer prefixes fail too
-        w.active = false;
-        continue;
-      }
-      any_active = true;
-      w.prefix.Add(member);
-      const int col = prefix_columns_[m][l + 1];
-      if (!seen.insert(col).second) continue;  // another walk owns it
-      const double pred = predictor_(t, col);
-      predicted[m] = pred;
-      const double pred_marginal = pred - w.prev_value;
-      const bool trusted =
-          audit_error_.count >= sampler_.screen_min_audits &&
-          position_stats_.cell(l).count >=
-              std::max(1, sampler_.adaptive.min_cell_samples);
-      bool skip = false;
-      if (trusted && std::abs(pred_marginal) +
-                             sampler_.screen_confidence * audit_error_.mean <=
-                         sampler_.screen_threshold) {
-        ++screen_candidates_;
-        // The audit cycle: every k-th eligible column is measured anyway.
-        skip = sampler_.screen_audit_every <= 0 ||
-               (screen_candidates_ % sampler_.screen_audit_every) != 0;
-      }
-      if (skip) {
-        decision[m] = Decision::kSkip;
-      } else {
-        decision[m] = Decision::kMeasure;
-        wave.push_back(w.prefix);
-      }
-    }
-    if (!any_active) break;
-    if (!wave.empty()) {
-      utility->EvaluateBatch(wave);  // dedups within the wave & vs cache
-    }
-
-    // Read-back pass (sequential, permutation order). Owners record
-    // their column — measured owners also feed the error estimate and
-    // the position stats; skipped owners record the predicted value and
-    // charge the bias bound. Non-owners take the cached value (measured
-    // or predicted) as their marginal baseline.
-    for (size_t m = 0; m < permutations_.size(); ++m) {
-      Walk& w = walks[m];
-      if (!w.active) continue;
-      const int col = prefix_columns_[m][l + 1];
-      switch (decision[m]) {
-        case Decision::kMeasure: {
-          const double u = utility->Utility(w.prefix);  // cache hit
-          triplets_.push_back({t, col, u});
-          audit_error_.Add(std::abs(predicted[m] - u));
-          position_stats_.Record(l, u - w.prev_value);
-          w.prev_value = u;
-          break;
-        }
-        case Decision::kSkip: {
-          const double bound =
-              sampler_.screen_confidence * audit_error_.mean;
-          utility->RecordPredicted(w.prefix, predicted[m], bound);
-          triplets_.push_back({t, col, predicted[m]});
-          w.prev_value = predicted[m];
-          break;
-        }
-        case Decision::kNone:
-          // Column recorded by an earlier walk (this round): the cached
-          // value — measured or predicted — is this walk's baseline.
-          w.prev_value = utility->Utility(w.prefix);
-          break;
-      }
-    }
-  }
-}
-
 ObservationSet SampledUtilityRecorder::BuildObservations() const {
   COMFEDSV_CHECK_GT(rounds_recorded_, 0);
   ObservationSet obs(rounds_recorded_, interner_.size());
@@ -492,15 +362,6 @@ SampledRecorderState SampledUtilityRecorder::SaveState() const {
   state.triplets = triplets_;
   state.rounds_recorded = rounds_recorded_;
   state.stats = stats_;
-  // Screening decisions depend on this cross-round state, so it must
-  // resume bit-identically whenever screening is configured (even if the
-  // predictor is not currently armed).
-  if (sampler_.screen_threshold > 0.0) {
-    state.has_surrogate = true;
-    state.audit_error = audit_error_;
-    state.screen_candidates = screen_candidates_;
-    state.position_cells = position_stats_.cells();
-  }
   return state;
 }
 
@@ -515,19 +376,6 @@ Status SampledUtilityRecorder::RestoreState(SampledRecorderState state) {
           "sampled recorder state triplet out of range "
           "(was the recorder built with the same seed/budget/sampler?)");
     }
-  }
-  if (state.has_surrogate) {
-    if (state.audit_error.count < 0 || state.screen_candidates < 0) {
-      return Status::InvalidArgument(
-          "sampled recorder surrogate state counters negative");
-    }
-    if (!position_stats_.RestoreCells(state.position_cells)) {
-      return Status::InvalidArgument(
-          "sampled recorder surrogate state has a different position-cell "
-          "count (was the recorder built with the same num_clients?)");
-    }
-    audit_error_ = state.audit_error;
-    screen_candidates_ = state.screen_candidates;
   }
   triplets_ = std::move(state.triplets);
   rounds_recorded_ = state.rounds_recorded;

@@ -13,7 +13,6 @@
 #define COMFEDSV_CORE_RECORDERS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/execution_context.h"
@@ -24,17 +23,11 @@
 #include "fl/round_record.h"
 #include "linalg/matrix.h"
 #include "models/model.h"
-#include "shapley/budget_allocator.h"
 #include "shapley/coalition.h"
 #include "shapley/sampler.h"
 #include "shapley/utility.h"
 
 namespace comfedsv {
-
-/// Factor-based utility surrogate: predicted U(round, column). Armed on
-/// the sampled recorder by the streaming engine once completed low-rank
-/// factors exist (completion/solver.h PredictedUtility under the hood).
-using SurrogatePredictorFn = std::function<double(int round, int col)>;
 
 /// Checkpointable mid-run state of FullUtilityRecorder.
 struct FullRecorderState {
@@ -56,24 +49,11 @@ struct ObservedRecorderState {
 /// permutations, prefix columns, and interner are *not* part of the
 /// state: they are re-derived bit-identically from the constructor's
 /// (seed, budget, sampler) arguments, which the composite checkpoint
-/// fingerprints. The surrogate-screening fields are decision-affecting
-/// cross-round state (they steer future skip/audit choices), so resume
-/// must carry them for bit-identical continuation; they are only
-/// populated (and only serialized) when screening is configured.
+/// fingerprints.
 struct SampledRecorderState {
   std::vector<Observation> triplets;
   int rounds_recorded = 0;
   UtilityStats stats;
-  /// True when the saving recorder had surrogate screening configured
-  /// (sampler.screen_threshold > 0); the fields below are live then.
-  bool has_surrogate = false;
-  /// Running |predicted - measured| over audited/measured columns.
-  WelfordStat audit_error;
-  /// Skip-eligible candidates seen (drives the every-k-th audit cycle).
-  int64_t screen_candidates = 0;
-  /// Per-prefix-position marginal statistics (the recorder's stratum
-  /// allocator cells).
-  std::vector<WelfordStat> position_cells;
 };
 
 /// Largest federation FullUtilityRecorder accepts (2^N utilities per
@@ -215,33 +195,13 @@ class SampledUtilityRecorder : public RoundObserver {
   }
   int rounds_recorded() const { return rounds_recorded_; }
 
-  /// Measured evaluation accounting, including surrogate skips and the
-  /// accumulated skip-bias bound; checkpointed with the recording.
+  /// Measured evaluation accounting; checkpointed with the recording.
   const UtilityStats& stats() const { return stats_; }
-
-  /// Arms (or clears, with nullptr-like empty fn) the factor-based
-  /// utility surrogate. Screening activates only while a predictor is
-  /// armed AND sampler.screen_threshold > 0 AND the sampler is not
-  /// kTruncated (truncation has its own skip rule): each round then
-  /// walks the permutation prefixes in waves, and a *new* column whose
-  /// predicted marginal is confidently below the threshold is recorded
-  /// at its predicted utility without spending the BatchLoss call. The
-  /// skip test requires the surrogate to be trusted — at least
-  /// screen_min_audits realized-error audits overall and
-  /// adaptive.min_cell_samples measured marginals at that prefix
-  /// position (the recorder's stratum allocator steers the bootstrap) —
-  /// and every screen_audit_every-th eligible column is measured anyway,
-  /// feeding the realized |predicted - measured| error estimate. Each
-  /// skip adds screen_confidence * mean-audit-error to the accumulated
-  /// bias bound in stats(). All decisions run on the calling thread in
-  /// permutation/wave order: bit-identical for any thread count.
-  void SetSurrogatePredictor(SurrogatePredictorFn predictor);
 
   /// Snapshot / resume of the recording after any number of rounds. The
   /// restoring recorder must be constructed with the same (num_clients,
   /// num_permutations, seed, sampler) so its re-derived permutations and
-  /// column ids match the saved triplets. Screening state (audit error,
-  /// candidate counter, position cells) rides along when configured.
+  /// column ids match the saved triplets.
   SampledRecorderState SaveState() const;
   Status RestoreState(SampledRecorderState state);
 
@@ -253,10 +213,6 @@ class SampledUtilityRecorder : public RoundObserver {
   /// The kTruncated per-round recording path (wave-batched walks).
   void RecordTruncatedRound(int t, const Coalition& selected,
                             RoundUtility* utility);
-  /// The surrogate-screening per-round recording path.
-  void RecordScreenedRound(int t, const Coalition& selected,
-                           RoundUtility* utility);
-  bool ScreeningActive() const;
 
   const Model* model_;
   const Dataset* test_data_;
@@ -271,13 +227,6 @@ class SampledUtilityRecorder : public RoundObserver {
   std::vector<Observation> triplets_;
   int rounds_recorded_ = 0;
   UtilityStats stats_;
-  SurrogatePredictorFn predictor_;
-  /// Cross-round screening state (checkpointed when screening is
-  /// configured): realized surrogate error, eligible-candidate counter,
-  /// and per-prefix-position marginal stats steering bootstrap audits.
-  WelfordStat audit_error_;
-  int64_t screen_candidates_ = 0;
-  AdaptiveBudgetAllocator position_stats_;
 };
 
 }  // namespace comfedsv

@@ -14,10 +14,11 @@ StreamingValuationEngine::StreamingValuationEngine(
     : model_(model),
       test_data_(test_data),
       num_clients_(num_clients),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      request_status_(ValidateRequest(config_.request, num_clients_)) {
   COMFEDSV_CHECK(model_ != nullptr);
   COMFEDSV_CHECK(test_data_ != nullptr);
-  COMFEDSV_CHECK_GT(num_clients_, 0);
+  if (!request_status_.ok()) return;
   if (config_.request.compute_fedsv) {
     fedsv_ = std::make_unique<FedSvEvaluator>(
         model_, test_data_, num_clients_, config_.request.fedsv, ctx);
@@ -33,6 +34,7 @@ StreamingValuationEngine::StreamingValuationEngine(
 }
 
 Status StreamingValuationEngine::Consume(const RoundRecord& record) {
+  COMFEDSV_RETURN_IF_ERROR(request_status_);
   const Status spilled =
       config_.spill.enabled ? SpillRound(record) : Status::Ok();
   if (fedsv_ != nullptr) fedsv_->OnRound(record);
@@ -102,6 +104,7 @@ Status StreamingValuationEngine::SyncSpill() {
 }
 
 Result<ValuationOutcome> StreamingValuationEngine::Snapshot() {
+  COMFEDSV_RETURN_IF_ERROR(request_status_);
   if (config_.resolve_cadence < 1) {
     return Status::InvalidArgument(
         "StreamingConfig::resolve_cadence must be >= 1");
@@ -130,7 +133,6 @@ Result<ValuationOutcome> StreamingValuationEngine::Snapshot() {
         factors_ = FactorPair{last_output_->completion.w,
                               last_output_->completion.h};
         last_solve_round_ = rounds_consumed_;
-        ArmSurrogate();
       }
     }
     comfedsv = *last_output_;
@@ -139,6 +141,7 @@ Result<ValuationOutcome> StreamingValuationEngine::Snapshot() {
 }
 
 Result<ValuationOutcome> StreamingValuationEngine::Finalize() const {
+  COMFEDSV_RETURN_IF_ERROR(request_status_);
   std::optional<ComFedSvOutput> comfedsv;
   if (comfedsv_ != nullptr) {
     Result<ComFedSvOutput> solved = comfedsv_->Finalize();
@@ -168,36 +171,6 @@ Result<ValuationOutcome> StreamingValuationEngine::Outcome(
   return out;
 }
 
-double StreamingValuationEngine::PredictedUtility(
-    int round, const Coalition& coalition) const {
-  if (!factors_.has_value() || comfedsv_ == nullptr) return 0.0;
-  const CoalitionInterner* interner = nullptr;
-  if (comfedsv_->sampled_recorder() != nullptr) {
-    interner = &comfedsv_->sampled_recorder()->interner();
-  } else if (comfedsv_->full_recorder() != nullptr) {
-    interner = &comfedsv_->full_recorder()->interner();
-  }
-  if (interner == nullptr) return 0.0;
-  const int col = interner->Find(coalition);
-  if (col < 0 || static_cast<size_t>(col) >= factors_->h.rows()) return 0.0;
-  return ::comfedsv::PredictedUtility(*factors_, round, col);
-}
-
-void StreamingValuationEngine::ArmSurrogate() {
-  if (!config_.surrogate_screening || comfedsv_ == nullptr) return;
-  SampledUtilityRecorder* recorder = comfedsv_->sampled_recorder();
-  if (recorder == nullptr || !factors_.has_value()) return;
-  // The predictor reads factors_ at call time (not a snapshot), so every
-  // re-solve refreshes the surrogate without re-arming.
-  recorder->SetSurrogatePredictor([this](int round, int col) {
-    if (!factors_.has_value() ||
-        static_cast<size_t>(col) >= factors_->h.rows()) {
-      return 0.0;
-    }
-    return ::comfedsv::PredictedUtility(*factors_, round, col);
-  });
-}
-
 uint64_t StreamingValuationEngine::ConfigFingerprint() const {
   // The engine's own policy knobs (cadence, warm start) do not change
   // what OnRound accumulates, so the fingerprint covers only the
@@ -209,12 +182,6 @@ uint64_t StreamingValuationEngine::ConfigFingerprint() const {
   uint64_t hash = kFingerprintSeed;
   FingerprintMix(&hash, static_cast<uint64_t>(num_clients_));
   FingerprintMix(&hash, RequestFingerprint(config_.request));
-  // Screening changes what the sampled recorder accumulates, so it must
-  // break fingerprint compatibility — but only when on, so checkpoints
-  // from before the knob existed keep their fingerprints.
-  if (config_.surrogate_screening) {
-    FingerprintMix(&hash, uint64_t{0x5355524F});  // "SURO"
-  }
   // Spill mode appends its log position to the engine state, so it must
   // break compatibility with non-spill checkpoints — but only when on,
   // keeping pre-existing fingerprints intact. The path is deliberately
@@ -249,6 +216,7 @@ void StreamingValuationEngine::SaveState(BinaryWriter* out) const {
 }
 
 Status StreamingValuationEngine::RestoreState(BinaryReader* in) {
+  COMFEDSV_RETURN_IF_ERROR(request_status_);
   size_t end = 0;
   COMFEDSV_RETURN_IF_ERROR(
       in->BeginChunk(ChunkTag::kStreamingEngineState, &end));
@@ -321,21 +289,13 @@ Status StreamingValuationEngine::RestoreState(BinaryReader* in) {
   spill_writer_.reset();
   restored_spill_rounds_ = spill_rounds;
   restored_spill_bytes_ = spill_bytes;
-  // Screening resumes exactly where it left off: the restored factors
-  // re-arm the surrogate (the recorder's audit/candidate state came back
-  // through LoadEvaluatorStates).
-  ArmSurrogate();
   return Status::Ok();
 }
 
 Status StreamingValuationEngine::SaveCheckpoint(
     CheckpointManager* manager, const FedAvgTrainer* trainer) {
   COMFEDSV_CHECK(manager != nullptr);
-  if (trainer != nullptr && config_.surrogate_screening) {
-    return Status::FailedPrecondition(
-        "a trainer checkpoint carries no completion factors, so it "
-        "cannot resume surrogate screening");
-  }
+  COMFEDSV_RETURN_IF_ERROR(request_status_);
   // Durability order: the log first, then the checkpoint that records
   // its position — a checkpoint must never reference log bytes that are
   // not on disk. A failed log sync fails the save (retried next time);
@@ -367,6 +327,7 @@ Status StreamingValuationEngine::SaveCheckpoint(
 Status StreamingValuationEngine::RestoreCheckpoint(CheckpointManager* manager,
                                                    FedAvgTrainer* trainer) {
   COMFEDSV_CHECK(manager != nullptr);
+  COMFEDSV_RETURN_IF_ERROR(request_status_);
   // Startup sweep: clear `.tmp` debris a previous crash left behind. A
   // failed sweep is not fatal — stale temps are inert.
   health_.orphans_swept = manager->SweepOrphans().value_or(0);

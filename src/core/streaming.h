@@ -78,15 +78,6 @@ struct StreamingConfig {
   /// Sweep cap for warm re-solves; 0 keeps the request's
   /// completion.max_iters.
   int warm_max_iters = 0;
-  /// Arm the sampled recorder's factor-based utility surrogate after
-  /// each completion solve: subsequent rounds can then skip the real
-  /// BatchLoss call for coalitions whose predicted marginal is
-  /// confidently below request.comfedsv.sampler.screen_threshold (which
-  /// must also be > 0 for screening to engage — see SamplerConfig's
-  /// screening knobs and SampledUtilityRecorder::SetSurrogatePredictor
-  /// for the trust/audit/bias-bound contract). Only meaningful in
-  /// ComFedSvConfig::Mode::kSampled.
-  bool surrogate_screening = false;
   /// Mirror consumed rounds into an on-disk round log. The log stays
   /// aligned with checkpoints: SaveCheckpoint syncs it first, and the
   /// first OnRound after a restore truncates it back to the restored
@@ -103,7 +94,10 @@ class StreamingValuationEngine : public RoundObserver {
   /// `model` / `test_data` as for the evaluators (must outlive the
   /// engine; `test_data` is the server test set the trainer holds).
   /// `ctx` (optional) parallelizes recording and solves; outputs are
-  /// bit-identical for any thread count.
+  /// bit-identical for any thread count. The request is checked with
+  /// ValidateRequest: an invalid one builds no evaluator, and Consume,
+  /// Snapshot, Finalize, SaveCheckpoint, RestoreCheckpoint and
+  /// RestoreState return its InvalidArgument.
   StreamingValuationEngine(const Model* model, const Dataset* test_data,
                            int num_clients, StreamingConfig config,
                            ExecutionContext* ctx = nullptr);
@@ -143,10 +137,9 @@ class StreamingValuationEngine : public RoundObserver {
   /// generation is a kStreamingEngineState chunk. With it, it is the
   /// kValuationCheckpoint payload RunValuationCheckpointed resumes from:
   /// SerializeValuationCheckpoint over the trainer and this engine's
-  /// evaluators (so the warm-start factors are not saved, and surrogate
-  /// screening is rejected with FailedPrecondition). In spill mode the
-  /// round log is synced first — a checkpoint never references log bytes
-  /// that are not on disk. A failure is recorded in health() and
+  /// evaluators (so the warm-start factors are not saved). In spill mode
+  /// the round log is synced first — a checkpoint never references log
+  /// bytes that are not on disk. A failure is recorded in health() and
   /// returned, but leaves the engine fully usable — streaming continues
   /// on the in-memory state and the next save retries from scratch.
   Status SaveCheckpoint(CheckpointManager* manager,
@@ -166,14 +159,6 @@ class StreamingValuationEngine : public RoundObserver {
   /// completion solve, bit-identical to RunValuation's outputs on the
   /// same rounds. Does not disturb the warm-start cache.
   Result<ValuationOutcome> Finalize() const;
-
-  /// Factor-predicted utility of `coalition` at `round` from the last
-  /// completion solve: w_round . h_col with `round` clamped to the last
-  /// fitted round (temporal smoothness, Proposition 1). Returns 0 when
-  /// no solve has happened yet, ComFedSV is off, or the coalition is not
-  /// a column of the completion problem. This is the surrogate the
-  /// screening path consults before spending a BatchLoss call.
-  double PredictedUtility(int round, const Coalition& coalition) const;
 
   /// Spill mode only: fsyncs the round log and persists its footer
   /// index. No-op Ok when spill is off or no round has been spilled.
@@ -201,10 +186,6 @@ class StreamingValuationEngine : public RoundObserver {
   /// view, current FedSV and ground-truth values, and health().
   Result<ValuationOutcome> Outcome(
       std::optional<ComFedSvOutput> comfedsv) const;
-  /// Points the sampled recorder's surrogate at the current factors
-  /// (no-op unless config_.surrogate_screening and a sampled recorder
-  /// and factors exist). Called after every solve and after a restore.
-  void ArmSurrogate();
   /// Appends `record` to the round log, lazily opening the writer —
   /// Create on a fresh stream, OpenForAppend(rounds_consumed_) when
   /// resuming over an existing log. Failures degrade health instead of
@@ -220,6 +201,9 @@ class StreamingValuationEngine : public RoundObserver {
   const Dataset* test_data_;
   int num_clients_;
   StreamingConfig config_;
+  /// ValidateRequest's verdict on config_.request; not Ok = no
+  /// evaluators were built.
+  Status request_status_;
 
   std::unique_ptr<FedSvEvaluator> fedsv_;
   std::unique_ptr<ComFedSvEvaluator> comfedsv_;

@@ -43,7 +43,9 @@ inline constexpr uint32_t kCheckpointMagic = 0x56534643u;
 /// v4: every evaluator state chunk carries its UtilityStats cost
 /// counters in place of a loss-call total (and, in the recorder states,
 /// a wall-clock time), so checkpoint bytes depend only on the run.
-inline constexpr uint32_t kCheckpointVersion = 4;
+/// v5: UtilityStats is three counts (loss calls, batch passes, memo
+/// hits), and the sampled-recorder state chunk has no optional tail.
+inline constexpr uint32_t kCheckpointVersion = 5;
 
 /// Chunk type tags. Stable on disk — append, never renumber.
 enum class ChunkTag : uint32_t {

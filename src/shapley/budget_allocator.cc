@@ -30,17 +30,6 @@ const WelfordStat& AdaptiveBudgetAllocator::cell(int index) const {
   return cells_[static_cast<size_t>(index)];
 }
 
-bool AdaptiveBudgetAllocator::RestoreCells(std::vector<WelfordStat> cells) {
-  if (cells.size() != cells_.size()) return false;
-  total_samples_ = 0;
-  for (const WelfordStat& c : cells) {
-    if (c.count < 0) return false;
-    total_samples_ += c.count;
-  }
-  cells_ = std::move(cells);
-  return true;
-}
-
 std::vector<int> AdaptiveBudgetAllocator::PlanWave(int wave_budget) const {
   std::vector<int> plan(cells_.size(), 0);
   if (wave_budget <= 0) return plan;

@@ -26,8 +26,7 @@
 //
 // The allocator is estimator-agnostic: MonteCarloShapley uses cells
 // (player i, stratum |S| = s); FedSvEvaluator gets a fresh allocator per
-// round (per-round, per-stratum stats); SampledUtilityRecorder keeps one
-// across rounds with per-position cells to steer its surrogate audits.
+// round (per-round, per-stratum stats).
 #ifndef COMFEDSV_SHAPLEY_BUDGET_ALLOCATOR_H_
 #define COMFEDSV_SHAPLEY_BUDGET_ALLOCATOR_H_
 
@@ -100,12 +99,6 @@ class AdaptiveBudgetAllocator {
   int num_cells() const { return static_cast<int>(cells_.size()); }
   const WelfordStat& cell(int index) const;
   int64_t total_samples() const { return total_samples_; }
-
-  /// Raw per-cell stats, for checkpoint serialization (io layer) and
-  /// diagnostics. RestoreCells rejects a size mismatch by returning
-  /// false (the caller maps that to an InvalidArgument Status).
-  const std::vector<WelfordStat>& cells() const { return cells_; }
-  bool RestoreCells(std::vector<WelfordStat> cells);
 
  private:
   std::vector<WelfordStat> cells_;

@@ -70,26 +70,6 @@ struct SamplerConfig {
   /// below 2 * |players| permutations fall back to the plain sampler
   /// (too small to cover the cell grid).
   AdaptiveBudgetConfig adaptive;
-
-  /// Utility-surrogate screening for the adaptive SampledUtilityRecorder
-  /// path (streaming ComFedSV): a coalition whose factor-predicted
-  /// marginal is confidently below `screen_threshold` is recorded at the
-  /// predicted value without spending its real BatchLoss call. 0
-  /// disables screening. "Confidently" means the surrogate's audited
-  /// mean absolute error, scaled by `screen_confidence`, still fits
-  /// under the threshold together with the predicted marginal — the
-  /// loss call is spent exactly when the surrogate is uncertain.
-  double screen_threshold = 0.0;
-  /// Multiplier on the surrogate's audited mean absolute error in the
-  /// skip test (larger = more conservative screening).
-  double screen_confidence = 3.0;
-  /// Every k-th skip-eligible coalition is measured anyway (an audit):
-  /// the realized |predicted - measured| gap feeds the error estimate
-  /// and is the *measured* part of the bias-bound contract.
-  int screen_audit_every = 8;
-  /// Audits required before any skip is allowed (the bootstrap spend
-  /// while the surrogate is still unproven).
-  int screen_min_audits = 4;
 };
 
 /// Human-readable sampler name (bench/JSON labels).

@@ -1,7 +1,6 @@
 #include "shapley/utility.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -33,9 +32,7 @@ constexpr size_t kParallelWork = size_t{1} << 16;
 }  // namespace
 
 bool UtilityStats::Valid() const {
-  return loss_calls >= 0 && batched_calls >= 0 && memo_hits >= 0 &&
-         surrogate_skips >= 0 && std::isfinite(surrogate_bias_bound) &&
-         surrogate_bias_bound >= 0.0;
+  return loss_calls >= 0 && batched_calls >= 0 && memo_hits >= 0;
 }
 
 CoalitionAggregator::CoalitionAggregator(const RoundRecord* record)
@@ -175,17 +172,6 @@ double RoundUtility::Utility(const Coalition& coalition) {
   return it->second;
 }
 
-void RoundUtility::RecordPredicted(const Coalition& coalition, double value,
-                                   double bias_bound) {
-  if (coalition.IsEmpty()) return;
-  MutexLock lock(mu_);
-  auto [it, inserted] = cache_.emplace(coalition, value);
-  (void)it;
-  if (!inserted || stats_ == nullptr) return;
-  ++stats_->surrogate_skips;
-  stats_->surrogate_bias_bound += bias_bound;
-}
-
 void RoundUtility::EvaluateBatch(const std::vector<Coalition>& coalitions) {
   // Dedup against the cache and within the batch in submission order, so
   // which submission of a coalition counts as the memo hit is fixed.
@@ -241,8 +227,8 @@ void RoundUtility::EvaluateBatch(const std::vector<Coalition>& coalitions) {
       // A submission that lost a fill race with a concurrent Utility()
       // for the same coalition resolves as a hit, mirroring Utility().
       // Every submitted coalition thereby lands in exactly one counter,
-      // so loss_calls + memo_hits + surrogate_skips equals total
-      // submissions no matter how the race interleaves.
+      // so loss_calls + memo_hits equals total submissions no matter how
+      // the race interleaves.
       if (stats_ != nullptr) {
         ++(inserted ? stats_->loss_calls : stats_->memo_hits);
       }

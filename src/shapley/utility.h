@@ -38,8 +38,7 @@
 namespace comfedsv {
 
 /// Measured evaluation-cost accounting of one estimator: what it alone
-/// paid, accumulated across rounds. Filled by RoundUtility (counting
-/// fields) and the surrogate-screening recorder path (skip fields). Each
+/// paid, accumulated across rounds. Filled by RoundUtility. Each
 /// evaluator checkpoints its stats, so a resumed run reports the same
 /// counts as an uninterrupted one; surfaced as
 /// ValuationOutcome::fedsv_stats, ComFedSvOutput::stats and
@@ -54,17 +53,9 @@ struct UtilityStats {
   /// Cache hits: queries answered from the per-round memo without a loss
   /// call (repeated Monte-Carlo draws, batch re-submissions).
   int64_t memo_hits = 0;
-  /// Coalitions recorded at their factor-predicted utility with the real
-  /// loss call skipped (surrogate screening only).
-  int64_t surrogate_skips = 0;
-  /// Accumulated worst-case absolute error of the skipped recordings:
-  /// each skip adds its confidence-scaled audited error estimate. The
-  /// screening bias-bound contract (README): the total absolute
-  /// perturbation of recorded utilities is <= this value.
-  double surrogate_bias_bound = 0.0;
 
-  /// True when every count is non-negative and the bias bound is finite
-  /// and non-negative — what any accumulation can reach.
+  /// True when every count is non-negative — what any accumulation can
+  /// reach.
   bool Valid() const;
 };
 
@@ -139,15 +130,6 @@ class RoundUtility {
   RoundUtility(const Model* model, const Dataset* test_data,
                const RoundRecord* record, ExecutionContext* ctx = nullptr,
                UtilityStats* stats = nullptr);
-
-  /// Records a utility value supplied by a surrogate predictor instead of
-  /// a measurement: future Utility()/EvaluateBatch queries for this
-  /// coalition are cache hits at `value`, and no loss call is ever spent
-  /// on it. Counts as a surrogate skip, with
-  /// `bias_bound` added to the accumulated skip-bias bound. No-op if the
-  /// coalition was already evaluated.
-  void RecordPredicted(const Coalition& coalition, double value,
-                       double bias_bound);
 
   /// U_t(S). The empty coalition has utility 0 by convention
   /// (u_t(w^t) = 0).

@@ -11,6 +11,7 @@
 #include "data/image_sim.h"
 #include "data/noise.h"
 #include "data/partition.h"
+#include "io/checkpoint_manager.h"
 #include "io/file_env.h"
 #include "metrics/metrics.h"
 #include "models/logistic.h"
@@ -162,9 +163,11 @@ TEST(PipelineTest, NoisyClientRanksLowInGroundTruth) {
       << "noisy client not in bottom 2";
 }
 
-// A request the recorders cannot serve must come back from every driver
+// A request the evaluators cannot serve must come back from every driver
 // as InvalidArgument naming the field — never a CHECK abort, and before
-// any file is touched.
+// any file is touched. The engine is a driver too: it is public, so it
+// builds no evaluator for such a request and every Status-returning
+// entry point reports it.
 void ExpectEveryDriverRejects(const ValuationRequest& req, int num_clients,
                               const std::string& field) {
   Workload w = MakeWorkload(2, 101);
@@ -195,6 +198,23 @@ void ExpectEveryDriverRejects(const ValuationRequest& req, int num_clients,
   ASSERT_FALSE(replayed.ok());
   EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(replayed.status().message().find(field), std::string::npos);
+
+  StreamingConfig config;
+  config.request = req;
+  StreamingValuationEngine engine(&model, &w.test, num_clients, config);
+  auto expect_rejected = [&field](const Status& status, const char* call) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << call;
+    EXPECT_NE(status.message().find(field), std::string::npos)
+        << call << ": " << status.ToString();
+  };
+  expect_rejected(engine.Consume(RoundRecord{}), "Consume");
+  expect_rejected(engine.Snapshot().status(), "Snapshot");
+  expect_rejected(engine.Finalize().status(), "Finalize");
+  CheckpointManager manager(ckpt.path);
+  expect_rejected(engine.SaveCheckpoint(&manager), "SaveCheckpoint");
+  EXPECT_FALSE(FileEnv::Real()->Exists(ckpt.path));
+  expect_rejected(engine.RestoreCheckpoint(&manager), "RestoreCheckpoint");
+  EXPECT_EQ(engine.rounds_consumed(), 0);
 }
 
 TEST(PipelineTest, RejectsGroundTruthOverSixteenClients) {
@@ -221,6 +241,15 @@ TEST(PipelineTest, RejectsNegativeTruncationTolerance) {
   req.comfedsv.sampler.kind = SamplerKind::kTruncated;
   req.comfedsv.sampler.truncation_tolerance = -0.5;
   ExpectEveryDriverRejects(req, 3, "comfedsv.sampler.truncation_tolerance");
+
+  // The Monte-Carlo FedSV sampler is checked the same way; it used to
+  // pass validation and abort at the first round.
+  req.compute_fedsv = true;
+  req.fedsv.mode = FedSvConfig::Mode::kMonteCarlo;
+  req.fedsv.sampler.kind = SamplerKind::kTruncated;
+  req.fedsv.sampler.truncation_tolerance = -1.0;
+  req.compute_comfedsv = false;
+  ExpectEveryDriverRejects(req, 3, "fedsv.sampler.truncation_tolerance");
 }
 
 // CheckpointManager CHECKs its durability options, so
@@ -289,9 +318,9 @@ TEST(PipelineTest, StreamingSnapshotRejectsResolveCadenceBelowOne) {
 }
 
 // The kValuationCheckpoint decoder, swept over a real payload that holds
-// every evaluator state, the sampled recorder's surrogate-screening tail
-// included: every truncation must fail, and every flipped byte must come
-// back as a Status — a corrupt payload never reaches a CHECK.
+// every evaluator state: every truncation must fail, and every flipped
+// byte must come back as a Status — a corrupt payload never reaches a
+// CHECK.
 TEST(PipelineTest, ValuationCheckpointDecoderSurvivesEveryCorruption) {
   constexpr int kClients = 4;
   SimulatedImageConfig data_cfg;
@@ -313,7 +342,6 @@ TEST(PipelineTest, ValuationCheckpointDecoderSurvivesEveryCorruption) {
   request.fedsv.permutations_per_round = 4;
   request.comfedsv.mode = ComFedSvConfig::Mode::kSampled;
   request.comfedsv.num_permutations = 4;
-  request.comfedsv.sampler.screen_threshold = 0.05;
   request.compute_ground_truth = true;
 
   FedAvgTrainer trainer(&model, clients, test, fed);
@@ -329,7 +357,6 @@ TEST(PipelineTest, ValuationCheckpointDecoderSurvivesEveryCorruption) {
     comfedsv.OnRound(record);
     truth.OnRound(record);
   }
-  ASSERT_TRUE(comfedsv.sampled_recorder()->SaveState().has_surrogate);
   const uint64_t fingerprint = ValuationFingerprint(trainer, request);
   const std::string payload = SerializeValuationCheckpoint(
       fingerprint, trainer, &fedsv, &comfedsv, &truth);

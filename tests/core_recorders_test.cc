@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -84,24 +83,11 @@ TEST(FullUtilityRecorderTest, StatsRoundTripThroughTheCheckpointState) {
   EXPECT_EQ(restored.stats().loss_calls, saved.loss_calls);
   EXPECT_EQ(restored.stats().batched_calls, saved.batched_calls);
   EXPECT_EQ(restored.stats().memo_hits, saved.memo_hits);
-  EXPECT_EQ(restored.stats().surrogate_skips, saved.surrogate_skips);
-  EXPECT_EQ(restored.stats().surrogate_bias_bound,
-            saved.surrogate_bias_bound);
 
   const std::pair<const char*, void (*)(UtilityStats*)> bad[] = {
       {"loss_calls", [](UtilityStats* s) { s->loss_calls = -1; }},
       {"batched_calls", [](UtilityStats* s) { s->batched_calls = -1; }},
       {"memo_hits", [](UtilityStats* s) { s->memo_hits = -1; }},
-      {"surrogate_skips", [](UtilityStats* s) { s->surrogate_skips = -1; }},
-      {"negative bias", [](UtilityStats* s) { s->surrogate_bias_bound = -1; }},
-      {"NaN bias",
-       [](UtilityStats* s) {
-         s->surrogate_bias_bound = std::numeric_limits<double>::quiet_NaN();
-       }},
-      {"infinite bias",
-       [](UtilityStats* s) {
-         s->surrogate_bias_bound = std::numeric_limits<double>::infinity();
-       }},
   };
   for (const auto& [what, corrupt] : bad) {
     FullRecorderState state = recorder.SaveState();

@@ -5,8 +5,6 @@
 // ExecutionContext parallelism safe to enable everywhere.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -57,10 +55,6 @@ void ExpectStatsEqual(const UtilityStats& a, const UtilityStats& b,
   EXPECT_EQ(a.loss_calls, b.loss_calls) << what << " loss_calls";
   EXPECT_EQ(a.batched_calls, b.batched_calls) << what << " batched_calls";
   EXPECT_EQ(a.memo_hits, b.memo_hits) << what << " memo_hits";
-  EXPECT_EQ(a.surrogate_skips, b.surrogate_skips)
-      << what << " surrogate_skips";
-  EXPECT_EQ(a.surrogate_bias_bound, b.surrogate_bias_bound)
-      << what << " surrogate_bias_bound";
 }
 
 ValuationOutcome RunWith(const Workload& w, const Model& model,
@@ -809,8 +803,7 @@ TEST(DeterminismTest, StreamingWarmSnapshotsTrackColdSolvesInFullMode) {
 }
 
 // Drives the trainer through a StreamingValuationEngine, snapshotting
-// after every round (which re-solves the completion and re-arms the
-// utility surrogate when screening is configured), then finalizes.
+// after every round (which re-solves the completion), then finalizes.
 ValuationOutcome RunStreaming(const Workload& w, const Model& model,
                               const FedAvgConfig& fed_cfg,
                               const StreamingConfig& streaming,
@@ -830,14 +823,13 @@ ValuationOutcome RunStreaming(const Workload& w, const Model& model,
   return std::move(out).value();
 }
 
-TEST(DeterminismTest, AdaptiveAndScreenedPipelineIsThreadCountInvariant) {
-  // The two PR-6 paths that make data-dependent decisions — adaptive
-  // Neyman budget waves in Monte-Carlo FedSV and surrogate screening in
-  // the sampled ComFedSV recorder — must stay bit-identical across
-  // inline, 1-thread, and 4-thread execution: every allocation plan and
-  // every skip/measure/audit decision is taken on the calling thread in
-  // fixed wave/permutation order, with parallelism confined to the
-  // batched loss evaluator.
+TEST(DeterminismTest, AdaptivePipelineIsThreadCountInvariant) {
+  // Adaptive Neyman budget waves in Monte-Carlo FedSV make
+  // data-dependent decisions, and the streamed sampled ComFedSV recorder
+  // re-solves after every round; both must stay bit-identical across
+  // inline, 1-thread, and 4-thread execution: every allocation plan is
+  // taken on the calling thread in fixed wave order, with parallelism
+  // confined to the batched loss evaluator.
   const int n = 5;
   Workload w = MakeWorkload(n, 1111);
   LogisticRegression model(w.test.dim(), 10);
@@ -856,10 +848,6 @@ TEST(DeterminismTest, AdaptiveAndScreenedPipelineIsThreadCountInvariant) {
   request.compute_comfedsv = true;
   request.comfedsv.mode = ComFedSvConfig::Mode::kSampled;
   request.comfedsv.num_permutations = 6;
-  request.comfedsv.sampler.screen_threshold = 0.5;
-  request.comfedsv.sampler.screen_confidence = 1.0;
-  request.comfedsv.sampler.screen_audit_every = 4;
-  request.comfedsv.sampler.screen_min_audits = 2;
   request.comfedsv.completion.rank = 2;
   request.comfedsv.completion.lambda = 1e-3;
   request.comfedsv.completion.max_iters = 40;
@@ -869,7 +857,6 @@ TEST(DeterminismTest, AdaptiveAndScreenedPipelineIsThreadCountInvariant) {
   streaming.request = request;
   streaming.resolve_cadence = 1;
   streaming.warm_start = true;
-  streaming.surrogate_screening = true;
 
   ValuationOutcome inline_run =
       RunStreaming(w, model, fed_cfg, streaming, nullptr);
@@ -888,84 +875,17 @@ TEST(DeterminismTest, AdaptiveAndScreenedPipelineIsThreadCountInvariant) {
   ASSERT_TRUE(inline_run.comfedsv.has_value());
   ExpectBitIdentical(inline_run.comfedsv->values,
                      single_run.comfedsv->values,
-                     "screened ComFedSV inline vs threads=1");
+                     "sampled ComFedSV inline vs threads=1");
   ExpectBitIdentical(inline_run.comfedsv->values,
                      threaded_run.comfedsv->values,
-                     "screened ComFedSV inline vs threads=4");
+                     "sampled ComFedSV inline vs threads=4");
 
-  // The full accounting — loss calls, memo hits, skips, and the bias
-  // bound — is part of the determinism contract too.
+  // The full accounting — loss calls, batch passes, memo hits — is part
+  // of the determinism contract too.
   ExpectStatsEqual(inline_run.fedsv_stats, threaded_run.fedsv_stats,
                    "FedSV");
   ExpectStatsEqual(inline_run.comfedsv->stats, threaded_run.comfedsv->stats,
                    "ComFedSV");
-
-  // The run must actually exercise the screened path, or this test
-  // proves nothing.
-  EXPECT_GT(inline_run.comfedsv->stats.surrogate_skips, 0);
-}
-
-TEST(DeterminismTest, ScreenedComFedSvStaysCloseToUniformBudget) {
-  // Regression pin for the surrogate's accuracy contract: screening
-  // perturbs each skipped utility by at most its confidence bound, and
-  // the resulting ComFedSV vector must stay within a small L-inf
-  // distance of the unscreened (uniform-budget) run on the same
-  // trajectory — while spending strictly fewer loss calls. The 0.1
-  // tolerance is the documented contract (README, "Utility surrogates").
-  const int n = 5;
-  Workload w = MakeWorkload(n, 2222);
-  LogisticRegression model(w.test.dim(), 10);
-
-  FedAvgConfig fed_cfg;
-  fed_cfg.num_rounds = 6;
-  fed_cfg.clients_per_round = 3;
-  fed_cfg.seed = 111;
-
-  ValuationRequest request;
-  request.compute_fedsv = false;
-  request.compute_comfedsv = true;
-  request.comfedsv.mode = ComFedSvConfig::Mode::kSampled;
-  request.comfedsv.num_permutations = 6;
-  request.comfedsv.completion.rank = 2;
-  request.comfedsv.completion.lambda = 1e-3;
-  request.comfedsv.completion.max_iters = 40;
-  request.comfedsv.seed = 113;
-
-  StreamingConfig uniform;
-  uniform.request = request;
-  uniform.resolve_cadence = 1;
-  uniform.warm_start = true;
-  ValuationOutcome baseline =
-      RunStreaming(w, model, fed_cfg, uniform, nullptr);
-
-  StreamingConfig screened = uniform;
-  screened.surrogate_screening = true;
-  screened.request.comfedsv.sampler.screen_threshold = 0.2;
-  screened.request.comfedsv.sampler.screen_confidence = 1.0;
-  screened.request.comfedsv.sampler.screen_audit_every = 4;
-  screened.request.comfedsv.sampler.screen_min_audits = 2;
-  ValuationOutcome run =
-      RunStreaming(w, model, fed_cfg, screened, nullptr);
-
-  ASSERT_TRUE(baseline.comfedsv.has_value());
-  ASSERT_TRUE(run.comfedsv.has_value());
-  const Vector& base = baseline.comfedsv->values;
-  const Vector& got = run.comfedsv->values;
-  ASSERT_EQ(base.size(), got.size());
-  double linf = 0.0;
-  for (size_t i = 0; i < base.size(); ++i) {
-    linf = std::max(linf, std::fabs(base[i] - got[i]));
-  }
-  EXPECT_LE(linf, 0.1) << "screened ComFedSV drifted past the documented "
-                          "tolerance of the uniform-budget run";
-
-  // Screening must pay for itself: skips happened, every skip saved a
-  // distinct-coalition loss call, and the recorded bias stayed within
-  // the accumulated per-skip bounds.
-  EXPECT_GT(run.comfedsv->stats.surrogate_skips, 0);
-  EXPECT_LT(run.comfedsv->stats.loss_calls,
-            baseline.comfedsv->stats.loss_calls);
-  EXPECT_GE(run.comfedsv->stats.surrogate_bias_bound, 0.0);
 }
 
 AdversaryConfig OneAdversary(int client, AdversaryKind kind,

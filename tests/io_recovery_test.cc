@@ -169,20 +169,19 @@ TEST_F(IoRecoveryTest, LoadEdgeCasesMapToDistinctCodes) {
             StatusCode::kNotFound);
 }
 
-// A generation in the previous format (v3, whose evaluator states held a
-// loss-call total and a wall-clock time instead of UtilityStats) is
-// version skew: Load refuses it and leaves the file in place, instead of
-// misparsing it or quarantining it as corrupt.
+// A generation in the previous format (v4, whose UtilityStats carried
+// two more fields) is version skew: Load refuses it and leaves the file
+// in place, instead of misparsing it or quarantining it as corrupt.
 TEST_F(IoRecoveryTest, PreviousFormatVersionIsRefusedInPlace) {
-  ASSERT_EQ(kCheckpointVersion, 4u);
-  CheckpointManager manager(Dir("v3") + "/v.ckpt",
+  ASSERT_EQ(kCheckpointVersion, 5u);
+  CheckpointManager manager(Dir("v4") + "/v.ckpt",
                             FastOptions(FileEnv::Real()));
   ASSERT_TRUE(manager.Write(ChunkTag::kVector, "gen1").ok());
   const std::string file = manager.ListGenerations().back().second;
   Result<std::string> bytes = FileEnv::Real()->ReadFile(file);
   ASSERT_TRUE(bytes.ok());
   ASSERT_TRUE(
-      FileEnv::Real()->WriteFile(file, WithFormatVersion(bytes.value(), 3))
+      FileEnv::Real()->WriteFile(file, WithFormatVersion(bytes.value(), 4))
           .ok());
 
   EXPECT_EQ(manager.Load(ChunkTag::kVector).status().code(),
@@ -585,24 +584,6 @@ TEST_F(IoRecoveryTest, StreamingHealthDegradesAndRecovers) {
   ASSERT_TRUE(resumed->RestoreCheckpoint(&manager).ok());
   EXPECT_EQ(resumed->rounds_consumed(), 2);
   EXPECT_EQ(resumed->health().rounds_since_durable, 0);
-}
-
-TEST_F(IoRecoveryTest, TrainerCheckpointRefusesSurrogateScreening) {
-  // A trainer checkpoint carries no completion factors, so an engine
-  // that screens with them could not resume bit-identically from one.
-  StreamScenario s;
-  s.streaming.surrogate_screening = true;
-  CheckpointManager manager(Dir("screening") + "/run.ckpt",
-                            FastOptions(FileEnv::Real()));
-  auto engine = s.NewEngine();
-  FedAvgTrainer trainer(&s.model, s.w.clients, s.w.test, s.fed_cfg);
-  ASSERT_TRUE(trainer.Begin().ok());
-  engine->OnRound(trainer.Step());
-  EXPECT_EQ(engine->SaveCheckpoint(&manager, &trainer).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(manager.ListGenerations().empty());
-  // The engine's own format keeps the factors.
-  EXPECT_TRUE(engine->SaveCheckpoint(&manager).ok());
 }
 
 TEST_F(IoRecoveryTest, CrashSweepRecoversBitIdenticalAtEveryFailpoint) {

@@ -231,7 +231,7 @@ TEST_F(RoundLogTest, ReaderRebuildsFromScanWhenIndexIsMissing) {
 }
 
 // The footer index shares the checkpoint container's version, so an
-// index from the previous format (v3) is refused and the reader falls
+// index from the previous format (v4) is refused and the reader falls
 // back to scanning the data file.
 TEST_F(RoundLogTest, PreviousFormatIndexFallsBackToScan) {
   const std::string path = Path("log");
@@ -244,7 +244,7 @@ TEST_F(RoundLogTest, PreviousFormatIndexFallsBackToScan) {
   ASSERT_TRUE(index.ok());
   ASSERT_TRUE(FileEnv::Real()
                   ->WriteFile(path + ".idx",
-                              WithFormatVersion(index.value(), 3))
+                              WithFormatVersion(index.value(), 4))
                   .ok());
   EXPECT_EQ(ReadCheckpointFile(path + ".idx", ChunkTag::kRoundLogIndex)
                 .status()

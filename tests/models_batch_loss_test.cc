@@ -265,8 +265,8 @@ TEST(BatchLossTest, EvaluateBatchMatchesUnbatchedUtility) {
 }
 
 // Every non-empty submission — whether through Utility() or a batch —
-// must land in exactly one UtilityStats counter: a loss call, a memo
-// hit, or a surrogate skip. Duplicates inside one submitted batch and
+// must land in exactly one UtilityStats counter: a loss call or a memo
+// hit. Duplicates inside one submitted batch and
 // entries already cached before the batch resolve as memo hits, so
 // loss_calls + memo_hits always equals the number of non-empty
 // submissions, with loss_calls == distinct coalitions.

@@ -148,26 +148,6 @@ TEST(AdaptiveBudgetAllocatorTest, PlanIsDeterministicAndPure) {
   }
 }
 
-TEST(AdaptiveBudgetAllocatorTest, RestoreCellsRoundTripsAndValidates) {
-  AdaptiveBudgetAllocator alloc(3, /*min_cell_samples=*/2);
-  alloc.Record(0, 1.0);
-  alloc.Record(1, 2.0);
-  alloc.Record(1, 4.0);
-
-  AdaptiveBudgetAllocator restored(3, /*min_cell_samples=*/2);
-  ASSERT_TRUE(restored.RestoreCells(alloc.cells()));
-  EXPECT_EQ(restored.total_samples(), alloc.total_samples());
-  EXPECT_EQ(restored.PlanWave(9), alloc.PlanWave(9));
-
-  // Size mismatch and negative counts are rejected.
-  AdaptiveBudgetAllocator wrong_size(4, /*min_cell_samples=*/2);
-  EXPECT_FALSE(wrong_size.RestoreCells(alloc.cells()));
-  std::vector<WelfordStat> corrupt = alloc.cells();
-  corrupt[0].count = -1;
-  AdaptiveBudgetAllocator corrupted(3, /*min_cell_samples=*/2);
-  EXPECT_FALSE(corrupted.RestoreCells(corrupt));
-}
-
 TEST(AdaptiveMonteCarloTest, ExactOnAdditiveGames) {
   // Additive games have zero within-cell variance, so any allocation
   // (pilot alone included) recovers the weights exactly.
