@@ -54,10 +54,16 @@ ComFedSvEvaluator::ComFedSvEvaluator(const Model* model,
 }
 
 void ComFedSvEvaluator::OnRound(const RoundRecord& record) {
+  RoundUtility utility(model_, test_data_, &record, ctx_);
+  OnRound(record, &utility);
+}
+
+void ComFedSvEvaluator::OnRound(const RoundRecord& record,
+                                RoundUtility* utility) {
   if (full_recorder_ != nullptr) {
-    full_recorder_->OnRound(record);
+    full_recorder_->OnRound(record, utility);
   } else {
-    sampled_recorder_->OnRound(record);
+    sampled_recorder_->OnRound(record, utility);
   }
 }
 

@@ -66,7 +66,11 @@ class ComFedSvEvaluator : public RoundObserver {
                     int num_clients, ComFedSvConfig config,
                     ExecutionContext* ctx = nullptr);
 
+  /// Records the round through a private memo.
   void OnRound(const RoundRecord& record) override;
+  /// The same recording and stats, through `utility`: a memo of `record`
+  /// that other evaluators may share.
+  void OnRound(const RoundRecord& record, RoundUtility* utility);
 
   /// Completes the utility matrix and evaluates ComFedSV. May be called
   /// after any number of recorded rounds (the streaming engine calls it
@@ -121,6 +125,10 @@ class GroundTruthEvaluator : public RoundObserver {
 
   void OnRound(const RoundRecord& record) override {
     recorder_.OnRound(record);
+  }
+  /// As OnRound(record), through a memo other evaluators may share.
+  void OnRound(const RoundRecord& record, RoundUtility* utility) {
+    recorder_.OnRound(record, utility);
   }
 
   /// Per-client ground-truth values. Call after training.

@@ -26,6 +26,23 @@ Status ValidateRequest(const ValuationRequest& request, int num_clients) {
     return Status::InvalidArgument(
         "fedsv.sampler.truncation_tolerance must be >= 0");
   }
+  if (request.compute_fedsv &&
+      request.fedsv.mode == FedSvConfig::Mode::kMonteCarlo &&
+      request.fedsv.sampler.adaptive.enabled) {
+    const AdaptiveBudgetConfig& adaptive = request.fedsv.sampler.adaptive;
+    if (adaptive.pilot_permutations < 0) {
+      return Status::InvalidArgument(
+          "fedsv.sampler.adaptive.pilot_permutations must be >= 0");
+    }
+    if (adaptive.waves <= 0) {
+      return Status::InvalidArgument(
+          "fedsv.sampler.adaptive.waves must be positive");
+    }
+    if (adaptive.min_cell_samples < 1) {
+      return Status::InvalidArgument(
+          "fedsv.sampler.adaptive.min_cell_samples must be >= 1");
+    }
+  }
   if (!request.compute_comfedsv) return Status::Ok();
   if (request.comfedsv.mode == ComFedSvConfig::Mode::kFull &&
       num_clients > kMaxObservedClients) {

@@ -45,6 +45,14 @@ struct ValuationOutcome {
   /// Measured accounting of the exhaustive ground-truth recording.
   UtilityStats ground_truth_stats;
 
+  /// Test-loss evaluations the run actually performed: one per distinct
+  /// coalition per round, counted once however many evaluators read it
+  /// (they share each round's memo). The per-evaluator stats above each
+  /// count what that evaluator alone would have paid, so their sum can
+  /// exceed this. Not checkpointed: after a resume it covers only the
+  /// rounds this process consumed.
+  int64_t measured_loss_calls = 0;
+
   /// How the run's spill and checkpoint I/O fared (failed saves
   /// survived in degraded mode, salvage activity at resume). A run that
   /// neither checkpoints nor spills reports no failures, and counts
@@ -55,9 +63,11 @@ struct ValuationOutcome {
 /// The requests the evaluators cannot serve (they CHECK these). Returns
 /// InvalidArgument naming the field for no clients, a ground truth over
 /// more than 16 clients, a kFull ComFedSV over more than 20 (Assumption
-/// 1's all-client round 0 records 2^N utilities), or a truncated sampler
+/// 1's all-client round 0 records 2^N utilities), a truncated sampler
 /// with a negative truncation_tolerance — the Monte-Carlo FedSV sampler
-/// or the sampled ComFedSV one. Every RunValuation* driver and the
+/// or the sampled ComFedSV one — or an adaptive Monte-Carlo FedSV sampler
+/// with a negative pilot_permutations, non-positive waves or
+/// min_cell_samples below 1. Every RunValuation* driver and the
 /// StreamingValuationEngine constructor call it before building any
 /// evaluator.
 Status ValidateRequest(const ValuationRequest& request, int num_clients);

@@ -24,10 +24,17 @@ FullUtilityRecorder::FullUtilityRecorder(const Model* model,
 }
 
 void FullUtilityRecorder::OnRound(const RoundRecord& record) {
+  RoundUtility utility(model_, test_data_, &record, ctx_);
+  OnRound(record, &utility);
+}
+
+void FullUtilityRecorder::OnRound(const RoundRecord& record,
+                                  RoundUtility* utility) {
+  COMFEDSV_CHECK(utility->record() == &record);
   // A round with no selected clients contributes zero to every valuation
   // metric (the FedSV evaluators skip it too): record nothing.
   if (record.selected.empty()) return;
-  RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
+  const int asker = utility->AddAsker(&stats_);
   const uint32_t num_cols = 1u << num_clients_;
   // Submit all 2^N - 1 coalitions in mask order: the batched engine
   // evaluates whole chunks per pass over the test set (parallelized over
@@ -41,10 +48,10 @@ void FullUtilityRecorder::OnRound(const RoundRecord& record) {
     }
     coalitions.push_back(std::move(c));
   }
-  utility.EvaluateBatch(coalitions);
+  utility->EvaluateBatch(coalitions, asker);
   std::vector<double> row(num_cols, 0.0);
   for (uint32_t mask = 1; mask < num_cols; ++mask) {
-    row[mask] = utility.Utility(coalitions[mask - 1]);
+    row[mask] = utility->Utility(coalitions[mask - 1], asker);
   }
   rows_.push_back(std::move(row));
 }
@@ -96,13 +103,20 @@ ObservedUtilityRecorder::ObservedUtilityRecorder(const Model* model,
 }
 
 void ObservedUtilityRecorder::OnRound(const RoundRecord& record) {
+  RoundUtility utility(model_, test_data_, &record, ctx_);
+  OnRound(record, &utility);
+}
+
+void ObservedUtilityRecorder::OnRound(const RoundRecord& record,
+                                      RoundUtility* utility) {
+  COMFEDSV_CHECK(utility->record() == &record);
   // Nothing is observable in a round with no selected clients: skip it
   // (no triplets, no row) rather than emitting an all-empty row.
   if (record.selected.empty()) return;
   const int t = rounds_recorded_;
   const int m = static_cast<int>(record.selected.size());
   COMFEDSV_CHECK_LE(m, kMaxObservedClients);  // 2^m utilities below
-  RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
+  const int asker = utility->AddAsker(&stats_);
 
   // Evaluate all 2^m - 1 non-empty observable utilities through the
   // batched engine (a few test-set passes instead of one per coalition),
@@ -119,14 +133,14 @@ void ObservedUtilityRecorder::OnRound(const RoundRecord& record) {
     }
     coalitions.push_back(std::move(c));
   }
-  utility.EvaluateBatch(coalitions);
+  utility->EvaluateBatch(coalitions, asker);
 
   // The empty coalition is observed at 0 every round (u_t(w^t) = 0).
   triplets_.reserve(triplets_.size() + static_cast<size_t>(num_masks) + 1);
   triplets_.push_back({t, 0, 0.0});
   for (int i = 0; i < num_masks; ++i) {
     const int col = interner_.Intern(coalitions[i]);
-    triplets_.push_back({t, col, utility.Utility(coalitions[i])});
+    triplets_.push_back({t, col, utility->Utility(coalitions[i], asker)});
   }
   ++rounds_recorded_;
 }
@@ -212,24 +226,32 @@ SampledUtilityRecorder::SampledUtilityRecorder(const Model* model,
 }
 
 void SampledUtilityRecorder::OnRound(const RoundRecord& record) {
+  RoundUtility utility(model_, test_data_, &record, ctx_);
+  OnRound(record, &utility);
+}
+
+void SampledUtilityRecorder::OnRound(const RoundRecord& record,
+                                     RoundUtility* utility) {
+  COMFEDSV_CHECK(utility->record() == &record);
   // Nothing is observable in a round with no selected clients: skip it
   // (no triplets, no row), matching the FedSV evaluators' convention.
   if (record.selected.empty()) return;
   const int t = rounds_recorded_;
-  RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
+  const int asker = utility->AddAsker(&stats_);
   const Coalition selected =
       Coalition::FromMembers(num_clients_, record.selected);
   if (sampler_.kind == SamplerKind::kTruncated) {
-    RecordTruncatedRound(t, selected, &utility);
+    RecordTruncatedRound(t, selected, utility, asker);
   } else {
-    RecordPrefixRound(t, selected, &utility);
+    RecordPrefixRound(t, selected, utility, asker);
   }
   ++rounds_recorded_;
 }
 
 void SampledUtilityRecorder::RecordPrefixRound(int t,
                                                const Coalition& selected,
-                                               RoundUtility* utility) {
+                                               RoundUtility* utility,
+                                               int asker) {
   // Discover the distinct observable prefixes first (cheap — no loss
   // evaluations), deduped in permutation order: several permutations
   // share short prefixes. The discovery order is sequential, so the
@@ -257,18 +279,20 @@ void SampledUtilityRecorder::RecordPrefixRound(int t,
   std::vector<Coalition> coalitions;
   coalitions.reserve(pending.size());
   for (const PendingPrefix& p : pending) coalitions.push_back(p.coalition);
-  utility->EvaluateBatch(coalitions);
+  utility->EvaluateBatch(coalitions, asker);
 
   triplets_.reserve(triplets_.size() + pending.size() + 1);
   triplets_.push_back({t, prefix_columns_[0][0], 0.0});
   for (size_t i = 0; i < pending.size(); ++i) {
-    triplets_.push_back({t, pending[i].col, utility->Utility(coalitions[i])});
+    triplets_.push_back(
+        {t, pending[i].col, utility->Utility(coalitions[i], asker)});
   }
 }
 
 void SampledUtilityRecorder::RecordTruncatedRound(int t,
                                                   const Coalition& selected,
-                                                  RoundUtility* utility) {
+                                                  RoundUtility* utility,
+                                                  int asker) {
   // TMC-style truncated recording: walk every permutation's observable
   // prefixes position-by-position in batched waves, and stop *measuring*
   // a permutation once its observed utility is within the tolerance of
@@ -282,7 +306,7 @@ void SampledUtilityRecorder::RecordTruncatedRound(int t,
   // Eq. 12 walk. One extra loss call per round buys the reference. All
   // decisions depend only on utilities, so the recording is identical
   // for any thread count.
-  const double selected_utility = utility->Utility(selected);
+  const double selected_utility = utility->Utility(selected, asker);
 
   struct Walk {
     Coalition prefix;
@@ -319,7 +343,8 @@ void SampledUtilityRecorder::RecordTruncatedRound(int t,
     }
     if (!any_active) break;
     if (!wave.empty()) {
-      utility->EvaluateBatch(wave);  // dedups within the wave & vs cache
+      // Dedups within the wave and against the cache.
+      utility->EvaluateBatch(wave, asker);
     }
 
     // Read back in permutation order (deterministic), measuring walks
@@ -329,7 +354,7 @@ void SampledUtilityRecorder::RecordTruncatedRound(int t,
     for (size_t m = 0; m < permutations_.size(); ++m) {
       if (!measuring[m]) continue;
       Walk& w = walks[m];
-      const double u = utility->Utility(w.prefix);
+      const double u = utility->Utility(w.prefix, asker);
       const int col = prefix_columns_[m][l + 1];
       if (seen.insert(col).second) triplets_.push_back({t, col, u});
       if (std::abs(selected_utility - u) <= sampler_.truncation_tolerance) {

@@ -82,7 +82,11 @@ class FullUtilityRecorder : public RoundObserver {
   FullUtilityRecorder(const Model* model, const Dataset* test_data,
                       int num_clients, ExecutionContext* ctx = nullptr);
 
+  /// Records the round through a private memo.
   void OnRound(const RoundRecord& record) override;
+  /// The same recording and stats(), through `utility`: a memo of
+  /// `record` that other evaluators may share.
+  void OnRound(const RoundRecord& record, RoundUtility* utility);
 
   /// The T x 2^N matrix recorded so far (row t = round t). Requires at
   /// least one recorded round.
@@ -124,7 +128,11 @@ class ObservedUtilityRecorder : public RoundObserver {
   ObservedUtilityRecorder(const Model* model, const Dataset* test_data,
                           int num_clients, ExecutionContext* ctx = nullptr);
 
+  /// Records the round through a private memo.
   void OnRound(const RoundRecord& record) override;
+  /// The same recording and stats(), through `utility`: a memo of
+  /// `record` that other evaluators may share.
+  void OnRound(const RoundRecord& record, RoundUtility* utility);
 
   /// Assembles the sparse completion input, finalized (CSR/CSC views
   /// built) and ready for CompleteMatrix. Call after training.
@@ -180,7 +188,11 @@ class SampledUtilityRecorder : public RoundObserver {
                          uint64_t seed, SamplerConfig sampler = {},
                          ExecutionContext* ctx = nullptr);
 
+  /// Records the round through a private memo.
   void OnRound(const RoundRecord& record) override;
+  /// The same recording and stats(), through `utility`: a memo of
+  /// `record` that other evaluators may share.
+  void OnRound(const RoundRecord& record, RoundUtility* utility);
 
   ObservationSet BuildObservations() const;
 
@@ -209,10 +221,10 @@ class SampledUtilityRecorder : public RoundObserver {
   /// The default per-round recording path: every distinct observable
   /// permutation prefix, measured through one batch.
   void RecordPrefixRound(int t, const Coalition& selected,
-                         RoundUtility* utility);
+                         RoundUtility* utility, int asker);
   /// The kTruncated per-round recording path (wave-batched walks).
   void RecordTruncatedRound(int t, const Coalition& selected,
-                            RoundUtility* utility);
+                            RoundUtility* utility, int asker);
 
   const Model* model_;
   const Dataset* test_data_;

@@ -15,6 +15,7 @@ StreamingValuationEngine::StreamingValuationEngine(
       test_data_(test_data),
       num_clients_(num_clients),
       config_(std::move(config)),
+      ctx_(ctx),
       request_status_(ValidateRequest(config_.request, num_clients_)) {
   COMFEDSV_CHECK(model_ != nullptr);
   COMFEDSV_CHECK(test_data_ != nullptr);
@@ -37,9 +38,14 @@ Status StreamingValuationEngine::Consume(const RoundRecord& record) {
   COMFEDSV_RETURN_IF_ERROR(request_status_);
   const Status spilled =
       config_.spill.enabled ? SpillRound(record) : Status::Ok();
-  if (fedsv_ != nullptr) fedsv_->OnRound(record);
-  if (comfedsv_ != nullptr) comfedsv_->OnRound(record);
-  if (ground_truth_ != nullptr) ground_truth_->OnRound(record);
+  // One memo for the round: each evaluator reads the others' measured
+  // coalitions at no cost, and is still charged what it alone would have
+  // paid (see shapley/utility.h). The order is explained in the header.
+  RoundUtility utility(model_, test_data_, &record, ctx_);
+  if (comfedsv_ != nullptr) comfedsv_->OnRound(record, &utility);
+  if (fedsv_ != nullptr) fedsv_->OnRound(record, &utility);
+  if (ground_truth_ != nullptr) ground_truth_->OnRound(record, &utility);
+  measured_loss_calls_ += utility.measured_loss_calls();
   test_loss_history_.push_back(record.test_loss_before);
   ++rounds_consumed_;
   ++health_.rounds_since_durable;
@@ -161,6 +167,7 @@ Result<ValuationOutcome> StreamingValuationEngine::Outcome(
     out.fedsv_stats = fedsv_->stats();
   }
   out.comfedsv = std::move(comfedsv);
+  out.measured_loss_calls = measured_loss_calls_;
   if (ground_truth_ != nullptr) {
     Result<Vector> values = ground_truth_->Finalize();
     if (!values.ok()) return values.status();

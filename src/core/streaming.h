@@ -9,8 +9,12 @@
 //
 //   * OnRound(record) appends the round's observations incrementally —
 //     running FedSV sums, ComFedSV recorder triplets, optional
-//     ground-truth rows — at the same per-round cost the batch pipeline
-//     pays.
+//     ground-truth rows. The round's evaluators share one coalition memo
+//     (shapley/utility.h), so a coalition two of them need costs one
+//     test loss: exact FedSV and full ComFedSV read the same subsets of
+//     the selected set. Values and per-evaluator stats are those of the
+//     evaluators driven on their own; ValuationOutcome::
+//     measured_loss_calls is what the memos actually ran.
 //   * Snapshot() produces a ValuationOutcome for the consumed prefix at
 //     any time. The expensive part (the completion solve) is re-run only
 //     every `resolve_cadence` new rounds and warm-starts from the
@@ -104,9 +108,18 @@ class StreamingValuationEngine : public RoundObserver {
 
   void OnRound(const RoundRecord& record) override { (void)Consume(record); }
 
-  /// OnRound that reports the spill: feeds every evaluator, then returns
-  /// the round-log open/append Status (Ok when spill is off). A failure
-  /// is also recorded in health(); the record was consumed either way.
+  /// OnRound that reports the spill: feeds every evaluator through one
+  /// shared memo of the round, then returns the round-log open/append
+  /// Status (Ok when spill is off). A failure is also recorded in
+  /// health(); the record was consumed either way.
+  ///
+  /// The order is ComFedSV, then FedSV, then the ground truth. Each
+  /// evaluator's transient buffers stack on the memo entries of those
+  /// fed before it, so the sampled recorder goes first: its one batch of
+  /// every observable prefix (all M x N of them in Assumption 1's
+  /// all-client round) is a sampled run's largest transient set. The
+  /// ground truth reads a superset of the others' coalitions, so its
+  /// place does not change the peak.
   Status Consume(const RoundRecord& record);
 
   /// Rounds consumed so far (including empty-selected rounds, which
@@ -201,6 +214,7 @@ class StreamingValuationEngine : public RoundObserver {
   const Dataset* test_data_;
   int num_clients_;
   StreamingConfig config_;
+  ExecutionContext* ctx_;  // not owned; null = inline execution
   /// ValidateRequest's verdict on config_.request; not Ok = no
   /// evaluators were built.
   Status request_status_;
@@ -210,6 +224,9 @@ class StreamingValuationEngine : public RoundObserver {
   std::unique_ptr<GroundTruthEvaluator> ground_truth_;
 
   int rounds_consumed_ = 0;
+  /// Test losses the shared round memos ran in this process; not
+  /// checkpointed (ValuationOutcome::measured_loss_calls).
+  int64_t measured_loss_calls_ = 0;
   std::vector<double> test_loss_history_;
   StreamingHealth health_;
 

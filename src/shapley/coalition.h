@@ -1,12 +1,15 @@
 // Coalition: a subset of clients out of a fixed universe {0, ..., N-1}.
-// Implemented as a dynamic bitset so the library supports N > 64 (the
-// paper's Fig. 7/8 experiments use up to 100 clients).
+// Implemented as a bitset so the library supports N > 64 (the paper's
+// Fig. 7/8 experiments use up to 100 clients). Universes of up to 64
+// clients keep their one word inline, so copying such a coalition — the
+// utility memo, the interner and the Shapley estimators copy millions —
+// never touches the heap; larger universes own a heap array of words.
 #ifndef COMFEDSV_SHAPLEY_COALITION_H_
 #define COMFEDSV_SHAPLEY_COALITION_H_
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace comfedsv {
@@ -14,10 +17,17 @@ namespace comfedsv {
 /// A subset of {0, ..., universe_size-1}, hashable and order-comparable.
 class Coalition {
  public:
-  Coalition() : universe_size_(0) {}
+  Coalition() = default;
 
   /// The empty coalition over a universe of `universe_size` clients.
   explicit Coalition(int universe_size);
+
+  Coalition(const Coalition& other);
+  /// Leaves `other` the empty coalition over a universe of 0 clients.
+  Coalition(Coalition&& other) noexcept;
+  Coalition& operator=(const Coalition& other);
+  Coalition& operator=(Coalition&& other) noexcept;
+  ~Coalition();
 
   /// Coalition containing exactly `members`.
   static Coalition FromMembers(int universe_size,
@@ -47,8 +57,9 @@ class Coalition {
   /// where a Members() vector per call would churn the heap.
   template <typename Fn>
   void ForEachMember(Fn&& fn) const {
-    for (size_t w = 0; w < words_.size(); ++w) {
-      uint64_t bits = words_[w];
+    const uint64_t* words = Words();
+    for (size_t w = 0; w < NumWords(); ++w) {
+      uint64_t bits = words[w];
       while (bits) {
         const int bit = std::countr_zero(bits);
         fn(static_cast<int>(w * 64 + bit));
@@ -61,9 +72,7 @@ class Coalition {
   Coalition With(int client) const;
   Coalition Without(int client) const;
 
-  bool operator==(const Coalition& other) const {
-    return universe_size_ == other.universe_size_ && words_ == other.words_;
-  }
+  bool operator==(const Coalition& other) const;
   bool operator!=(const Coalition& other) const { return !(*this == other); }
 
   /// Lexicographic order on the bit pattern (for deterministic maps).
@@ -75,18 +84,30 @@ class Coalition {
   /// sorting by it allocates nothing. Both must share a universe.
   static bool MemberListLess(const Coalition& a, const Coalition& b);
 
-  size_t Hash() const;
+  size_t Hash() const noexcept;
 
  private:
   void CheckClient(int client) const;
+  bool Inline() const { return universe_size_ <= 64; }
+  size_t NumWords() const {
+    return (static_cast<size_t>(universe_size_) + 63) / 64;
+  }
+  const uint64_t* Words() const { return Inline() ? &word_ : heap_; }
+  uint64_t* Words() { return Inline() ? &word_ : heap_; }
 
-  int universe_size_;
-  std::vector<uint64_t> words_;
+  int universe_size_ = 0;
+  union {
+    uint64_t word_ = 0;  // universe_size_ <= 64
+    uint64_t* heap_;     // universe_size_ > 64: NumWords() words, owned
+  };
 };
 
-/// Hash functor for unordered containers.
+/// Hash functor for unordered containers. noexcept, because then
+/// libstdc++'s unordered containers recompute the (cheap) hash rather than
+/// store it in every node: the per-round utility memo holds one node per
+/// coalition.
 struct CoalitionHash {
-  size_t operator()(const Coalition& c) const { return c.Hash(); }
+  size_t operator()(const Coalition& c) const noexcept { return c.Hash(); }
 };
 
 }  // namespace comfedsv

@@ -43,21 +43,29 @@ Status FedSvEvaluator::RestoreState(const FedSvEvaluatorState& state) {
 }
 
 void FedSvEvaluator::OnRound(const RoundRecord& record) {
+  RoundUtility utility(model_, test_data_, &record, ctx_);
+  OnRound(record, &utility);
+}
+
+void FedSvEvaluator::OnRound(const RoundRecord& record,
+                             RoundUtility* utility) {
+  COMFEDSV_CHECK(utility->record() == &record);
   // Bernoulli-style selectors can produce rounds in which no client is
   // selected; the restricted Shapley game then has no players and every
   // client's contribution is zero, so the round is skipped instead of
   // tripping the estimators' "no players" guard.
   if (record.selected.empty()) return;
   const int n = static_cast<int>(values_.size());
-  RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
-  UtilityFn fn = [&utility](const Coalition& c) {
-    return utility.Utility(c);
+  const int asker = utility->AddAsker(&stats_);
+  UtilityFn fn = [utility, asker](const Coalition& c) {
+    return utility->Utility(c, asker);
   };
   // The estimators announce their coalition sets up front; the batched
   // engine evaluates them in a few passes over the test set and the
   // per-coalition calls below become cache hits.
-  UtilityPrefetchFn prefetch = [&utility](const std::vector<Coalition>& cs) {
-    utility.EvaluateBatch(cs);
+  UtilityPrefetchFn prefetch = [utility,
+                                asker](const std::vector<Coalition>& cs) {
+    utility->EvaluateBatch(cs, asker);
   };
 
   ThreadPool* pool = ctx_ != nullptr ? &ctx_->pool() : nullptr;

@@ -61,7 +61,14 @@ class FedSvEvaluator : public RoundObserver {
                  int num_clients, FedSvConfig config,
                  ExecutionContext* ctx = nullptr);
 
+  /// Accumulates the round's FedSV through a private memo.
   void OnRound(const RoundRecord& record) override;
+
+  /// Accumulates the round's FedSV through `utility`, a memo of
+  /// `record` that other evaluators may share: values and stats() are
+  /// the same as OnRound(record)'s. `utility` must have been built over
+  /// this evaluator's model and test set.
+  void OnRound(const RoundRecord& record, RoundUtility* utility);
 
   /// Per-client FedSV s_i accumulated so far (length num_clients).
   const Vector& values() const { return values_; }

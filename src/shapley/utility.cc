@@ -1,7 +1,6 @@
 #include "shapley/utility.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "linalg/matrix.h"
@@ -131,20 +130,59 @@ RoundUtility::RoundUtility(const Model* model, const Dataset* test_data,
       test_data_(test_data),
       record_(record),
       ctx_(ctx),
-      stats_(stats) {
+      askers_{stats} {
   COMFEDSV_CHECK(model_ != nullptr);
   COMFEDSV_CHECK(test_data_ != nullptr);
   COMFEDSV_CHECK(record_ != nullptr);
 }
 
-double RoundUtility::Utility(const Coalition& coalition) {
+int RoundUtility::AddAsker(UtilityStats* stats) {
+  MutexLock lock(mu_);
+  COMFEDSV_CHECK_LT(askers_.size(), static_cast<size_t>(kMaxAskers));
+  askers_.push_back(stats);
+  return static_cast<int>(askers_.size()) - 1;
+}
+
+int64_t RoundUtility::measured_loss_calls() const {
+  MutexLock lock(mu_);
+  return measured_loss_calls_;
+}
+
+UtilityStats* RoundUtility::StatsOf(int asker) {
+  COMFEDSV_CHECK_GE(asker, 0);
+  COMFEDSV_CHECK_LT(static_cast<size_t>(asker), askers_.size());
+  return askers_[asker];
+}
+
+bool RoundUtility::Charge(Entry* entry, int asker) {
+  UtilityStats* stats = StatsOf(asker);
+  const uint32_t bit = uint32_t{1} << asker;
+  const bool first = (entry->askers & bit) == 0;
+  entry->askers |= bit;
+  if (stats != nullptr) ++(first ? stats->loss_calls : stats->memo_hits);
+  return first;
+}
+
+double RoundUtility::Insert(const Coalition& coalition, double value,
+                            int asker) {
+  // A lost fill race (another thread cached the coalition first) keeps
+  // the cached value — the same bits — and charges the read like any
+  // other: every read lands in exactly one of the asker's counters, so
+  // loss_calls + memo_hits equals its reads however the race interleaves.
+  auto [it, inserted] = cache_.try_emplace(coalition, Entry{value, 0});
+  if (inserted) ++measured_loss_calls_;
+  Charge(&it->second, asker);
+  return it->second.value;
+}
+
+double RoundUtility::Utility(const Coalition& coalition, int asker) {
   if (coalition.IsEmpty()) return 0.0;
   {
     MutexLock lock(mu_);
     auto it = cache_.find(coalition);
     if (it != cache_.end()) {
-      if (stats_ != nullptr) ++stats_->memo_hits;
-      return it->second;
+      Charge(&it->second, asker);
+      return it->second.value;
     }
   }
 
@@ -160,53 +198,53 @@ double RoundUtility::Utility(const Coalition& coalition) {
   aggregate.Scale(1.0 / static_cast<double>(count));
 
   const double loss = model_->Loss(aggregate, *test_data_);
-  const double utility = record_->test_loss_before - loss;
-
   MutexLock lock(mu_);
-  auto [it, inserted] = cache_.emplace(coalition, utility);
-  if (stats_ != nullptr) {
-    // A lost compute race (the value was already cached by another
-    // thread) resolves this thread's work as a hit.
-    ++(inserted ? stats_->loss_calls : stats_->memo_hits);
-  }
-  return it->second;
+  return Insert(coalition, record_->test_loss_before - loss, asker);
 }
 
-void RoundUtility::EvaluateBatch(const std::vector<Coalition>& coalitions) {
-  // Dedup against the cache and within the batch in submission order, so
-  // which submission of a coalition counts as the memo hit is fixed.
+void RoundUtility::EvaluateBatch(const std::vector<Coalition>& coalitions,
+                                 int asker) {
+  const size_t params = record_->global_before.size();
+  const size_t chunk = ChunkSize(params);
+  // Split the batch against the cache: a coalition another asker already
+  // cached costs no evaluation here but is still this asker's first
+  // read; the rest are measured below.
   std::vector<Coalition> pending;
   {
     MutexLock lock(mu_);
-    std::unordered_set<Coalition, CoalitionHash> seen;
-    seen.reserve(coalitions.size());
+    UtilityStats* stats = StatsOf(asker);
+    int64_t first_reads = 0;
     for (const Coalition& c : coalitions) {
       if (c.IsEmpty()) continue;
-      if (cache_.find(c) != cache_.end()) {
-        if (stats_ != nullptr) ++stats_->memo_hits;
-        continue;
-      }
-      if (seen.insert(c).second) {
+      auto it = cache_.find(c);
+      if (it == cache_.end()) {
         pending.push_back(c);
-      } else if (stats_ != nullptr) {
-        ++stats_->memo_hits;
+      } else if (Charge(&it->second, asker)) {
+        ++first_reads;
       }
     }
+    // Member-list order makes consecutive coalitions share long
+    // ascending prefixes, so each mean extends the chain by a few Axpys.
+    // The order changes no value (see the header), and a repeat within
+    // the batch is a memo hit whichever submission it was.
+    std::sort(pending.begin(), pending.end(), Coalition::MemberListLess);
+    const auto repeats = std::unique(pending.begin(), pending.end());
+    if (stats != nullptr) {
+      stats->memo_hits += pending.end() - repeats;
+      // The passes this asker alone would have run over its first reads.
+      first_reads += repeats - pending.begin();
+      stats->batched_calls +=
+          (first_reads + static_cast<int64_t>(chunk) - 1) /
+          static_cast<int64_t>(chunk);
+    }
+    pending.erase(repeats, pending.end());
   }
   if (pending.empty()) return;
 
-  // Member-list order makes consecutive coalitions share long ascending
-  // prefixes, so each mean extends the chain by a few Axpys. The order
-  // changes neither a value (see the header) nor a counter: pending is
-  // deduped, so the sorted order is unique, and the chunk count depends
-  // only on its size.
-  std::sort(pending.begin(), pending.end(), Coalition::MemberListLess);
   size_t max_members = 0;
   for (const Coalition& c : pending) {
     max_members = std::max(max_members, static_cast<size_t>(c.Count()));
   }
-  const size_t params = record_->global_before.size();
-  const size_t chunk = ChunkSize(params);
   CoalitionAggregator aggregator(record_);
   aggregator.Reserve(max_members);
   Matrix stacked;
@@ -220,18 +258,8 @@ void RoundUtility::EvaluateBatch(const std::vector<Coalition>& coalitions) {
     model_->BatchLoss(stacked, *test_data_, &losses, ctx_);
 
     MutexLock lock(mu_);
-    if (stats_ != nullptr) ++stats_->batched_calls;
     for (size_t r = 0; r < n; ++r) {
-      auto [it, inserted] = cache_.emplace(
-          pending[c0 + r], record_->test_loss_before - losses[r]);
-      // A submission that lost a fill race with a concurrent Utility()
-      // for the same coalition resolves as a hit, mirroring Utility().
-      // Every submitted coalition thereby lands in exactly one counter,
-      // so loss_calls + memo_hits equals total submissions no matter how
-      // the race interleaves.
-      if (stats_ != nullptr) {
-        ++(inserted ? stats_->loss_calls : stats_->memo_hits);
-      }
+      Insert(pending[c0 + r], record_->test_loss_before - losses[r], asker);
     }
   }
 }

@@ -7,6 +7,24 @@
 // valuation method, so the evaluator counts calls; the paper's complexity
 // discussion (Sec. VII-D) and Fig. 8 are in units of these calls.
 //
+// One memo per round, shared: a coalition's utility is a pure function of
+// (record, coalition), so every evaluator of a round can read the same
+// RoundUtility. The streaming engine builds one per round and hands it to
+// each evaluator; an evaluator driven on its own builds a private one.
+// Each evaluator is an *asker* with its own UtilityStats, and the memo
+// remembers which askers have read each coalition:
+//
+//   * an asker's first read of a coalition is its loss call, whether it
+//     or another asker measured the value;
+//   * its repeat reads are its memo hits;
+//   * its batched calls are the BatchLoss chunks its own first reads
+//     would have filled.
+//
+// So an evaluator's stats are what it alone would have paid, identical
+// whether its memo is shared or private (and so are the checkpoints that
+// hold them). What the memo actually ran — one test loss per entry — is
+// measured_loss_calls().
+//
 // Batched engine: callers that know their coalition set up front (the
 // recorders, ExactShapley / MonteCarloShapley via the prefetch hook)
 // submit it to EvaluateBatch, which dedups, visits the coalitions in
@@ -19,8 +37,8 @@
 // coordinates in ascending member order, starting from 0.0, times
 // 1/|S| — exactly what Utility() computes. No coordinate depends on
 // another, on the coalitions formed before it, or on which thread formed
-// it, so visiting order, column slicing and thread count cannot change a
-// bit.
+// it, so visiting order, column slicing, thread count and which asker
+// measured a coalition cannot change a bit.
 #ifndef COMFEDSV_SHAPLEY_UTILITY_H_
 #define COMFEDSV_SHAPLEY_UTILITY_H_
 
@@ -37,21 +55,23 @@
 
 namespace comfedsv {
 
-/// Measured evaluation-cost accounting of one estimator: what it alone
-/// paid, accumulated across rounds. Filled by RoundUtility. Each
+/// Evaluation-cost accounting of one estimator: what it alone would have
+/// paid, accumulated across rounds, whether or not it shared its rounds'
+/// memos with other evaluators. Filled by RoundUtility. Each
 /// evaluator checkpoints its stats, so a resumed run reports the same
 /// counts as an uninterrupted one; surfaced as
 /// ValuationOutcome::fedsv_stats, ComFedSvOutput::stats and
 /// ValuationOutcome::ground_truth_stats.
 struct UtilityStats {
-  /// Test-loss evaluations actually spent: one per distinct non-empty
-  /// coalition measured (the unit of the paper's Fig. 8 cost axis).
+  /// Test-loss evaluations: one per distinct non-empty coalition the
+  /// estimator read in a round (the unit of the paper's Fig. 8 cost axis).
   int64_t loss_calls = 0;
-  /// Model::BatchLoss passes issued by the batched engine (each covers a
-  /// chunk of coalitions with one sweep over the test set).
+  /// Model::BatchLoss passes the batched engine needs for those
+  /// coalitions (each covers a chunk of them with one sweep over the test
+  /// set).
   int64_t batched_calls = 0;
-  /// Cache hits: queries answered from the per-round memo without a loss
-  /// call (repeated Monte-Carlo draws, batch re-submissions).
+  /// Repeat reads: queries for a coalition the estimator already read in
+  /// the round (repeated Monte-Carlo draws, batch re-submissions).
   int64_t memo_hits = 0;
 
   /// True when every count is non-negative — what any accumulation can
@@ -111,53 +131,81 @@ class CoalitionAggregator {
 };
 
 /// Evaluates coalition utilities for one round, memoizing by coalition so
-/// repeated queries (e.g. shared Monte-Carlo prefixes) cost one test-loss
-/// evaluation each. Holds references; the record, model, test set and
-/// context must outlive it.
+/// repeated queries (e.g. shared Monte-Carlo prefixes, or a coalition two
+/// evaluators both need) cost one test-loss evaluation each. Holds
+/// references; the record, model, test set and context must outlive it.
 ///
 /// Thread-safe: concurrent Utility() calls from a ThreadPool are allowed.
 /// The expensive test-loss evaluation runs outside the cache lock, so two
-/// threads may race to compute the same coalition; the loss-call
-/// counter is incremented once per distinct coalition (matching
+/// threads may race to compute the same coalition; the first insert wins,
+/// the asker's counters advance once per distinct coalition (matching
 /// single-threaded accounting exactly), and the cached value is
 /// deterministic either way.
 class RoundUtility {
  public:
   /// `ctx` (optional) parallelizes EvaluateBatch; a null context
-  /// evaluates batches inline. `stats` (optional) accumulates the
-  /// measured accounting (loss calls, batch passes, memo hits) across
-  /// rounds.
+  /// evaluates batches inline. `stats` (optional) is asker 0's: it
+  /// accumulates that asker's accounting across rounds.
   RoundUtility(const Model* model, const Dataset* test_data,
                const RoundRecord* record, ExecutionContext* ctx = nullptr,
                UtilityStats* stats = nullptr);
 
-  /// U_t(S). The empty coalition has utility 0 by convention
-  /// (u_t(w^t) = 0).
-  double Utility(const Coalition& coalition);
+  /// Adds an asker — an evaluator sharing this memo — whose reads are
+  /// charged to `stats` (optional), and returns its id for Utility and
+  /// EvaluateBatch. A memo tracks at most 32 askers.
+  int AddAsker(UtilityStats* stats);
 
-  /// Evaluates (and caches) every coalition in `coalitions` through the
-  /// batched engine: dedups against the cache and within the batch,
-  /// sorts what is left by Coalition::MemberListLess, forms each chunk's
-  /// means with one CoalitionAggregator (parallel over column slices on
-  /// `ctx`), and computes each chunk with one Model::BatchLoss pass over
-  /// the test set. Subsequent Utility() calls are cache hits. Counters
-  /// advance once per distinct coalition, exactly as if each had been
-  /// evaluated singly; cached values are bit-identical to the unbatched
-  /// path for any thread count. Call from one thread (typically before
-  /// fanning out readers).
-  void EvaluateBatch(const std::vector<Coalition>& coalitions);
+  /// U_t(S), read by `asker`. The empty coalition has utility 0 by
+  /// convention (u_t(w^t) = 0) and is never counted.
+  double Utility(const Coalition& coalition, int asker = 0);
+
+  /// Evaluates (and caches) every coalition in `coalitions` for `asker`
+  /// through the batched engine: dedups against the cache and within the
+  /// batch, sorts what is left by Coalition::MemberListLess, forms each
+  /// chunk's means with one CoalitionAggregator (parallel over column
+  /// slices on `ctx`), and computes each chunk with one Model::BatchLoss
+  /// pass over the test set. Subsequent Utility() calls are cache hits.
+  /// Counters advance once per distinct coalition, exactly as if each had
+  /// been evaluated singly; cached values are bit-identical to the
+  /// unbatched path for any thread count. Call from one thread
+  /// (typically before fanning out readers).
+  void EvaluateBatch(const std::vector<Coalition>& coalitions,
+                     int asker = 0);
+
+  /// Test-loss evaluations this memo actually ran: one per cached
+  /// coalition, whichever asker read it first.
+  int64_t measured_loss_calls() const;
+
+  const RoundRecord* record() const { return record_; }
 
  private:
+  struct Entry {
+    double value = 0.0;
+    uint32_t askers = 0;  // bit a set = asker a has read the coalition
+  };
+  static constexpr int kMaxAskers = 32;  // the bits of Entry::askers
+
+  /// `asker`'s stats sink (null = not counted); checks the id.
+  UtilityStats* StatsOf(int asker) REQUIRES(mu_);
+  /// Charges `asker` one read of `entry`: a loss call the first time, a
+  /// memo hit after that. Returns true for the first time.
+  bool Charge(Entry* entry, int asker) REQUIRES(mu_);
+  /// Caches a measured `value` (unless a racing thread cached it first),
+  /// charges `asker` its read and returns the cached value.
+  double Insert(const Coalition& coalition, double value, int asker)
+      REQUIRES(mu_);
+
   const Model* model_;
   const Dataset* test_data_;
   const RoundRecord* record_;
-  mutable Mutex mu_;  // guards the memo table and every counter
+  mutable Mutex mu_;  // guards the memo table, the askers and every counter
   ExecutionContext* ctx_;  // not owned; null = inline batch evaluation
-  // Caller-owned stats sink: the pointer is set once in the constructor,
-  // but the pointee is only ever mutated with mu_ held.
-  UtilityStats* stats_ PT_GUARDED_BY(mu_);  // not owned; optional
-  std::unordered_map<Coalition, double, CoalitionHash> cache_
+  // Caller-owned stats sinks, one per asker (null = not counted); the
+  // pointees are only ever mutated with mu_ held.
+  std::vector<UtilityStats*> askers_ GUARDED_BY(mu_);
+  std::unordered_map<Coalition, Entry, CoalitionHash> cache_
       GUARDED_BY(mu_);
+  int64_t measured_loss_calls_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace comfedsv

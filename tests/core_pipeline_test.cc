@@ -252,6 +252,38 @@ TEST(PipelineTest, RejectsNegativeTruncationTolerance) {
   ExpectEveryDriverRejects(req, 3, "fedsv.sampler.truncation_tolerance");
 }
 
+// An adaptive Monte-Carlo FedSV request whose allocator knobs
+// MonteCarloShapley refuses used to pass validation and abort at the
+// first round.
+ValuationRequest AdaptiveFedSvRequest() {
+  ValuationRequest req;
+  req.compute_fedsv = true;
+  req.fedsv.mode = FedSvConfig::Mode::kMonteCarlo;
+  req.fedsv.sampler.adaptive.enabled = true;
+  req.compute_comfedsv = false;
+  return req;
+}
+
+TEST(PipelineTest, RejectsNegativeAdaptivePilotPermutations) {
+  ValuationRequest req = AdaptiveFedSvRequest();
+  req.fedsv.sampler.adaptive.pilot_permutations = -1;
+  ExpectEveryDriverRejects(req, 3,
+                           "fedsv.sampler.adaptive.pilot_permutations");
+}
+
+TEST(PipelineTest, RejectsNonPositiveAdaptiveWaves) {
+  ValuationRequest req = AdaptiveFedSvRequest();
+  req.fedsv.sampler.adaptive.waves = 0;
+  ExpectEveryDriverRejects(req, 3, "fedsv.sampler.adaptive.waves");
+}
+
+TEST(PipelineTest, RejectsAdaptiveMinCellSamplesBelowOne) {
+  ValuationRequest req = AdaptiveFedSvRequest();
+  req.fedsv.sampler.adaptive.min_cell_samples = 0;
+  ExpectEveryDriverRejects(req, 3,
+                           "fedsv.sampler.adaptive.min_cell_samples");
+}
+
 // CheckpointManager CHECKs its durability options, so
 // RunValuationCheckpointed must reject them as a Status first — and
 // before any file is touched.

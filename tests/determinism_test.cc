@@ -1103,5 +1103,209 @@ TEST(DeterminismTest, FullModeAndGroundTruthAreThreadCountInvariant) {
                      "ground truth inline vs threads=4");
 }
 
+// --- The streaming engine's shared round memo ---
+
+// Each evaluator driven on its own over the trainer's rounds, each round
+// through its private memo — what the engine's evaluators must equal,
+// values and stats alike, although the engine hands them one shared memo.
+ValuationOutcome RunStandAlone(const Workload& w, const Model& model,
+                               const FedAvgConfig& fed_cfg,
+                               const ValuationRequest& request,
+                               ExecutionContext* ctx) {
+  const int n = static_cast<int>(w.clients.size());
+  FedAvgTrainer trainer(&model, w.clients, w.test, fed_cfg, ctx);
+  std::optional<FedSvEvaluator> fedsv;
+  std::optional<ComFedSvEvaluator> comfedsv;
+  std::optional<GroundTruthEvaluator> ground_truth;
+  if (request.compute_fedsv) {
+    fedsv.emplace(&model, &trainer.test_data(), n, request.fedsv, ctx);
+  }
+  if (request.compute_comfedsv) {
+    comfedsv.emplace(&model, &trainer.test_data(), n, request.comfedsv, ctx);
+  }
+  if (request.compute_ground_truth) {
+    ground_truth.emplace(&model, &trainer.test_data(), n, ctx);
+  }
+  EXPECT_TRUE(trainer.Begin().ok());
+  while (!trainer.Done()) {
+    const RoundRecord& record = trainer.Step();
+    if (fedsv.has_value()) fedsv->OnRound(record);
+    if (comfedsv.has_value()) comfedsv->OnRound(record);
+    if (ground_truth.has_value()) ground_truth->OnRound(record);
+  }
+  ValuationOutcome out;
+  if (fedsv.has_value()) {
+    out.fedsv_values = fedsv->values();
+    out.fedsv_stats = fedsv->stats();
+  }
+  if (comfedsv.has_value()) {
+    Result<ComFedSvOutput> finalized = comfedsv->Finalize();
+    EXPECT_TRUE(finalized.ok()) << finalized.status().ToString();
+    out.comfedsv = std::move(finalized).value();
+  }
+  if (ground_truth.has_value()) {
+    Result<Vector> values = ground_truth->Finalize();
+    EXPECT_TRUE(values.ok()) << values.status().ToString();
+    out.ground_truth_values = std::move(values).value();
+    out.ground_truth_stats = ground_truth->stats();
+  }
+  return out;
+}
+
+// The stand-alone evaluators' loss calls summed: what the run would cost
+// with one memo per evaluator.
+int64_t StandAloneLossCalls(const ValuationOutcome& out) {
+  return out.fedsv_stats.loss_calls +
+         (out.comfedsv.has_value() ? out.comfedsv->stats.loss_calls : 0) +
+         out.ground_truth_stats.loss_calls;
+}
+
+struct SharingCase {
+  const char* name;
+  ValuationRequest request;
+};
+
+std::vector<SharingCase> SharingCases() {
+  ValuationRequest exact;  // every evaluator reads every subset of I_t
+  exact.compute_fedsv = true;
+  exact.fedsv.mode = FedSvConfig::Mode::kExact;
+  exact.fedsv.seed = 52;
+  exact.compute_comfedsv = true;
+  exact.comfedsv.mode = ComFedSvConfig::Mode::kFull;
+  exact.comfedsv.completion.rank = 2;
+  exact.comfedsv.completion.lambda = 1e-3;
+  exact.comfedsv.completion.max_iters = 30;
+  exact.comfedsv.seed = 53;
+  exact.compute_ground_truth = true;
+
+  ValuationRequest sampled;  // the evaluators' prefixes partly overlap
+  sampled.compute_fedsv = true;
+  sampled.fedsv.mode = FedSvConfig::Mode::kMonteCarlo;
+  sampled.fedsv.permutations_per_round = 8;
+  sampled.fedsv.seed = 54;
+  sampled.compute_comfedsv = true;
+  sampled.comfedsv.mode = ComFedSvConfig::Mode::kSampled;
+  sampled.comfedsv.num_permutations = 6;
+  sampled.comfedsv.completion.rank = 2;
+  sampled.comfedsv.completion.lambda = 1e-3;
+  sampled.comfedsv.completion.max_iters = 30;
+  sampled.comfedsv.seed = 55;
+  return {{"exact FedSV + full ComFedSV + ground truth", exact},
+          {"Monte-Carlo FedSV + sampled ComFedSV", sampled}};
+}
+
+FedAvgConfig SharingFedConfig() {
+  FedAvgConfig fed_cfg;
+  fed_cfg.num_rounds = 4;
+  fed_cfg.clients_per_round = 3;
+  fed_cfg.select_all_first_round = true;
+  fed_cfg.seed = 51;
+  return fed_cfg;
+}
+
+TEST(DeterminismTest, SharedRoundMemoMatchesStandAloneEvaluators) {
+  // The engine's evaluators share one memo per round; every value and
+  // every evaluator's UtilityStats must equal the stand-alone
+  // evaluators', at every thread count, while the run measures fewer
+  // loss calls than the stand-alone evaluators would pay in sum.
+  const int n = 5;
+  Workload w = MakeWorkload(n, 5150);
+  LogisticRegression model(w.test.dim(), 10);
+  const FedAvgConfig fed_cfg = SharingFedConfig();
+  for (const SharingCase& c : SharingCases()) {
+    SCOPED_TRACE(c.name);
+    const ValuationOutcome stand_alone =
+        RunStandAlone(w, model, fed_cfg, c.request, nullptr);
+    std::optional<int64_t> measured;
+    for (int threads : {0, 1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      std::optional<ExecutionContext> ctx;
+      if (threads > 0) ctx.emplace(threads);
+      ExecutionContext* run_ctx = ctx.has_value() ? &*ctx : nullptr;
+      const ValuationOutcome engine =
+          RunWith(w, model, fed_cfg, c.request, run_ctx);
+      ExpectOutcomesBitIdentical(engine, stand_alone,
+                                 "engine vs stand-alone");
+      ExpectOutcomesBitIdentical(
+          RunStandAlone(w, model, fed_cfg, c.request, run_ctx), stand_alone,
+          "stand-alone vs stand-alone inline");
+      EXPECT_GT(engine.measured_loss_calls, 0);
+      EXPECT_LT(engine.measured_loss_calls, StandAloneLossCalls(engine));
+      if (!measured.has_value()) measured = engine.measured_loss_calls;
+      EXPECT_EQ(engine.measured_loss_calls, *measured);
+    }
+  }
+}
+
+TEST(DeterminismTest, SharedRoundMemoResumeIsBitIdentical) {
+  // Kill/resume through the shared memo: the checkpointed evaluator
+  // stats are stand-alone counts, so the resumed run equals the
+  // uninterrupted one, stats included. The measured count is not
+  // checkpointed and covers only the rounds the resuming process ran.
+  const int n = 5;
+  Workload w = MakeWorkload(n, 5151);
+  LogisticRegression model(w.test.dim(), 10);
+  const FedAvgConfig fed_cfg = SharingFedConfig();
+  for (const SharingCase& c : SharingCases()) {
+    SCOPED_TRACE(c.name);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ExecutionContext straight_ctx(threads);
+      const ValuationOutcome straight =
+          RunWith(w, model, fed_cfg, c.request, &straight_ctx);
+
+      const std::string path = ::testing::TempDir() +
+                               "comfedsv_shared_memo_t" +
+                               std::to_string(threads) + ".ckpt";
+      std::remove(path.c_str());
+      CheckpointConfig ckpt;
+      ckpt.path = path;
+      ckpt.every_rounds = 1;
+      ExecutionContext crash_ctx(threads);
+      ASSERT_FALSE(CrashAfterRound(w, model, fed_cfg, c.request, ckpt,
+                                   /*round=*/2, &crash_ctx)
+                       .ok());
+      ExecutionContext resume_ctx(threads);
+      Result<ValuationOutcome> resumed = RunValuationCheckpointed(
+          model, w.clients, w.test, fed_cfg, c.request, ckpt, &resume_ctx);
+      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+      ExpectOutcomesBitIdentical(resumed.value(), straight,
+                                 "resumed vs straight");
+      EXPECT_GT(resumed.value().measured_loss_calls, 0);
+      EXPECT_LT(resumed.value().measured_loss_calls,
+                straight.measured_loss_calls);
+      std::remove(path.c_str());
+    }
+  }
+}
+
+TEST(DeterminismTest, MeasuredLossCallsCountDistinctCoalitions) {
+  // With the ground truth on, every round's memo holds all 2^N - 1
+  // non-empty coalitions, and every other evaluator's coalitions are
+  // among them: the run measures exactly those, once each, at every
+  // thread count — while each evaluator still reports its stand-alone
+  // count.
+  const int n = 4;
+  Workload w = MakeWorkload(n, 5152);
+  LogisticRegression model(w.test.dim(), 10);
+  FedAvgConfig fed_cfg = SharingFedConfig();
+  fed_cfg.clients_per_round = 2;
+  const ValuationRequest request = SharingCases()[0].request;
+  const int64_t distinct =
+      static_cast<int64_t>(fed_cfg.num_rounds) * ((1 << n) - 1);
+  for (int threads : {0, 1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::optional<ExecutionContext> ctx;
+    if (threads > 0) ctx.emplace(threads);
+    const ValuationOutcome out = RunWith(
+        w, model, fed_cfg, request, ctx.has_value() ? &*ctx : nullptr);
+    EXPECT_EQ(out.measured_loss_calls, distinct);
+    EXPECT_EQ(out.ground_truth_stats.loss_calls, distinct);
+    // Round 0 selects all 4 clients, rounds 1-3 two each.
+    EXPECT_EQ(out.fedsv_stats.loss_calls, 15 + 3 * 3);
+    EXPECT_EQ(out.comfedsv->stats.loss_calls, 15 + 3 * 3);
+  }
+}
+
 }  // namespace
 }  // namespace comfedsv

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -182,6 +184,170 @@ TEST(CoalitionTest, MemberListLessMatchesReferenceOnRandomPairs) {
         if (k < shared ? in_a : rng.NextBernoulli(density)) b.Add(k);
       }
       ExpectMemberOrderMatchesReference(a, b);
+    }
+  }
+}
+
+// --- Storage: one inline word up to 64 clients, a heap array above ---
+
+// Universes on both sides of the inline/heap boundary and across word
+// counts.
+constexpr int kUniverses[] = {0, 1, 63, 64, 65, 200};
+
+// The empty and full coalitions, the top client alone, and random sparse
+// and dense draws.
+std::vector<Coalition> Samples(int n, Rng* rng) {
+  std::vector<Coalition> out = {Coalition(n), Coalition::Full(n)};
+  if (n == 0) return out;
+  out.push_back(Coalition::FromMembers(n, {n - 1}));
+  for (int trial = 0; trial < 12; ++trial) {
+    const double density = trial % 2 == 0 ? 0.1 : 0.6;
+    Coalition c(n);
+    for (int k = 0; k < n; ++k) {
+      if (rng->NextBernoulli(density)) c.Add(k);
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+std::vector<Coalition> AllSamples() {
+  Rng rng(4242);
+  std::vector<Coalition> all;
+  for (int n : kUniverses) {
+    for (Coalition& c : Samples(n, &rng)) all.push_back(std::move(c));
+  }
+  return all;
+}
+
+// The bit words a coalition must hold, rebuilt from Members().
+std::vector<uint64_t> ReferenceWords(const Coalition& c) {
+  std::vector<uint64_t> words((c.universe_size() + 63) / 64, 0);
+  for (int m : c.Members()) words[m / 64] |= uint64_t{1} << (m % 64);
+  return words;
+}
+
+// Hash(): FNV-1a over the universe size and then the words.
+size_t ReferenceHash(const Coalition& c) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+    h ^= h >> 32;
+  };
+  mix(static_cast<uint64_t>(c.universe_size()));
+  for (uint64_t w : ReferenceWords(c)) mix(w);
+  return static_cast<size_t>(h);
+}
+
+// operator<: by universe size, then the bit pattern from the top word.
+bool ReferenceLess(const Coalition& a, const Coalition& b) {
+  if (a.universe_size() != b.universe_size()) {
+    return a.universe_size() < b.universe_size();
+  }
+  const std::vector<uint64_t> wa = ReferenceWords(a);
+  const std::vector<uint64_t> wb = ReferenceWords(b);
+  return std::lexicographical_compare(wa.rbegin(), wa.rend(), wb.rbegin(),
+                                      wb.rend());
+}
+
+void ExpectSame(const Coalition& c, int universe,
+                const std::vector<int>& members, const char* what) {
+  EXPECT_EQ(c.universe_size(), universe) << what;
+  EXPECT_EQ(c.Members(), members) << what << " universe " << universe;
+  EXPECT_EQ(c.Count(), static_cast<int>(members.size())) << what;
+}
+
+// Assigns through references, so the self-assignments below compile
+// without self-assignment warnings.
+void CopyAssign(Coalition& to, const Coalition& from) { to = from; }
+void MoveAssign(Coalition& to, Coalition& from) { to = std::move(from); }
+
+TEST(CoalitionStorageTest, CopiesAreEqualAndIndependent) {
+  for (const Coalition& c : AllSamples()) {
+    const int n = c.universe_size();
+    const std::vector<int> members = c.Members();
+    Coalition copy(c);
+    ExpectSame(copy, n, members, "copy");
+    EXPECT_EQ(copy, c);
+    if (n > 0) {
+      // Writing the copy leaves the source untouched (no shared words).
+      copy.Add(n - 1);
+      copy.Remove(0);
+      ExpectSame(c, n, members, "source after the copy was written");
+    }
+  }
+}
+
+TEST(CoalitionStorageTest, CopyAssignmentAcrossUniverses) {
+  const std::vector<Coalition> all = AllSamples();
+  for (const Coalition& from : all) {
+    for (int n : kUniverses) {
+      // Inline into heap, heap into inline, heap into a heap array of
+      // another (or the same) word count.
+      Coalition to = Coalition::Full(n);
+      CopyAssign(to, from);
+      ExpectSame(to, from.universe_size(), from.Members(), "assigned");
+      EXPECT_EQ(to, from);
+      EXPECT_EQ(to.Hash(), from.Hash());
+    }
+  }
+}
+
+TEST(CoalitionStorageTest, MovesTransferMembersAndEmptyTheSource) {
+  for (const Coalition& c : AllSamples()) {
+    const int n = c.universe_size();
+    const std::vector<int> members = c.Members();
+
+    Coalition source(c);
+    Coalition moved(std::move(source));
+    ExpectSame(moved, n, members, "move-constructed");
+    // The moved-from state is specified: empty, over 0 clients.
+    // NOLINTNEXTLINE(bugprone-use-after-move)
+    ExpectSame(source, 0, {}, "moved-from");
+
+    for (int other : kUniverses) {
+      Coalition to = Coalition::Full(other);
+      Coalition from(c);
+      MoveAssign(to, from);
+      ExpectSame(to, n, members, "move-assigned");
+      ExpectSame(from, 0, {}, "moved-from");
+      // A moved-from coalition is reusable.
+      from = c;
+      EXPECT_EQ(from, c);
+    }
+  }
+}
+
+TEST(CoalitionStorageTest, SelfAssignmentKeepsMembers) {
+  for (const Coalition& c : AllSamples()) {
+    const std::vector<int> members = c.Members();
+    Coalition self(c);
+    CopyAssign(self, self);
+    ExpectSame(self, c.universe_size(), members, "copy self-assigned");
+    MoveAssign(self, self);
+    ExpectSame(self, c.universe_size(), members, "move self-assigned");
+  }
+}
+
+TEST(CoalitionStorageTest, EqualityHashAndOrderMatchTheMemberReference) {
+  const std::vector<Coalition> all = AllSamples();
+  for (const Coalition& a : all) {
+    EXPECT_EQ(a.Hash(), ReferenceHash(a))
+        << "universe " << a.universe_size();
+    for (const Coalition& b : all) {
+      const bool same_universe = a.universe_size() == b.universe_size();
+      EXPECT_EQ(a == b, same_universe && a.Members() == b.Members());
+      EXPECT_EQ(a != b, !(a == b));
+      EXPECT_EQ(a < b, ReferenceLess(a, b))
+          << "a=" << ::testing::PrintToString(a.Members())
+          << " b=" << ::testing::PrintToString(b.Members());
+      if (same_universe) {
+        EXPECT_EQ(Coalition::MemberListLess(a, b), MembersLess(a, b))
+            << "universe " << a.universe_size()
+            << " a=" << ::testing::PrintToString(a.Members())
+            << " b=" << ::testing::PrintToString(b.Members());
+      }
     }
   }
 }
