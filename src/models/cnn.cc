@@ -48,49 +48,54 @@ double Cnn::ForwardSample(const Vector& params, const double* x, int label,
   const double* fc_w = params.data() + fc_weights_offset_;
   const double* fc_b = params.data() + fc_bias_offset_;
 
-  state->conv.assign(static_cast<size_t>(filters) * cs * cs, 0.0);
-  state->pooled.assign(pooled_dim_, 0.0);
-  state->argmax.assign(pooled_dim_, 0);
-  state->probs.assign(classes, 0.0);
+  // Every slot below is written before it is read, so no zero-fill.
+  state->conv.resize(static_cast<size_t>(filters) * cs * cs);
+  state->pooled.resize(pooled_dim_);
+  state->argmax.resize(pooled_dim_);
+  state->probs.resize(classes);
 
-  // Convolution (valid) + ReLU.
+  // Convolution (valid) + ReLU, one output row at a time: the cs
+  // outputs of a row are independent chains, so the inner c loop
+  // vectorises while each output keeps the order documented in cnn.h.
   for (int f = 0; f < filters; ++f) {
     const double* wf =
         conv_w + static_cast<size_t>(f) * channels * kKernel * kKernel;
     double* out = state->conv.data() + static_cast<size_t>(f) * cs * cs;
     for (int r = 0; r < cs; ++r) {
-      for (int c = 0; c < cs; ++c) {
-        double acc = conv_b[f];
-        for (int ch = 0; ch < channels; ++ch) {
-          const double* img = x + static_cast<size_t>(ch) * side * side;
-          const double* wch = wf + static_cast<size_t>(ch) * kKernel * kKernel;
-          for (int dr = 0; dr < kKernel; ++dr) {
-            const double* img_row = img + (r + dr) * side + c;
-            const double* w_row = wch + dr * kKernel;
-            acc += w_row[0] * img_row[0] + w_row[1] * img_row[1] +
-                   w_row[2] * img_row[2];
+      double* acc = out + r * cs;
+      for (int c = 0; c < cs; ++c) acc[c] = conv_b[f];
+      for (int ch = 0; ch < channels; ++ch) {
+        const double* img = x + static_cast<size_t>(ch) * side * side;
+        const double* wch = wf + static_cast<size_t>(ch) * kKernel * kKernel;
+        for (int dr = 0; dr < kKernel; ++dr) {
+          const double* row = img + (r + dr) * side;
+          const double w0 = wch[dr * kKernel];
+          const double w1 = wch[dr * kKernel + 1];
+          const double w2 = wch[dr * kKernel + 2];
+          for (int c = 0; c < cs; ++c) {
+            acc[c] += w0 * row[c] + w1 * row[c + 1] + w2 * row[c + 2];
           }
         }
-        out[r * cs + c] = std::max(0.0, acc);
       }
+      for (int c = 0; c < cs; ++c) acc[c] = std::max(0.0, acc[c]);
     }
   }
 
   // 2x2 max pooling (stride 2; trailing row/col dropped when cs is odd).
+  // Running strict-> max in row-major window order, written as selects so
+  // it compiles without branches: the first index wins ties.
   for (int f = 0; f < filters; ++f) {
     const double* conv = state->conv.data() + static_cast<size_t>(f) * cs * cs;
     for (int pr = 0; pr < ps; ++pr) {
       for (int pc = 0; pc < ps; ++pc) {
-        int best_idx = (2 * pr) * cs + (2 * pc);
-        double best = conv[best_idx];
-        for (int dr = 0; dr < 2; ++dr) {
-          for (int dc = 0; dc < 2; ++dc) {
-            const int idx = (2 * pr + dr) * cs + (2 * pc + dc);
-            if (conv[idx] > best) {
-              best = conv[idx];
-              best_idx = idx;
-            }
-          }
+        const int i0 = (2 * pr) * cs + (2 * pc);
+        const int idx[4] = {i0, i0 + 1, i0 + cs, i0 + cs + 1};
+        double best = conv[i0];
+        int best_idx = i0;
+        for (int k = 1; k < 4; ++k) {
+          const bool greater = conv[idx[k]] > best;
+          best = greater ? conv[idx[k]] : best;
+          best_idx = greater ? idx[k] : best_idx;
         }
         const size_t pool_idx =
             static_cast<size_t>(f) * ps * ps + pr * ps + pc;

@@ -29,6 +29,18 @@ struct CnnConfig {
 /// Flat parameter layout: conv weights [filters][channels][3][3], conv
 /// bias [filters], FC weights (pooled_dim x classes) row-major, FC bias
 /// [classes].
+///
+/// Accumulation order. Loss, LossAndGradient, Predict and the inherited
+/// BatchLoss share one forward pass, and their bit-identity depends on
+/// each double being summed in this order; any new kernel must keep it:
+///  - conv output (f, r, c) starts at bias[f], then adds one row sum per
+///    channel ch (outer) and kernel row dr (inner), each grouped as
+///    (w0*x[c] + w1*x[c+1]) + w2*x[c+2]; then ReLU as max(0.0, acc).
+///    Outputs may be visited in any order (the pass does a row at a time).
+///  - 2x2 pool: running strict-> max in row-major window order, so the
+///    first maximal cell is the argmax on ties.
+///  - logits start at the FC bias, then add pooled[i] * w[i][k] for
+///    ascending i, skipping pooled[i] == 0.
 class Cnn : public Model {
  public:
   explicit Cnn(const CnnConfig& config);

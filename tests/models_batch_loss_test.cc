@@ -111,25 +111,48 @@ TEST(BatchLossTest, DefaultImplementationCoversCnn) {
 // softmax tail: 256 samples, 10 classes, full chunks of 64 coalitions
 // and one short batch of 8.
 TEST(BatchLossTest, BenchShapesBitIdenticalToSequentialLoss) {
+  enum class Arch { kLogistic, kMlp, kCnn };
   struct Shape {
-    bool mlp;
+    Arch arch;
     int dim;
+    int samples;
     int batch;
   };
+  // The CNN rows are the full-cnn-n10 model (8x8x1, 6 filters) on its
+  // 150-sample test set; 23 is about one recorder batch of coalitions.
   const Shape shapes[] = {
-      {false, 64, 64}, {false, 256, 64}, {false, 1024, 64},
-      {false, 256, 8}, {true, 192, 64},
+      {Arch::kLogistic, 64, 256, 64},  {Arch::kLogistic, 256, 256, 64},
+      {Arch::kLogistic, 1024, 256, 64}, {Arch::kLogistic, 256, 256, 8},
+      {Arch::kMlp, 192, 256, 64},       {Arch::kCnn, 64, 150, 1},
+      {Arch::kCnn, 64, 150, 23},
   };
   for (const Shape& shape : shapes) {
     SCOPED_TRACE("dim=" + std::to_string(shape.dim) +
+                 " samples=" + std::to_string(shape.samples) +
                  " batch=" + std::to_string(shape.batch));
-    const Dataset data = MakeData(256, shape.dim, 10, 51, false);
-    if (shape.mlp) {
-      Mlp model({static_cast<size_t>(shape.dim), 32, 10}, 1e-4);
-      ExpectBatchMatchesLoss(model, data, 52, {shape.batch});
-    } else {
-      LogisticRegression model(shape.dim, 10, 1e-3);
-      ExpectBatchMatchesLoss(model, data, 52, {shape.batch});
+    const Dataset data = MakeData(shape.samples, shape.dim, 10, 51, false);
+    switch (shape.arch) {
+      case Arch::kLogistic: {
+        LogisticRegression model(shape.dim, 10, 1e-3);
+        ExpectBatchMatchesLoss(model, data, 52, {shape.batch});
+        break;
+      }
+      case Arch::kMlp: {
+        Mlp model({static_cast<size_t>(shape.dim), 32, 10}, 1e-4);
+        ExpectBatchMatchesLoss(model, data, 52, {shape.batch});
+        break;
+      }
+      case Arch::kCnn: {
+        CnnConfig cfg;
+        cfg.image_side = 8;
+        cfg.channels = 1;
+        cfg.num_filters = 6;
+        cfg.num_classes = 10;
+        cfg.l2_penalty = 1e-4;
+        Cnn model(cfg);
+        ExpectBatchMatchesLoss(model, data, 52, {shape.batch});
+        break;
+      }
     }
   }
 }
