@@ -19,6 +19,16 @@
 // so every ISA computes the same doubles; only the tile width (a pure
 // layout choice) differs.
 //
+// Per-ISA linkage rule: a kernel template instantiated with the same
+// arguments in more than one of these TUs must have internal linkage in
+// each (an unnamed namespace, as in cnn_lane_kernel.h), and the TUs must
+// share no other inline function the compiler may emit out of line.
+// Otherwise both objects define the same weak (COMDAT) symbol, the
+// linker keeps one copy for both entry points, and one ISA silently runs
+// the other's code — SSE2 code on the AVX2 path, or AVX2 code on a CPU
+// without it. The lint CI job checks that no *_avx2.cc object shares a
+// weak code symbol with the baseline objects.
+//
 // Bit-identity contract (see model.h): every z[s][col] accumulates its
 // terms in ascending feature order and skips exact-zero features, exactly
 // like the scalar per-member loops in logistic.cc / mlp.cc — so tiling,

@@ -5,10 +5,11 @@
 
 #include "common/check.h"
 #include "common/fingerprint.h"
+#include "models/cnn_lane_kernel.h"
 
 namespace comfedsv {
 namespace {
-constexpr int kKernel = 3;
+constexpr int kKernel = internal::kCnnKernel;
 }  // namespace
 
 Cnn::Cnn(const CnnConfig& config) : config_(config) {
@@ -145,6 +146,29 @@ double Cnn::Loss(const Vector& params, const Dataset& data) const {
   double mean = data.empty() ? 0.0
                              : total / static_cast<double>(data.num_samples());
   return mean + 0.5 * config_.l2_penalty * params.Dot(params);
+}
+
+void Cnn::BatchLoss(const Matrix& param_rows, const Dataset& data,
+                    std::vector<double>* out, ExecutionContext* ctx) const {
+  // One coalition alone would fill one lane of a block and pay for four:
+  // Loss is cheaper then.
+  if (param_rows.rows() < 2) {
+    Model::BatchLoss(param_rows, data, out, ctx);
+    return;
+  }
+  internal::CnnLaneShape shape;
+  shape.side = config_.image_side;
+  shape.channels = config_.channels;
+  shape.filters = config_.num_filters;
+  shape.classes = config_.num_classes;
+  shape.conv_side = conv_side_;
+  shape.pool_side = pool_side_;
+  shape.conv_w = conv_weights_offset_;
+  shape.conv_b = conv_bias_offset_;
+  shape.fc_w = fc_weights_offset_;
+  shape.fc_b = fc_bias_offset_;
+  internal::CnnLaneBatchLoss(internal::SupportedCnnLaneIsas().back(), shape,
+                             config_.l2_penalty, param_rows, data, out, ctx);
 }
 
 double Cnn::LossAndGradient(const Vector& params, const Dataset& data,

@@ -30,9 +30,11 @@ struct CnnConfig {
 /// bias [filters], FC weights (pooled_dim x classes) row-major, FC bias
 /// [classes].
 ///
-/// Accumulation order. Loss, LossAndGradient, Predict and the inherited
-/// BatchLoss share one forward pass, and their bit-identity depends on
-/// each double being summed in this order; any new kernel must keep it:
+/// Accumulation order. Loss, LossAndGradient and Predict share one
+/// forward pass, and BatchLoss (a coalition-lane kernel,
+/// cnn_lane_kernel.h) reproduces it lane by lane. Their bit-identity
+/// depends on each double being summed in this order; any new kernel
+/// must keep it:
 ///  - conv output (f, r, c) starts at bias[f], then adds one row sum per
 ///    channel ch (outer) and kernel row dr (inner), each grouped as
 ///    (w0*x[c] + w1*x[c+1]) + w2*x[c+2]; then ReLU as max(0.0, acc).
@@ -40,7 +42,9 @@ struct CnnConfig {
 ///  - 2x2 pool: running strict-> max in row-major window order, so the
 ///    first maximal cell is the argmax on ties.
 ///  - logits start at the FC bias, then add pooled[i] * w[i][k] for
-///    ascending i, skipping pooled[i] == 0.
+///    ascending i, skipping pooled[i] == 0. BatchLoss skips by a masked
+///    select (t = z + v*w; z = v != 0 ? t : z), so a skipped cell leaves
+///    the logit untouched even when w is ±inf or NaN.
 class Cnn : public Model {
  public:
   explicit Cnn(const CnnConfig& config);
@@ -54,6 +58,15 @@ class Cnn : public Model {
   std::string name() const override { return "cnn"; }
 
   double Loss(const Vector& params, const Dataset& data) const override;
+  /// Runs the members of each block of 4 coalitions in SIMD lanes over
+  /// the shared test images, on the widest kernel instantiation the CPU
+  /// supports. Tasks are (lane block x fixed-size sample chunk) and each
+  /// member's per-sample losses are summed in ascending sample order, so
+  /// out[i] == Loss(row i) bit for bit at any thread count. A batch of
+  /// one row runs Loss.
+  void BatchLoss(const Matrix& param_rows, const Dataset& data,
+                 std::vector<double>* out,
+                 ExecutionContext* ctx = nullptr) const override;
   double LossAndGradient(const Vector& params, const Dataset& data,
                          Vector* grad) const override;
   int Predict(const Vector& params, const double* x) const override;

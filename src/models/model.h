@@ -57,7 +57,8 @@ class Model {
   /// at the top of this header). The default implementation loops Loss,
   /// parallelized over rows via `ctx`; LogisticRegression and Mlp
   /// override it with blocked kernels that amortize the test-set
-  /// traversal across the whole batch.
+  /// traversal across the whole batch, and Cnn with a kernel that runs
+  /// blocks of members in SIMD lanes over each shared test image.
   virtual void BatchLoss(const Matrix& param_rows, const Dataset& data,
                          std::vector<double>* out,
                          ExecutionContext* ctx = nullptr) const;

@@ -19,6 +19,7 @@
 #include "data/partition.h"
 #include "io/file_env.h"
 #include "io/serialize.h"
+#include "models/cnn.h"
 #include "models/logistic.h"
 #include "models/mlp.h"
 
@@ -264,6 +265,65 @@ TEST(DeterminismTest, BatchedEngineMlpPipelineIsThreadCountInvariant) {
                    "FedSV");
   ExpectStatsEqual(inline_run.comfedsv->stats, threaded_run.comfedsv->stats,
                    "ComFedSV");
+}
+
+TEST(DeterminismTest, BatchedEngineCnnPipelineIsThreadCountInvariant) {
+  // The same through the Cnn override (coalition-lane kernel over
+  // (lane block x sample chunk) tasks): exact FedSV and full ComFedSV
+  // batch every subset of each round's selected set, and the all-client
+  // round 0 fills several lane blocks while later rounds leave a short
+  // last one.
+  const int n = 5;
+  Workload w = MakeWorkload(n, 543);
+  CnnConfig cnn_cfg;
+  cnn_cfg.image_side = 8;
+  cnn_cfg.channels = 1;
+  cnn_cfg.num_filters = 3;
+  cnn_cfg.num_classes = 10;
+  cnn_cfg.l2_penalty = 1e-4;
+  Cnn model(cnn_cfg);
+  ASSERT_EQ(model.input_dim(), w.test.dim());
+
+  FedAvgConfig fed_cfg;
+  fed_cfg.num_rounds = 3;
+  fed_cfg.clients_per_round = 3;
+  fed_cfg.select_all_first_round = true;
+  fed_cfg.seed = 51;
+
+  ValuationRequest request;
+  request.compute_fedsv = true;
+  request.fedsv.mode = FedSvConfig::Mode::kExact;
+  request.fedsv.seed = 52;
+  request.compute_comfedsv = true;
+  request.comfedsv.mode = ComFedSvConfig::Mode::kFull;
+  request.comfedsv.completion.rank = 2;
+  request.comfedsv.completion.lambda = 1e-3;
+  request.comfedsv.completion.max_iters = 30;
+  request.comfedsv.seed = 53;
+
+  ValuationOutcome inline_run = RunWith(w, model, fed_cfg, request, nullptr);
+  ExecutionContext single(1);
+  ValuationOutcome single_run = RunWith(w, model, fed_cfg, request, &single);
+  ExecutionContext threaded(4);
+  ValuationOutcome threaded_run =
+      RunWith(w, model, fed_cfg, request, &threaded);
+
+  ASSERT_TRUE(inline_run.fedsv_values.has_value());
+  ExpectBitIdentical(*inline_run.fedsv_values, *single_run.fedsv_values,
+                     "CNN FedSV inline vs threads=1");
+  ExpectBitIdentical(*inline_run.fedsv_values, *threaded_run.fedsv_values,
+                     "CNN FedSV inline vs threads=4");
+  ASSERT_TRUE(inline_run.comfedsv.has_value());
+  ExpectBitIdentical(inline_run.comfedsv->values,
+                     single_run.comfedsv->values,
+                     "CNN ComFedSV inline vs threads=1");
+  ExpectBitIdentical(inline_run.comfedsv->values,
+                     threaded_run.comfedsv->values,
+                     "CNN ComFedSV inline vs threads=4");
+  ExpectStatsEqual(inline_run.fedsv_stats, threaded_run.fedsv_stats,
+                   "CNN FedSV");
+  ExpectStatsEqual(inline_run.comfedsv->stats, threaded_run.comfedsv->stats,
+                   "CNN ComFedSV");
 }
 
 TEST(DeterminismTest, SmoothedAlsCompletionIsThreadCountInvariant) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "common/execution_context.h"
 #include "models/batch_kernels.h"
 #include "models/cnn.h"
+#include "models/cnn_lane_kernel.h"
 #include "models/logistic.h"
 #include "models/mlp.h"
 #include "shapley/utility.h"
@@ -97,6 +100,8 @@ TEST(BatchLossTest, SingleLayerMlpIsPureSoftmax) {
   ExpectBatchMatchesLoss(model, MakeData(31, 20, 4, 9, true), 15);
 }
 
+// Cnn overrides BatchLoss, so the generic Model::BatchLoss is called by
+// name here: it must still equal Loss bit for bit, as must the override.
 TEST(BatchLossTest, DefaultImplementationCoversCnn) {
   CnnConfig cfg;
   cfg.image_side = 6;
@@ -104,7 +109,20 @@ TEST(BatchLossTest, DefaultImplementationCoversCnn) {
   cfg.num_filters = 3;
   cfg.num_classes = 4;
   Cnn model(cfg);
-  ExpectBatchMatchesLoss(model, MakeData(20, 36, 4, 10, false), 16);
+  const Dataset data = MakeData(20, 36, 4, 10, false);
+  ExpectBatchMatchesLoss(model, data, 16);
+  const Matrix rows = RandomParams(model, 7, 17);
+  for (int threads : {1, 4}) {
+    ExecutionContext ctx(threads);
+    std::vector<double> generic;
+    model.Model::BatchLoss(rows, data, &generic,
+                           threads == 1 ? nullptr : &ctx);
+    ASSERT_EQ(generic.size(), rows.rows());
+    for (size_t b = 0; b < rows.rows(); ++b) {
+      EXPECT_EQ(generic[b], model.Loss(rows.Row(b), data))
+          << "threads=" << threads << " row=" << b;
+    }
+  }
 }
 
 // Wide shapes, d >= 64 up to the rows where the tiled GEMM dominates the
@@ -153,6 +171,223 @@ TEST(BatchLossTest, BenchShapesBitIdenticalToSequentialLoss) {
         ExpectBatchMatchesLoss(model, data, 52, {shape.batch});
         break;
       }
+    }
+  }
+}
+
+// --- Cnn coalition-lane kernel: every compiled instantiation must
+// agree with Loss bit for bit (the instantiations available depend on
+// the build/CPU) ---
+
+CnnConfig BenchCnnConfig() {
+  CnnConfig cfg;  // the full-cnn-n10 model
+  cfg.image_side = 8;
+  cfg.channels = 1;
+  cfg.num_filters = 6;
+  cfg.num_classes = 10;
+  cfg.l2_penalty = 1e-4;
+  return cfg;
+}
+
+CnnConfig OddSideCnnConfig() {
+  CnnConfig cfg;  // 7x7 conv output: the pool drops a row and a column
+  cfg.image_side = 9;
+  cfg.channels = 3;
+  cfg.num_filters = 4;
+  cfg.num_classes = 5;
+  cfg.l2_penalty = 1e-3;
+  return cfg;
+}
+
+// The kernel's view of `model`: its shape and Cnn's flat-parameter
+// offsets (conv weights, conv bias, FC weights, FC bias).
+internal::CnnLaneShape LaneShapeOf(const Cnn& model, const CnnConfig& cfg) {
+  internal::CnnLaneShape shape;
+  shape.side = cfg.image_side;
+  shape.channels = cfg.channels;
+  shape.filters = cfg.num_filters;
+  shape.classes = cfg.num_classes;
+  shape.conv_side = model.conv_side();
+  shape.pool_side = model.pool_side();
+  shape.conv_w = 0;
+  shape.conv_b = static_cast<size_t>(cfg.num_filters) * cfg.channels * 9;
+  shape.fc_w = shape.conv_b + cfg.num_filters;
+  shape.fc_b = shape.fc_w + model.pooled_dim() * cfg.num_classes;
+  return shape;
+}
+
+void ExpectBytesEqual(double got, double want, const std::string& what) {
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+      << what << " got=" << got << " want=" << want;
+}
+
+// Runs `rows` through Cnn::BatchLoss and through every supported
+// instantiation by name, at 1 and 4 threads, and compares each output
+// with Loss under memcmp.
+void ExpectEveryIsaMatchesLoss(const Cnn& model, const CnnConfig& cfg,
+                               const Matrix& rows, const Dataset& data,
+                               const std::string& what) {
+  std::vector<double> sequential(rows.rows());
+  for (size_t b = 0; b < rows.rows(); ++b) {
+    sequential[b] = model.Loss(rows.Row(b), data);
+  }
+  const internal::CnnLaneShape shape = LaneShapeOf(model, cfg);
+  auto expect_rows = [&](const std::vector<double>& batched,
+                         const std::string& run) {
+    ASSERT_EQ(batched.size(), sequential.size()) << run;
+    for (size_t b = 0; b < rows.rows(); ++b) {
+      ExpectBytesEqual(batched[b], sequential[b],
+                       run + " row=" + std::to_string(b));
+    }
+  };
+  for (int threads : {1, 4}) {
+    ExecutionContext ctx(threads);
+    ExecutionContext* run_ctx = threads == 1 ? nullptr : &ctx;
+    const std::string at = " threads=" + std::to_string(threads);
+    std::vector<double> batched;
+    model.BatchLoss(rows, data, &batched, run_ctx);
+    expect_rows(batched, what + " dispatched" + at);
+    for (internal::CnnLaneIsa isa : internal::SupportedCnnLaneIsas()) {
+      internal::CnnLaneBatchLoss(isa, shape, cfg.l2_penalty, rows, data,
+                                 &batched, run_ctx);
+      expect_rows(batched, what + " isa=" +
+                               std::to_string(static_cast<int>(isa)) + at);
+    }
+  }
+}
+
+TEST(BatchLossTest, EveryCnnKernelIsaBitIdenticalToSequentialLoss) {
+  ASSERT_FALSE(internal::SupportedCnnLaneIsas().empty());
+  for (const CnnConfig& cfg : {BenchCnnConfig(), OddSideCnnConfig()}) {
+    const Cnn model(cfg);
+    // 37 samples is not a multiple of the sample chunk; with 0 only the
+    // regulariser is left.
+    for (int samples : {37, 0}) {
+      const Dataset data =
+          MakeData(samples, static_cast<int>(model.input_dim()),
+                   cfg.num_classes, 81, true);
+      // Lane remainders: 1, 3, 4, 5, 7, 23 and 64 coalitions.
+      for (int batch : {1, 3, 4, 5, 7, 23, 64}) {
+        const Matrix rows = RandomParams(model, batch, 82 + batch);
+        ExpectEveryIsaMatchesLoss(
+            model, cfg, rows, data,
+            "side=" + std::to_string(cfg.image_side) +
+                " samples=" + std::to_string(samples) +
+                " batch=" + std::to_string(batch));
+      }
+    }
+  }
+}
+
+// Averaged coalitions can carry NaN/inf updates from the adversary layer
+// into BatchLoss, so non-finite and signed-zero rows must match Loss byte
+// for byte, NaN sign and payload included. Whether the FC skip is masked
+// (an unmasked z + v*w turns 0*inf into NaN and a -0.0 bias into +0.0)
+// is checked on the kernel's per-sample losses below.
+TEST(BatchLossTest, CnnNonFiniteAndSignedZeroRowsBitIdentical) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const CnnConfig& cfg : {BenchCnnConfig(), OddSideCnnConfig()}) {
+    const Cnn model(cfg);
+    const internal::CnnLaneShape shape = LaneShapeOf(model, cfg);
+    const size_t classes = static_cast<size_t>(cfg.num_classes);
+    const size_t conv_b = shape.conv_b;
+    const size_t fc_w = shape.fc_w;
+    const size_t fc_b = shape.fc_b;
+    ASSERT_EQ(fc_b + classes, model.num_params());
+    const Dataset data =
+        MakeData(37, static_cast<int>(model.input_dim()), cfg.num_classes,
+                 91, true);
+
+    Matrix rows = RandomParams(model, 9, 92);
+    auto dead_conv = [&](size_t r) {
+      for (int f = 0; f < cfg.num_filters; ++f) rows(r, conv_b + f) = -100.0;
+    };
+    auto poison_fc = [&](size_t r) {
+      // One kind of non-finite value per class column, in every pooled
+      // row: +inf, -inf and NaN.
+      for (size_t i = 0; i < model.pooled_dim(); ++i) {
+        rows(r, fc_w + i * classes + 0) = inf;
+        rows(r, fc_w + i * classes + 1) = -inf;
+        rows(r, fc_w + i * classes + 2) = nan;
+      }
+    };
+    // Row 0: ±0.0 weights scattered through conv and FC.
+    for (size_t k = 0; k < fc_b; k += 3) rows(0, k) = (k % 2) ? -0.0 : 0.0;
+    // Row 1: -0.0 FC bias over a dead conv layer: every logit is -0.0.
+    dead_conv(1);
+    for (size_t k = 0; k < classes; ++k) rows(1, fc_b + k) = -0.0;
+    // Row 2: ±inf and NaN FC weights behind dead pooled cells.
+    dead_conv(2);
+    poison_fc(2);
+    // Row 3: the same weights behind live cells: non-finite logits.
+    poison_fc(3);
+    // Row 4: a single +inf FC weight behind live cells.
+    rows(4, fc_w + 5 * classes + 1) = inf;
+    // Row 5: NaN conv weight and a -inf conv bias.
+    rows(5, conv_b - 1) = nan;
+    rows(5, conv_b) = -inf;
+    // Rows 6-8 stay finite, so every lane block mixes row kinds.
+
+    ExpectEveryIsaMatchesLoss(model, cfg, rows, data,
+                              "side=" + std::to_string(cfg.image_side));
+  }
+}
+
+// Loss alone cannot show the FC mask: a non-finite weight also reaches
+// the regulariser (0.5 * l2 * dot is NaN even at l2 = 0). So the
+// kernel's per-sample losses are checked directly: with every pooled cell
+// dead, a lane whose FC weights are ±inf or NaN must give exactly the
+// losses of a lane with finite FC weights.
+TEST(BatchLossTest, CnnKernelMasksFcWeightsOfDeadCells) {
+  const CnnConfig cfg = BenchCnnConfig();
+  const Cnn model(cfg);
+  const internal::CnnLaneShape shape = LaneShapeOf(model, cfg);
+  ASSERT_EQ(shape.fc_b + cfg.num_classes, model.num_params());
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix rows = RandomParams(model, 4, 95);
+  for (int f = 0; f < cfg.num_filters; ++f) {
+    rows(0, shape.conv_b + f) = -100.0;  // every pooled cell dead
+  }
+  for (size_t lane = 1; lane < 4; ++lane) rows.SetRow(lane, rows.Row(0));
+  // Lane 1: lane 0 with ±inf and NaN FC weights. Lane 2: the same with a
+  // -0.0 FC bias. Lane 3: lane 0 with a -0.0 FC bias.
+  for (size_t k = shape.fc_w; k < shape.fc_b; ++k) {
+    const double poison[3] = {inf, -inf, nan};
+    rows(1, k) = poison[k % 3];
+    rows(2, k) = poison[k % 3];
+  }
+  for (size_t k = shape.fc_b; k < model.num_params(); ++k) {
+    rows(2, k) = -0.0;
+    rows(3, k) = -0.0;
+  }
+  std::vector<double> packed(model.num_params() * internal::kCnnLanes);
+  for (size_t p = 0; p < model.num_params(); ++p) {
+    for (size_t lane = 0; lane < internal::kCnnLanes; ++lane) {
+      packed[p * internal::kCnnLanes + lane] = rows(lane, p);
+    }
+  }
+
+  const int samples = 37;
+  const Dataset data = MakeData(samples, static_cast<int>(model.input_dim()),
+                                cfg.num_classes, 96, true);
+  for (internal::CnnLaneIsa isa : internal::SupportedCnnLaneIsas()) {
+    std::vector<double> scratch(internal::CnnLaneScratchSize(shape));
+    std::vector<double> losses(samples * internal::kCnnLanes);
+    internal::CnnLaneKernel(isa)(shape, packed.data(), data.sample(0),
+                                 data.labels().data(), samples,
+                                 scratch.data(), losses.data());
+    for (int s = 0; s < samples; ++s) {
+      const double* l = losses.data() + s * internal::kCnnLanes;
+      const std::string what = "isa=" +
+                               std::to_string(static_cast<int>(isa)) +
+                               " sample=" + std::to_string(s);
+      EXPECT_TRUE(std::isfinite(l[0])) << what;
+      ExpectBytesEqual(l[1], l[0], what + " poisoned FC weights");
+      ExpectBytesEqual(l[2], l[3], what + " poisoned, -0.0 bias");
+      EXPECT_TRUE(std::isfinite(l[3])) << what;
     }
   }
 }
