@@ -1,4 +1,4 @@
-// Ablation: completion-solver choice (ALS vs CCD++ vs SGD) and the
+// Ablation: completion-solver choice (ALS vs CCD++) and the
 // temporal-smoothness extension, on a real utility-matrix completion
 // problem. Reports the relative error against the fully observed matrix,
 // the observed-entry RMSE, and the solve time.
@@ -12,8 +12,8 @@ int AblationSolverMain(int argc, char** argv) {
   const bool full = bench::FullScale(argc, argv);
   bench::PrintHeader(
       "Ablation: completion solver",
-      "ALS / CCD++ / SGD, each with and without temporal smoothing,\n"
-      "on the MNIST-sim utility-matrix completion problem (rank 3).",
+      "ALS with and without temporal smoothing, and CCD++, on the\n"
+      "MNIST-sim utility-matrix completion problem (rank 3).",
       full);
 
   const int num_clients = 10;
@@ -67,8 +67,7 @@ int AblationSolverMain(int argc, char** argv) {
   Table table({"solver", "temporal mu", "rel. error", "observed RMSE",
                "iters", "secs"});
   for (CompletionSolver solver :
-       {CompletionSolver::kAls, CompletionSolver::kCcd,
-        CompletionSolver::kSgd}) {
+       {CompletionSolver::kAls, CompletionSolver::kCcd}) {
     for (double mu : {0.0, 0.1}) {
       if (solver != CompletionSolver::kAls && mu > 0.0) {
         continue;  // smoothing is implemented for ALS only

@@ -1,5 +1,5 @@
-// Completion-engine bench: wall time and entries/sec of the ALS / CCD++ /
-// SGD solvers on synthetic utility-matrix completion problems shaped like
+// Completion-engine bench: wall time and entries/sec of the ALS and CCD++
+// solvers on synthetic utility-matrix completion problems shaped like
 // the sampled (Algorithm 1) pipeline — m ∈ {16,32,64} clients,
 // T ∈ {50,200} rounds, observation density ∈ {1%,5%,20%} — at 1 thread
 // and --threads (default 4), asserting bit-identical factors across
@@ -226,7 +226,7 @@ int CompletionSolversMain(int argc, char** argv) {
   bench::PrintHeader(
       "Completion solvers",
       "Throughput of the compressed-sparse completion engine (ALS,\n"
-      "CCD++, SGD) across client counts, round counts and observation\n"
+      "CCD++) across client counts, round counts and observation\n"
       "densities, vs the pre-refactor scalar ALS solver.",
       full);
 
@@ -251,7 +251,6 @@ int CompletionSolversMain(int argc, char** argv) {
       {"als", CompletionSolver::kAls, 0.0},
       {"als+mu", CompletionSolver::kAls, 0.1},
       {"ccd++", CompletionSolver::kCcd, 0.0},
-      {"sgd", CompletionSolver::kSgd, 0.0},
   };
 
   ExecutionContext threaded(threads);

@@ -6,6 +6,7 @@
 // entries, solves completion problem (9) for r in {1..10}, and prints the
 // relative difference ||U - W H^T||_F / ||U||_F the paper plots.
 #include <cmath>
+#include <optional>
 
 #include "bench_common.h"
 
@@ -13,30 +14,49 @@ namespace comfedsv {
 
 int Fig3Main(int argc, char** argv) {
   const bool full = bench::FullScale(argc, argv);
-  bench::PrintHeader(
-      "Figure 3 (and Example 3)",
-      "Relative error of the rank-r completion of the utility matrix\n"
-      "vs the fully observed reference, for r = 1..10.",
-      full);
-
-  const int num_clients = 10;
-  const int rounds = full ? 100 : 30;
-  // Exploration knobs (documented in --help spirit): --lambda=X and
-  // --solver=als|ccd|sgd override the defaults below.
+  // Exploration knobs: --lambda=X, --mu=X and --solver=als|ccd override
+  // the defaults below. Temporal smoothing is ALS-only, so mu defaults
+  // to 0.1 under ALS and to 0 under CCD++.
   double lambda = 1e-4;
-  double mu = 0.1;  // temporal smoothing; see CompletionConfig
+  std::optional<double> mu_flag;
   CompletionSolver solver = CompletionSolver::kAls;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--lambda=", 9) == 0) {
       lambda = std::atof(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--mu=", 5) == 0) {
-      mu = std::atof(argv[i] + 5);
+      mu_flag = std::atof(argv[i] + 5);
+    } else if (std::strcmp(argv[i], "--solver=als") == 0) {
+      solver = CompletionSolver::kAls;
     } else if (std::strcmp(argv[i], "--solver=ccd") == 0) {
       solver = CompletionSolver::kCcd;
-    } else if (std::strcmp(argv[i], "--solver=sgd") == 0) {
-      solver = CompletionSolver::kSgd;
+    } else if (std::strncmp(argv[i], "--solver=", 9) == 0) {
+      std::fprintf(stderr, "unknown %s (expected als or ccd)\n", argv[i]);
+      return 2;
     }
   }
+  const double mu =
+      mu_flag.value_or(solver == CompletionSolver::kAls ? 0.1 : 0.0);
+  CompletionConfig base;
+  base.solver = solver;
+  base.lambda = lambda;
+  base.temporal_smoothing = mu;
+  base.max_iters = 300;
+  if (Status valid = ValidateCompletionConfig(base); !valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+    return 2;
+  }
+
+  bench::PrintHeader(
+      "Figure 3 (and Example 3)",
+      "Relative error of the rank-r completion of the utility matrix\n"
+      "vs the fully observed reference, for r = 1..10.\n"
+      "solver: " + CompletionSolverName(solver) +
+          ", lambda: " + Table::Num(lambda) +
+          ", temporal mu: " + Table::Num(mu),
+      full);
+
+  const int num_clients = 10;
+  const int rounds = full ? 100 : 30;
 
   bench::WorkloadOptions opt;
   opt.num_clients = num_clients;
@@ -74,12 +94,8 @@ int Fig3Main(int argc, char** argv) {
   Table table({"rank r", "relative diff ||U-WH'||/||U||", "observed RMSE",
                "iters"});
   for (int r = 1; r <= 10; ++r) {
-    CompletionConfig ccfg;
+    CompletionConfig ccfg = base;
     ccfg.rank = r;
-    ccfg.solver = solver;
-    ccfg.lambda = lambda;
-    ccfg.temporal_smoothing = mu;
-    ccfg.max_iters = 300;
     ccfg.seed = 100 + r;
     Result<CompletionResult> fit = CompleteMatrix(obs, ccfg);
     COMFEDSV_CHECK_OK(fit.status());

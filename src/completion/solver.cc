@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <sstream>
 #include <vector>
 
 #include "common/check.h"
@@ -18,12 +19,6 @@ namespace {
 // one scratch allocation across its block; fixed (never derived from the
 // thread count) so block-local state stays schedule-independent.
 constexpr int kSolveBlock = 64;
-
-// Grid dimension B of the SGD stratified schedule: entries are bucketed
-// into a B x B grid of (row-block, column-block) cells and each epoch
-// sweeps the B diagonal strata; the cells of one stratum touch disjoint
-// factor rows. Fixed so the update sequence never depends on threads.
-constexpr int kSgdGrid = 8;
 
 // Runs fn(begin, end) over fixed blocks of [0, n): on the pool when one
 // is supplied, as a single inline range otherwise.
@@ -407,111 +402,6 @@ Result<CompletionResult> SolveCcd(const ObservationSet& obs,
   return out;
 }
 
-Result<CompletionResult> SolveSgd(const ObservationSet& obs,
-                                  const CompletionConfig& cfg, Matrix w,
-                                  Matrix h, ThreadPool* pool) {
-  const int rank = cfg.rank;
-  const int num_rows = obs.num_rows();
-  const int num_cols = obs.num_cols();
-  const std::vector<int>& row_off = obs.row_offsets();
-  const std::vector<int>& csr_cols = obs.csr_cols();
-  const std::vector<double>& csr_values = obs.csr_values();
-
-  // DSGD-style stratified schedule: bucket the entries into a B x B grid
-  // of (row-block, column-block) cells. Epochs sweep the B diagonal
-  // strata {(b, (b + s) mod B)}; within a stratum no two cells share a
-  // row or column block, so their updates touch disjoint rows of W and H
-  // and run concurrently without races — and, because the grid, the
-  // stratum order, and each cell's shuffled visit order are all fixed by
-  // the config seed, the update sequence per parameter is identical for
-  // any thread count.
-  const int grid = std::max(1, std::min({kSgdGrid, num_rows, num_cols}));
-  auto row_block = [&](int i) {
-    return static_cast<int>(static_cast<int64_t>(i) * grid / num_rows);
-  };
-  auto col_block = [&](int j) {
-    return static_cast<int>(static_cast<int64_t>(j) * grid / num_cols);
-  };
-  std::vector<std::vector<int>> cells(static_cast<size_t>(grid) * grid);
-  std::vector<int> pos_row(obs.size());
-  for (int i = 0; i < num_rows; ++i) {
-    for (int p = row_off[i]; p < row_off[i + 1]; ++p) {
-      pos_row[p] = i;
-      cells[row_block(i) * grid + col_block(csr_cols[p])].push_back(p);
-    }
-  }
-  // Per-entry regularization scaled by observation counts so the epoch-
-  // level objective matches the global lambda ||.||_F^2.
-  std::vector<double> reg_w_of_row(num_rows, 0.0);
-  for (int i = 0; i < num_rows; ++i) {
-    const int nnz = row_off[i + 1] - row_off[i];
-    if (nnz > 0) reg_w_of_row[i] = cfg.lambda / static_cast<double>(nnz);
-  }
-  std::vector<double> reg_h_of_col(num_cols, 0.0);
-  for (int j = 0; j < num_cols; ++j) {
-    const int nnz = obs.ColNnz(j);
-    if (nnz > 0) reg_h_of_col[j] = cfg.lambda / static_cast<double>(nnz);
-  }
-
-  Rng rng(cfg.seed ^ 0x53474400ULL);
-  double prev_obj = ObjectiveAndRmse(obs, w, h, cfg.lambda, nullptr);
-  int iters = 0;
-  for (; iters < cfg.max_iters; ++iters) {
-    const double lr = cfg.sgd_learning_rate /
-                      (1.0 + 0.01 * static_cast<double>(iters));
-    const Rng epoch_rng = rng.Split(static_cast<uint64_t>(iters));
-    for (int s = 0; s < grid; ++s) {
-      auto update_cell = [&](int b) {
-        const int cb = (b + s) % grid;
-        // Exactly one task owns a cell per epoch (cb is a bijection of
-        // b within the stratum), so its visit order can be reshuffled in
-        // place — no per-epoch copy. The shuffle stream is derived from
-        // (seed, epoch, cell) only, never from scheduling, so the
-        // resulting order sequence is thread-count invariant.
-        std::vector<int>& order = cells[b * grid + cb];
-        if (order.empty()) return;
-        Rng cell_rng = epoch_rng.Split(static_cast<uint64_t>(b * grid + cb));
-        cell_rng.Shuffle(&order);
-        for (int p : order) {
-          const int i = pos_row[p];
-          const int j = csr_cols[p];
-          double* wr = w.RowPtr(i);
-          double* hr = h.RowPtr(j);
-          double pred = 0.0;
-          for (int k = 0; k < rank; ++k) pred += wr[k] * hr[k];
-          const double err = csr_values[p] - pred;
-          const double reg_w = reg_w_of_row[i];
-          const double reg_h = reg_h_of_col[j];
-          for (int k = 0; k < rank; ++k) {
-            const double wk = wr[k];
-            wr[k] += lr * (err * hr[k] - reg_w * wk);
-            hr[k] += lr * (err * wk - reg_h * hr[k]);
-          }
-        }
-      };
-      if (pool == nullptr) {
-        for (int b = 0; b < grid; ++b) update_cell(b);
-      } else {
-        pool->ParallelFor(grid, update_cell);
-      }
-    }
-    const double obj = ObjectiveAndRmse(obs, w, h, cfg.lambda, nullptr);
-    if (std::fabs(prev_obj - obj) <=
-        cfg.tolerance * std::max(1.0, prev_obj)) {
-      ++iters;
-      break;
-    }
-    prev_obj = obj;
-  }
-  CompletionResult out;
-  out.w = std::move(w);
-  out.h = std::move(h);
-  out.iterations = iters;
-  out.objective =
-      ObjectiveAndRmse(obs, out.w, out.h, cfg.lambda, &out.observed_rmse);
-  return out;
-}
-
 }  // namespace
 
 std::string CompletionSolverName(CompletionSolver solver) {
@@ -520,10 +410,36 @@ std::string CompletionSolverName(CompletionSolver solver) {
       return "als";
     case CompletionSolver::kCcd:
       return "ccd++";
-    case CompletionSolver::kSgd:
-      return "sgd";
   }
   return "unknown";
+}
+
+Status ValidateCompletionConfig(const CompletionConfig& config) {
+  auto bad = [](const char* field, const std::string& rule, double got) {
+    std::ostringstream msg;
+    msg << field << " must be " << rule << ", got " << got;
+    return Status::InvalidArgument(msg.str());
+  };
+  if (config.rank < 1) return bad("rank", ">= 1", config.rank);
+  if (!std::isfinite(config.lambda) || config.lambda <= 0.0) {
+    return bad("lambda", "finite and > 0", config.lambda);
+  }
+  if (config.max_iters < 1) return bad("max_iters", ">= 1", config.max_iters);
+  if (!std::isfinite(config.init_scale) || config.init_scale < 0.0) {
+    return bad("init_scale", "finite and >= 0", config.init_scale);
+  }
+  if (!std::isfinite(config.temporal_smoothing) ||
+      config.temporal_smoothing < 0.0) {
+    return bad("temporal_smoothing", "finite and >= 0",
+               config.temporal_smoothing);
+  }
+  if (config.solver != CompletionSolver::kAls &&
+      config.temporal_smoothing != 0.0) {
+    return bad("temporal_smoothing",
+               "0 for solver " + CompletionSolverName(config.solver),
+               config.temporal_smoothing);
+  }
+  return Status::Ok();
 }
 
 double CompletionResult::Predict(int row, int col) const {
@@ -543,12 +459,7 @@ namespace {
 Result<CompletionResult> CompleteMatrixImpl(
     const ObservationSet& observations, const CompletionConfig& config,
     const FactorPair* warm, ExecutionContext* ctx) {
-  if (config.rank <= 0) {
-    return Status::InvalidArgument("completion rank must be positive");
-  }
-  if (config.lambda < 0.0) {
-    return Status::InvalidArgument("lambda must be non-negative");
-  }
+  COMFEDSV_RETURN_IF_ERROR(ValidateCompletionConfig(config));
   if (!observations.finalized()) {
     return Status::FailedPrecondition(
         "observations must be finalized (ObservationSet::Finalize()) "
@@ -556,12 +467,6 @@ Result<CompletionResult> CompleteMatrixImpl(
   }
   if (observations.empty()) {
     return Status::InvalidArgument("no observed entries to complete from");
-  }
-  if ((config.solver == CompletionSolver::kAls ||
-       config.solver == CompletionSolver::kCcd) &&
-      config.lambda == 0.0) {
-    return Status::InvalidArgument(
-        "ALS/CCD require lambda > 0 for well-posed row solves");
   }
   if (warm != nullptr) {
     if (warm->w.cols() != static_cast<size_t>(config.rank) ||
@@ -614,9 +519,6 @@ Result<CompletionResult> CompleteMatrixImpl(
                       /*staged_growth=*/warm == nullptr, pool);
     case CompletionSolver::kCcd:
       return SolveCcd(observations, config, std::move(w), std::move(h),
-                      pool);
-    case CompletionSolver::kSgd:
-      return SolveSgd(observations, config, std::move(w), std::move(h),
                       pool);
   }
   return Status::InvalidArgument("unknown completion solver");

@@ -4,7 +4,7 @@
 //   minimize_{W, H}  sum_observed (U_{t,S} - w_t^T h_S)^2
 //                    + lambda (||W||_F^2 + ||H||_F^2)
 //
-// Three solvers are provided, all sweeping the compressed-sparse (CSR /
+// Two solvers are provided, both sweeping the compressed-sparse (CSR /
 // CSC) views that ObservationSet::Finalize() builds:
 //   * kAls:  alternating least squares — each factor row has a closed-form
 //            ridge solution; robust default. Row solves accumulate their
@@ -16,14 +16,6 @@
 //            the algorithm inside LIBPMF, the solver the paper used. The
 //            residual is kept in CSR order; row and column refit phases
 //            each parallelize with a barrier in between.
-//   * kSgd:  stochastic gradient over observed entries — cheapest per
-//            pass, used for very large sampled problems. Epochs follow a
-//            DSGD-style stratified grid schedule: the fixed B x B cell
-//            grid is swept one diagonal stratum at a time, cells of a
-//            stratum touch disjoint row and column factors (safe to run
-//            concurrently), and each cell's entries are visited in a
-//            fixed sub-stream shuffle — so updates are identical for any
-//            thread count.
 // The ablation bench (bench/ablation_completion_solver) compares their
 // fits; bench/completion_solvers records their throughput.
 #ifndef COMFEDSV_COMPLETION_SOLVER_H_
@@ -39,8 +31,9 @@
 
 namespace comfedsv {
 
-/// Which optimizer solves the completion problem.
-enum class CompletionSolver { kAls, kCcd, kSgd };
+/// Which optimizer solves the completion problem. The values are hashed
+/// into request fingerprints (core/checkpointing.cc), so they never change.
+enum class CompletionSolver { kAls = 0, kCcd = 1 };
 
 /// Human-readable solver name.
 std::string CompletionSolverName(CompletionSolver solver);
@@ -53,13 +46,11 @@ struct CompletionConfig {
   int rank = 5;
   /// Regularization weight lambda.
   double lambda = 1e-3;
-  /// Maximum alternating sweeps / epochs.
+  /// Maximum alternating sweeps.
   int max_iters = 100;
   /// Stop when the relative decrease of the objective falls below this.
   double tolerance = 1e-8;
   CompletionSolver solver = CompletionSolver::kAls;
-  /// SGD-only: step size.
-  double sgd_learning_rate = 0.02;
   /// Standard deviation of the random factor initialization; 0 = auto
   /// (a small fraction of the data scale, which empirically steers ALS
   /// to good basins — see the init-scale ablation bench).
@@ -69,7 +60,7 @@ struct CompletionConfig {
   /// the same coalition change slowly across successive rounds). Rows of
   /// W index training rounds, so coupling adjacent rows stabilizes the
   /// row factors of sparsely observed rounds. 0 disables (the literal
-  /// problem (9)); ALS only.
+  /// problem (9)); ALS only, so kCcd requires 0.
   double temporal_smoothing = 0.0;
   uint64_t seed = 0;
   /// ALS / CCD++ compute the stopping objective from state the sweep
@@ -80,6 +71,15 @@ struct CompletionConfig {
   /// tolerance). Always on in debug (!NDEBUG) builds.
   bool verify_fused_objective = false;
 };
+
+/// Checks every field that has an invalid range, in one place: rank >= 1;
+/// lambda finite and > 0 (the ridge row solves need it); max_iters >= 1;
+/// init_scale finite and >= 0; and temporal_smoothing finite, >= 0 and 0
+/// unless the solver is kAls.
+/// Returns InvalidArgument whose message starts with the offending field
+/// name. `tolerance` is not checked: -inf (never stop early) is a valid
+/// setting.
+Status ValidateCompletionConfig(const CompletionConfig& config);
 
 /// A completion factorization (W, H): the warm-start unit the streaming
 /// valuation engine carries between re-solves and the checkpoint layer
@@ -113,8 +113,6 @@ struct CompletionResult {
 ///     (red-black), each color reading only the other color's rows.
 ///   * CCD++ runs its residual updates and per-row / per-column rank-1
 ///     refits in parallel phases separated by barriers.
-///   * SGD processes one stratum of its fixed grid schedule at a time;
-///     concurrent cells touch disjoint factor rows.
 Result<CompletionResult> CompleteMatrix(const ObservationSet& observations,
                                         const CompletionConfig& config,
                                         ExecutionContext* ctx = nullptr);

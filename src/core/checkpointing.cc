@@ -30,7 +30,8 @@ void MixCompletion(uint64_t* hash, const CompletionConfig& completion) {
   FingerprintMix(hash, static_cast<uint64_t>(completion.max_iters));
   FingerprintMix(hash, completion.tolerance);
   FingerprintMix(hash, static_cast<uint64_t>(completion.solver));
-  FingerprintMix(hash, completion.sgd_learning_rate);
+  // Retired SGD step size: its old default keeps every fingerprint.
+  FingerprintMix(hash, 0.02);
   FingerprintMix(hash, completion.init_scale);
   FingerprintMix(hash, completion.temporal_smoothing);
   FingerprintMix(hash, completion.seed);

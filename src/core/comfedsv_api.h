@@ -9,7 +9,7 @@
 //   * fl/          — FedAvgTrainer + client-selection strategies
 //   * shapley/     — coalition utilities, exact & Monte-Carlo Shapley,
 //                    the FedSV baseline
-//   * completion/  — low-rank matrix completion (ALS / CCD++ / SGD)
+//   * completion/  — low-rank matrix completion (ALS / CCD++)
 //   * io/          — versioned binary serialization & checkpoint files
 //   * core/        — ComFedSvEvaluator, GroundTruthEvaluator, the
 //                    one-call RunValuation pipeline (plain and

@@ -13,8 +13,8 @@ namespace {
 // round observes (t, empty, 0), which under the default ALS solver
 // already forces the empty column's factor row to exactly zero (its
 // ridge normal equations have a zero right-hand side, and the LDL^T
-// substitutions of a zero vector are exact), but CCD++ and SGD only
-// drive it toward zero. Zeroing the row here aligns every solver with
+// substitutions of a zero vector are exact), but CCD++ only drives it
+// toward zero. Zeroing the row here aligns both solvers with
 // MonteCarloShapley's and RoundUtility's hardcoded U(empty) = 0 — and is
 // bit-identical for ALS, where the row is already +0.0.
 void PinEmptyColumnFactor(int empty_col, Matrix* h) {

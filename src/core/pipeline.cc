@@ -44,6 +44,10 @@ Status ValidateRequest(const ValuationRequest& request, int num_clients) {
     }
   }
   if (!request.compute_comfedsv) return Status::Ok();
+  if (Status s = ValidateCompletionConfig(request.comfedsv.completion);
+      !s.ok()) {
+    return Status::InvalidArgument("comfedsv.completion." + s.message());
+  }
   if (request.comfedsv.mode == ComFedSvConfig::Mode::kFull &&
       num_clients > kMaxObservedClients) {
     return Status::InvalidArgument(

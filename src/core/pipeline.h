@@ -67,9 +67,14 @@ struct ValuationOutcome {
 /// with a negative truncation_tolerance — the Monte-Carlo FedSV sampler
 /// or the sampled ComFedSV one — or an adaptive Monte-Carlo FedSV sampler
 /// with a negative pilot_permutations, non-positive waves or
-/// min_cell_samples below 1. Every RunValuation* driver and the
-/// StreamingValuationEngine constructor call it before building any
-/// evaluator.
+/// min_cell_samples below 1 — or, when compute_comfedsv is set, a
+/// comfedsv.completion that ValidateCompletionConfig refuses: rank below
+/// 1, a non-finite or non-positive lambda, max_iters below 1, a
+/// non-finite or negative init_scale, or a non-finite or negative
+/// temporal_smoothing, or a nonzero one with a solver other than kAls
+/// (the message names the field with the comfedsv.completion. prefix).
+/// Every RunValuation* driver and the StreamingValuationEngine
+/// constructor call it before building any evaluator.
 Status ValidateRequest(const ValuationRequest& request, int num_clients);
 
 /// Runs FedAvg over `client_data` and evaluates the requested metrics.

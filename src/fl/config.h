@@ -47,7 +47,7 @@ struct AggregationGuardConfig {
   int quarantine_after = 0;
 };
 
-/// Learning-rate schedule for local SGD steps.
+/// Learning-rate schedule for local stochastic gradient steps.
 struct LearningRateSchedule {
   enum class Kind {
     kConstant,       ///< eta_t = base
@@ -108,7 +108,7 @@ struct FedAvgConfig {
   /// Per-round participation probability, in [0, 1]. kBernoulli only;
   /// rounds may select no one (the trainer then skips aggregation).
   double participation_prob = 0.5;
-  /// Local SGD steps per client per round (paper's theory uses 1).
+  /// Local gradient steps per client per round (paper's theory uses 1).
   int local_steps = 1;
   /// Mini-batch size for local steps; 0 = full local batch (deterministic
   /// given the seed; the paper's theory assumes deterministic updates).

@@ -1,6 +1,6 @@
 // FedAvg trainer (McMahan et al. 2017), as described in Sec. III of the
-// paper: broadcast w^t, every client runs local SGD, the server selects
-// I_t and averages the selected local models.
+// paper: broadcast w^t, every client runs local stochastic gradient
+// descent, the server selects I_t and averages the selected local models.
 //
 // Every client computes its local update each round even when unselected —
 // that is how Algorithm 1 of the paper obtains the observable utility

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "completion/interner.h"
@@ -235,8 +238,7 @@ TEST_P(SolverParamTest, OverparameterizedRankStillFits) {
 
 INSTANTIATE_TEST_SUITE_P(AllSolvers, SolverParamTest,
                          ::testing::Values(CompletionSolver::kAls,
-                                           CompletionSolver::kCcd,
-                                           CompletionSolver::kSgd),
+                                           CompletionSolver::kCcd),
                          [](const auto& info) {
                            return CompletionSolverName(info.param) ==
                                           "ccd++"
@@ -305,13 +307,63 @@ TEST(CompletionTest, ConfigGuards) {
   cfg.rank = 2;
   cfg.lambda = -1.0;
   EXPECT_FALSE(CompleteMatrix(obs, cfg).ok());
-  cfg.lambda = 0.0;  // ill-posed for ALS
+  cfg.lambda = 0.0;  // ill-posed for both solvers
   EXPECT_FALSE(CompleteMatrix(obs, cfg).ok());
   cfg.lambda = 0.1;
   EXPECT_TRUE(CompleteMatrix(obs, cfg).ok());
   ObservationSet empty(2, 2);
   empty.Finalize();
   EXPECT_FALSE(CompleteMatrix(empty, cfg).ok());
+}
+
+TEST(CompletionTest, ValidationNamesEveryBadField) {
+  // Each of these used to abort inside a solver sweep (non-finite lambda,
+  // init_scale or temporal_smoothing) or be silently ignored (a negative
+  // or CCD++ temporal_smoothing, a negative init_scale, max_iters < 1).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    std::function<void(CompletionConfig*)> set;
+  };
+  const Case cases[] = {
+      {"lambda", [&](CompletionConfig* c) { c->lambda = nan; }},
+      {"lambda", [&](CompletionConfig* c) { c->lambda = inf; }},
+      {"max_iters", [](CompletionConfig* c) { c->max_iters = -5; }},
+      {"max_iters", [](CompletionConfig* c) { c->max_iters = 0; }},
+      {"init_scale", [&](CompletionConfig* c) { c->init_scale = nan; }},
+      {"init_scale", [&](CompletionConfig* c) { c->init_scale = inf; }},
+      {"init_scale", [](CompletionConfig* c) { c->init_scale = -1.0; }},
+      {"temporal_smoothing",
+       [&](CompletionConfig* c) { c->temporal_smoothing = nan; }},
+      {"temporal_smoothing",
+       [&](CompletionConfig* c) { c->temporal_smoothing = inf; }},
+      {"temporal_smoothing",
+       [](CompletionConfig* c) { c->temporal_smoothing = -1.0; }},
+      {"temporal_smoothing",
+       [](CompletionConfig* c) {
+         c->solver = CompletionSolver::kCcd;
+         c->temporal_smoothing = 0.1;
+       }},
+  };
+  const ObservationSet obs = FullObservations(RandomLowRank(6, 5, 2, 17));
+  for (const Case& bad : cases) {
+    CompletionConfig cfg;
+    cfg.rank = 2;
+    cfg.temporal_smoothing = 0.1;
+    ASSERT_TRUE(ValidateCompletionConfig(cfg).ok());
+    bad.set(&cfg);
+    const Status status = CompleteMatrix(obs, cfg).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad.field;
+    EXPECT_EQ(status.message().rfind(bad.field, 0), 0u)
+        << bad.field << ": " << status.message();
+  }
+
+  // Never stopping early is a valid setting, and CCD++ runs at mu = 0.
+  CompletionConfig ccd;
+  ccd.solver = CompletionSolver::kCcd;
+  ccd.tolerance = -inf;
+  EXPECT_TRUE(ValidateCompletionConfig(ccd).ok());
 }
 
 TEST(InternerTest, InternFindGetRoundTrip) {

@@ -184,7 +184,7 @@ TEST(ComFedSvFormulaTest, SampledAndExactAgreeOnNonzeroEmptyColumn) {
   // The U(empty) = 0 audit, formula level: ComFedSvSampled's walk
   // baseline is the factor-predicted empty value — the same value the
   // exact Def. 4 sum uses — so the two stay consistent even when the
-  // factors predict a *nonzero* empty column (as unconverged CCD++/SGD
+  // factors predict a *nonzero* empty column (as unconverged CCD++
   // completions can). Rank-1 factors with every permutation sampled
   // make the Monte-Carlo average exact, so agreement is to rounding.
   const int n = 3;
@@ -401,18 +401,16 @@ TEST(ComFedSvEvaluatorTest, FinalizePinsEmptyFactorRowToZero) {
   // The U(empty) = 0 audit, pipeline level: the empty coalition is
   // observed at 0 every round, and under the default ALS solver its
   // factor row already solves to exactly zero (zero right-hand side
-  // through the ridge normal equations). SGD only decays the random
-  // initialization toward zero, so Finalize pins the row — the returned
-  // factors must honor the convention for every solver, keeping the
-  // sampled walk baseline aligned with MonteCarloShapley's hardcoded
-  // U(empty) = 0.
+  // through the ridge normal equations). CCD++ only drives it toward
+  // zero, so Finalize pins the row — the returned factors must honor
+  // the convention for both solvers, keeping the sampled walk baseline
+  // aligned with MonteCarloShapley's hardcoded U(empty) = 0.
   Workload w = MakeWorkload(4, 73);
   LogisticRegression model(w.test.dim(), 10);
   FedAvgConfig fcfg = SmallFedConfig(4, 2, 79);
 
   for (CompletionSolver solver :
-       {CompletionSolver::kAls, CompletionSolver::kSgd,
-        CompletionSolver::kCcd}) {
+       {CompletionSolver::kAls, CompletionSolver::kCcd}) {
     ComFedSvConfig ccfg;
     ccfg.mode = ComFedSvConfig::Mode::kSampled;
     ccfg.num_permutations = 6;

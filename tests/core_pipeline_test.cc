@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -250,6 +251,38 @@ TEST(PipelineTest, RejectsNegativeTruncationTolerance) {
   req.fedsv.sampler.truncation_tolerance = -1.0;
   req.compute_comfedsv = false;
   ExpectEveryDriverRejects(req, 3, "fedsv.sampler.truncation_tolerance");
+}
+
+// A completion config the solver sweeps cannot serve used to pass
+// validation, train every round and then abort in the first ALS row
+// solve ("normal equations not positive definite").
+TEST(PipelineTest, RejectsNonFiniteCompletionLambda) {
+  ValuationRequest req;
+  req.compute_fedsv = false;
+  req.compute_comfedsv = true;
+  req.comfedsv.completion.lambda = std::numeric_limits<double>::quiet_NaN();
+  ExpectEveryDriverRejects(req, 3, "comfedsv.completion.lambda");
+}
+
+// Checkpoints carry the request fingerprint, so a config change that
+// moves it makes every existing checkpoint unresumable. The values below
+// were computed before the third completion solver and its step size
+// were retired; MixCompletion still mixes the step size's old default
+// in its slot.
+TEST(PipelineTest, RequestFingerprintsAreStable) {
+  EXPECT_EQ(RequestFingerprint(ValuationRequest{}), 0xe112cd92836df426ULL);
+
+  ValuationRequest req;
+  req.compute_fedsv = true;
+  req.compute_comfedsv = true;
+  req.comfedsv.completion.rank = 3;
+  req.comfedsv.completion.lambda = 1e-4;
+  req.comfedsv.completion.temporal_smoothing = 0.1;
+  EXPECT_EQ(RequestFingerprint(req), 0xdb7fd058503ca1d5ULL);
+
+  req.comfedsv.completion.solver = CompletionSolver::kCcd;
+  req.comfedsv.completion.temporal_smoothing = 0.0;
+  EXPECT_EQ(RequestFingerprint(req), 0x2b11252af9bb15bdULL);
 }
 
 // An adaptive Monte-Carlo FedSV request whose allocator knobs

@@ -364,11 +364,10 @@ TEST(DeterminismTest, SmoothedAlsCompletionIsThreadCountInvariant) {
 
 TEST(DeterminismTest, CompletionSolversAreThreadCountInvariant) {
   // Every completion solver (ALS, ALS + temporal smoothing with its
-  // red-black W-side, CCD++'s phased residual refits, SGD's stratified
-  // grid schedule) must produce bit-identical factors inline, on a
-  // single-threaded context, and on a 4-thread context. The observation
-  // set is large enough that the parallel sweeps span several fixed
-  // blocks.
+  // red-black W-side, CCD++'s phased residual refits) must produce
+  // bit-identical factors inline, on a single-threaded context, and on a
+  // 4-thread context. The observation set is large enough that the
+  // parallel sweeps span several fixed blocks.
   const int rows = 70, cols = 90, true_rank = 3;
   Rng rng(2024);
   Matrix a(rows, true_rank), b(true_rank, cols);
@@ -396,7 +395,6 @@ TEST(DeterminismTest, CompletionSolversAreThreadCountInvariant) {
       {"als", CompletionSolver::kAls, 0.0},
       {"als+mu", CompletionSolver::kAls, 0.1},
       {"ccd++", CompletionSolver::kCcd, 0.0},
-      {"sgd", CompletionSolver::kSgd, 0.0},
   };
   for (const Variant& v : variants) {
     CompletionConfig cfg;

@@ -1,7 +1,7 @@
 // Golden end-to-end scenario matrix: a fixed-seed cross-product of
 //   {selector: all / random / Bernoulli}
 // x {sampler:  uniform / antithetic / stratified / truncated}
-// x {solver:   ALS / CCD++ / SGD}
+// x {solver:   ALS / CCD++}
 // x {noise:    clean / noisy-label}
 // over a small synthetic game, with checked-in golden FedSV and ComFedSV
 // values — so future refactors cannot silently move paper-facing numbers.
@@ -246,9 +246,7 @@ ScenarioResult RunScenario(const Scenario& s,
   request.comfedsv.completion.max_iters = 25;
   const std::string solver = s.solver;
   request.comfedsv.completion.solver =
-      solver == "ccd"   ? CompletionSolver::kCcd
-      : solver == "sgd" ? CompletionSolver::kSgd
-                        : CompletionSolver::kAls;
+      solver == "ccd" ? CompletionSolver::kCcd : CompletionSolver::kAls;
   request.comfedsv.completion.seed = 3003;
   request.comfedsv.seed = 4004;
 
@@ -271,7 +269,7 @@ std::vector<Scenario> AllScenarios() {
   for (const char* selector : {"all", "random", "bernoulli"}) {
     for (const char* sampler :
          {"uniform", "antithetic", "stratified", "truncated"}) {
-      for (const char* solver : {"als", "ccd", "sgd"}) {
+      for (const char* solver : {"als", "ccd"}) {
         for (const char* noise : {"clean", "noisy"}) {
           scenarios.push_back({selector, sampler, solver, noise});
         }
@@ -303,12 +301,6 @@ constexpr GoldenRow kGolden[] = {
     {"all/uniform/ccd/noisy",
      {0.057230496073435361, 0.046451547145840114, 0.045909176362861841, 0.11123676167263169},
      {0.03445930688202526, 0.14263771820167054, -0.01456039685125122, 0.098151650879118438}},
-    {"all/uniform/sgd/clean",
-     {0.069541535250595365, 0.050246066953785543, 0.093169729814349414, 0.074484780373922824},
-     {-1.4733574194737682e-05, 8.7248890992423374e-06, -0.00084065488114189191, 0.00019509734690448399}},
-    {"all/uniform/sgd/noisy",
-     {0.057230496073435361, 0.046451547145840114, 0.045909176362861841, 0.11123676167263169},
-     {-1.7265459934357559e-05, 7.6171121467140802e-06, -0.00083675715537591551, 0.00019823389592835434}},
     {"all/antithetic/als/clean",
      {0.04194362535486057, 0.069283339474825983, 0.10946937036476299, 0.066745777198203585},
      {0.051506534218419386, 0.10408354513040141, 0.10842253990364825, 0.02326253917127287}},
@@ -321,12 +313,6 @@ constexpr GoldenRow kGolden[] = {
     {"all/antithetic/ccd/noisy",
      {0.03462653400355914, 0.065813570338502131, 0.059116764142337512, 0.10127111277037021},
      {0.040318232020992724, 0.10215618491607839, 0.059088240325235721, 0.059071479911512716}},
-    {"all/antithetic/sgd/clean",
-     {0.04194362535486057, 0.069283339474825983, 0.10946937036476299, 0.066745777198203585},
-     {-0.00048198188666573338, -0.00014391717095275005, -4.8533226379956032e-05, -0.00015893251646819382}},
-    {"all/antithetic/sgd/noisy",
-     {0.03462653400355914, 0.065813570338502131, 0.059116764142337512, 0.10127111277037021},
-     {-0.00043528380011224985, -0.00013565034084741281, -5.5286940630271772e-05, -0.00013557052726109311}},
     {"all/stratified/als/clean",
      {0.088130498005620297, 0.097112567928445387, 0.071070114393512129, 0.031128932065075332},
      {0.092067910326611282, 0.10368318206123042, 0.065988724716145836, 0.025548153813252844}},
@@ -339,12 +325,6 @@ constexpr GoldenRow kGolden[] = {
     {"all/stratified/ccd/noisy",
      {0.075666883531535806, 0.092274087909746741, 0.027652486522153963, 0.065234523291332502},
      {0.080692602235023003, 0.10336233086443636, 0.020957188102078673, 0.055600183011238154}},
-    {"all/stratified/sgd/clean",
-     {0.088130498005620297, 0.097112567928445387, 0.071070114393512129, 0.031128932065075332},
-     {-0.0006018751529493539, 9.4385189697979288e-05, 1.6430102462038295e-05, -0.00032728451441605896}},
-    {"all/stratified/sgd/noisy",
-     {0.075666883531535806, 0.092274087909746741, 0.027652486522153963, 0.065234523291332502},
-     {-0.00052004801287783254, 5.0808827145546492e-05, -4.3258405743047652e-05, -0.00027579052312136268}},
     {"all/truncated/als/clean",
      {0.068166257563590293, 0.044588571988682858, 0.085240189280134854, 0.085881819581407018},
      {0.051185083207816708, 0.15644230503967516, 0.0038779641769675168, 0.075791661183929174}},
@@ -357,12 +337,6 @@ constexpr GoldenRow kGolden[] = {
     {"all/truncated/ccd/noisy",
      {0.059551456301574525, 0.038731439639505962, 0.058270581535268817, 0.10585982790449994},
      {0.027532401435635241, 0.13976310893708382, -4.6259292692714852e-17, 0.093386279089742244}},
-    {"all/truncated/sgd/clean",
-     {0.068166257563590293, 0.044588571988682858, 0.085240189280134854, 0.085881819581407018},
-     {-1.6197690604025519e-05, 9.784212414326891e-06, -0.00084928564538079793, 0.00019762171709944901}},
-    {"all/truncated/sgd/noisy",
-     {0.059551456301574525, 0.038731439639505962, 0.058270581535268817, 0.10585982790449994},
-     {-1.758007073019001e-05, 6.826176761360464e-06, -0.00082082136740611183, 0.00019433139154321233}},
     {"random/uniform/als/clean",
      {0.089599069606077178, 0.12774749191714457, 0.030378924119876489, 0.03892646858829564},
      {0.036419063477671321, 0.15170073355655478, 0.0095646453761266854, 0.034398356621462206}},
@@ -375,12 +349,6 @@ constexpr GoldenRow kGolden[] = {
     {"random/uniform/ccd/noisy",
      {0.073614228617091382, 0.1213908770956648, 0.012299043704114054, 0.06208877981356508},
      {0.013077648113995375, 0.1412668373553147, -0.010285509614014518, 0.066228898464480823}},
-    {"random/uniform/sgd/clean",
-     {0.089599069606077178, 0.12774749191714457, 0.030378924119876489, 0.03892646858829564},
-     {-0.00010327354344895088, 3.2442324806016771e-05, -0.0011081073900098045, 0.00025148255489856029}},
-    {"random/uniform/sgd/noisy",
-     {0.073614228617091382, 0.1213908770956648, 0.012299043704114054, 0.06208877981356508},
-     {-9.9639539295304675e-05, 2.969424991994689e-05, -0.0010683295541022084, 0.00024515291881361742}},
     {"random/antithetic/als/clean",
      {0.055804988322688487, 0.11038899595972124, 0.054010772858310144, 0.066447197090674009},
      {0.039303023683410321, 0.10081912177699505, 0.067990071261408658, 0.004186018387579574}},
@@ -393,12 +361,6 @@ constexpr GoldenRow kGolden[] = {
     {"random/antithetic/ccd/noisy",
      {0.044965559190199546, 0.10309463638620821, 0.030224206447488244, 0.091108527206539336},
      {0.034256517712139854, 0.099530106078117436, 0.049385081493002282, 0.046229443415974077}},
-    {"random/antithetic/sgd/clean",
-     {0.055804988322688487, 0.11038899595972124, 0.054010772858310144, 0.066447197090674009},
-     {-0.00062624702120853658, -0.0002307841432557281, -0.00013311862557188988, -0.00017802921726727507}},
-    {"random/antithetic/sgd/noisy",
-     {0.044965559190199546, 0.10309463638620821, 0.030224206447488244, 0.091108527206539336},
-     {-0.00056995983775555404, -0.00021602755550942084, -0.00012131009669295928, -0.00016078967208873806}},
     {"random/stratified/als/clean",
      {0.078092320022123574, 0.1342692899253132, 0.029905444602504362, 0.04438489968145274},
      {0.092691770784478503, 0.10042039232078399, 0.03845756921398491, -0.02004476745110343}},
@@ -411,12 +373,6 @@ constexpr GoldenRow kGolden[] = {
     {"random/stratified/ccd/noisy",
      {0.065710857397962452, 0.12299976487422165, 0.01107709469908626, 0.069605212259164967},
      {0.076142644333117418, 0.10039416447514117, 0.013608291672074019, 0.033441469428619294}},
-    {"random/stratified/sgd/clean",
-     {0.078092320022123574, 0.1342692899253132, 0.029905444602504362, 0.04438489968145274},
-     {-0.00071241677725224391, 5.0521869366403072e-05, -9.5055329173344131e-05, -0.00034821653949784396}},
-    {"random/stratified/sgd/noisy",
-     {0.065710857397962452, 0.12299976487422165, 0.01107709469908626, 0.069605212259164967},
-     {-0.00062824375807954641, 2.1964254213577945e-05, -0.0001194511139258142, -0.00030747882139212811}},
     {"random/truncated/als/clean",
      {0.08940215915680523, 0.1243979993243465, 0.024888435999251002, 0.051988052119776841},
      {0.035731372556604774, 0.15419749144953787, 0.0026713439062333076, 0.038803870996205525}},
@@ -429,12 +385,6 @@ constexpr GoldenRow kGolden[] = {
     {"random/truncated/ccd/noisy",
      {0.07510439909146005, 0.11501478993887018, 0.017743243912475316, 0.060364981001387666},
      {0.0095682906711771851, 0.13943526174562934, -3.4503427634067586e-05, 0.061210442365627282}},
-    {"random/truncated/sgd/clean",
-     {0.08940215915680523, 0.1243979993243465, 0.024888435999251002, 0.051988052119776841},
-     {-0.00010397452749494215, 3.2765459631920261e-05, -0.0011143216045789244, 0.00025248536716719703}},
-    {"random/truncated/sgd/noisy",
-     {0.07510439909146005, 0.11501478993887018, 0.017743243912475316, 0.060364981001387666},
-     {-9.8283560917313865e-05, 2.9422713786118133e-05, -0.0010582704062503515, 0.00024286717930012934}},
     {"bernoulli/uniform/als/clean",
      {0.12315008951812606, 0.0442902001362947, 0.075685452432870309, 0.045220278413524731},
      {0.051703633705813302, 0.11732285536823797, 0.0086176324253400497, 0.031459737101765195}},
@@ -447,12 +397,6 @@ constexpr GoldenRow kGolden[] = {
     {"bernoulli/uniform/ccd/noisy",
      {0.1057264458096063, 0.044836902890636354, 0.037720208138437419, 0.074122042187331261},
      {0.030336735274126662, 0.11128974777879333, -0.010038366217250886, 0.074425369853956758}},
-    {"bernoulli/uniform/sgd/clean",
-     {0.12315008951812606, 0.0442902001362947, 0.075685452432870309, 0.045220278413524731},
-     {-3.8967958525217594e-05, 3.2143949816248825e-05, -0.0011342917727655325, 0.00019229512895164378}},
-    {"bernoulli/uniform/sgd/noisy",
-     {0.1057264458096063, 0.044836902890636354, 0.037720208138437419, 0.074122042187331261},
-     {-3.7840455839474088e-05, 2.9482669030690114e-05, -0.0010961389389848907, 0.00018864288345011334}},
     {"bernoulli/antithetic/als/clean",
      {0.069421719527674175, 0.074341489448059739, 0.090629039640819378, 0.053953771884262515},
      {0.038885793171043084, 0.092245322127417498, 0.10173450511587712, 0.010615714495634924}},
@@ -465,12 +409,6 @@ constexpr GoldenRow kGolden[] = {
     {"bernoulli/antithetic/ccd/noisy",
      {0.05837588912193379, 0.074051895890358446, 0.04722097093847899, 0.082756843075240116},
      {0.030917992207486485, 0.098094095575565143, 0.053484083849705266, 0.045581387830394574}},
-    {"bernoulli/antithetic/sgd/clean",
-     {0.069421719527674175, 0.074341489448059739, 0.090629039640819378, 0.053953771884262515},
-     {-0.00058246125796986199, -0.0002050197105328577, -0.00012463176674933947, -0.00022051535943705798}},
-    {"bernoulli/antithetic/sgd/noisy",
-     {0.05837588912193379, 0.074051895890358446, 0.04722097093847899, 0.082756843075240116},
-     {-0.00052323268166335737, -0.0001902180249276625, -0.00011063286978779978, -0.00019613684469575867}},
     {"bernoulli/stratified/als/clean",
      {0.091709051227109262, 0.098221783413651703, 0.06652371138501359, 0.031891474475041239},
      {0.092880203340233281, 0.083565443909777784, 0.066268382550787763, -0.0040905469829873031}},
@@ -483,12 +421,6 @@ constexpr GoldenRow kGolden[] = {
     {"bernoulli/stratified/ccd/noisy",
      {0.079121187329696696, 0.093957024378371889, 0.028073859190077006, 0.061253528127865754},
      {0.082011035892100126, 0.095170012082995026, 0.022310471994450388, 0.03709891399583877}},
-    {"bernoulli/stratified/sgd/clean",
-     {0.091709051227109262, 0.098221783413651703, 0.06652371138501359, 0.031891474475041239},
-     {-0.00065985162355705488, 6.7840504572024815e-05, -6.3731427120198588e-05, -0.0004222238235388936}},
-    {"bernoulli/stratified/sgd/noisy",
-     {0.079121187329696696, 0.093957024378371889, 0.028073859190077006, 0.061253528127865754},
-     {-0.00057962538903513251, 3.2434657834943387e-05, -9.5117598992450845e-05, -0.00036541865678195375}},
     {"bernoulli/truncated/als/clean",
      {0.1231501057776101, 0.039241366105785803, 0.070194964312244826, 0.054939800638704253},
      {0.020782118473741413, 0.13916534351648902, 0.0026017359379495405, 0.062825119051256387}},
@@ -501,12 +433,6 @@ constexpr GoldenRow kGolden[] = {
     {"bernoulli/truncated/ccd/noisy",
      {0.10699600379670098, 0.03688823237827317, 0.045923220126467726, 0.072990523963700496},
      {0.0040388711904488315, 0.13301061364179959, -1.5927208538305905e-05, 0.067408483990182899}},
-    {"bernoulli/truncated/sgd/clean",
-     {0.1231501057776101, 0.039241366105785803, 0.070194964312244826, 0.054939800638704253},
-     {-3.9432914536774596e-05, 3.246873287198333e-05, -0.001140736741169616, 0.00019305504220017291}},
-    {"bernoulli/truncated/sgd/noisy",
-     {0.10699600379670098, 0.03688823237827317, 0.045923220126467726, 0.072990523963700496},
-     {-3.7013638593033792e-05, 2.9208784573805902e-05, -0.0010856119435893694, 0.00018685875636428019}},
     // COMFEDSV_GOLDEN_TABLE_END
 };
 
