@@ -3,21 +3,27 @@
 // bit-identical to an uninterrupted run.
 //
 //   1. run RunValuationCheckpointed on a fault-injecting file system
-//      whose checkpoint write after round 4 of 8 "crashes" (stands in
+//      whose checkpoint save after round 4 of 8 "crashes" (stands in
 //      for a real kill -9 — the process state is discarded either way;
-//      only the checkpoint file survives),
+//      only the checkpoint files survive),
 //   2. call RunValuationCheckpointed again with the same inputs: it
 //      finds the round-4 checkpoint and replays only rounds 5..8,
 //   3. compare against a straight (never-interrupted) run,
-//   4. repeat with rotated generations (keep_generations=3) and a
+//   4. repeat keeping three generations (keep_generations=3) with a
 //      deliberately corrupted newest checkpoint: the resume quarantines
 //      the corrupt file to `*.corrupt`, falls back to the next-newest
 //      generation, and still finishes bit-identical.
+//
+// Exits non-zero when either resumed run differs from the straight one.
+// It writes `resume_example*.ckpt.*` files into the working directory
+// and removes them before it returns.
 //
 // Build & run:  ./build/examples/example_resume_after_crash
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <string_view>
 
 #include "common/failpoint.h"
 #include "core/comfedsv_api.h"
@@ -28,24 +34,53 @@ namespace {
 
 using namespace comfedsv;
 
+// A disk that crashes on the `crash_at`-th checkpoint save. A save is
+// counted by its write of a `stem.<seq>.tmp` generation file, so the
+// crash stays on the named round when a round log
+// (CheckpointConfig::round_log_path) writes through the same disk.
+class CrashOnSaveEnv : public FaultInjectingFileEnv {
+ public:
+  CrashOnSaveEnv(const std::string& stem, int crash_at)
+      : prefix_(stem + "."), crash_at_(crash_at) {}
+
+  Status WriteFile(const std::string& path, std::string_view data) override {
+    if (path.starts_with(prefix_) && path.ends_with(".tmp") &&
+        ++saves_ == crash_at_) {
+      FailpointRegistry::Global().Arm(failpoints::kWriteFile,
+                                      FailpointTrigger::OnHit(1),
+                                      static_cast<int>(FaultAction::kCrash));
+    }
+    return FaultInjectingFileEnv::WriteFile(path, data);
+  }
+
+ private:
+  std::string prefix_;
+  int crash_at_;
+  int saves_ = 0;
+};
+
 // Runs `checkpoint` until the save after round `round` is durable, then
-// kills it: the next checkpoint file write puts the file system into a
-// sticky crashed state, and require_durable stops the run right there.
+// kills it: the next checkpoint save puts the file system into a sticky
+// crashed state, and require_durable stops the run right there.
 Status RunUntilCrash(const Model& model, const std::vector<Dataset>& clients,
                      const Dataset& test, const FedAvgConfig& fed,
                      const ValuationRequest& request,
                      CheckpointConfig checkpoint, int round) {
-  FaultInjectingFileEnv crashing_disk;
+  CrashOnSaveEnv crashing_disk(checkpoint.path,
+                               round / checkpoint.every_rounds + 1);
   checkpoint.env = &crashing_disk;
   checkpoint.require_durable = true;
-  FailpointRegistry::Global().Arm(
-      failpoints::kWriteFile,
-      FailpointTrigger::OnHit(round / checkpoint.every_rounds + 1),
-      static_cast<int>(FaultAction::kCrash));
   Result<ValuationOutcome> run = RunValuationCheckpointed(
       model, clients, test, fed, request, checkpoint);
   FailpointRegistry::Global().ClearAll();
   return run.status();
+}
+
+// Removes the generation files `path.<seq>` of a checkpoint stream.
+void RemoveGenerations(const std::string& path) {
+  for (const auto& [seq, file] : CheckpointManager(path).ListGenerations()) {
+    std::remove(file.c_str());
+  }
 }
 
 }  // namespace
@@ -85,11 +120,12 @@ int main() {
   CheckpointConfig checkpoint;
   checkpoint.path = "resume_example.ckpt";
   checkpoint.every_rounds = 1;
-  std::remove(checkpoint.path.c_str());
+  RemoveGenerations(checkpoint.path);
 
   // 1. First attempt "crashes" after round 4. Every completed round was
-  //    checkpointed (atomically: write + rename), so the round-4 state
-  //    is on disk when the process dies.
+  //    checkpointed (atomically: write + rename) into its own
+  //    generation file, so the round-4 state is on disk when the
+  //    process dies.
   Status crashed =
       RunUntilCrash(model, clients, test, fed, request, checkpoint, 4);
   std::printf("first run:  %s\n", crashed.ToString().c_str());
@@ -133,24 +169,25 @@ int main() {
   std::printf("\n%s", table.ToText().c_str());
   std::printf("\nresumed == straight, bit for bit: %s\n",
               identical ? "yes" : "NO (bug!)");
-  std::remove(checkpoint.path.c_str());
+  RemoveGenerations(checkpoint.path);
 
-  // 4. Generation fallback: with keep_generations >= 2 each save lands
-  //    in its own rotated file, so even a checkpoint that goes bad *on
-  //    disk* (bit rot, torn rename) costs one generation of progress,
-  //    not the run.
+  // 4. Generation fallback: keeping older generations around means even
+  //    a checkpoint that goes bad *on disk* (bit rot, torn rename) costs
+  //    one generation of progress, not the run.
   CheckpointConfig rotated = checkpoint;
   rotated.path = "resume_example_rotated.ckpt";
   rotated.keep_generations = 3;
+  RemoveGenerations(rotated.path);
   Status crashed2 =
       RunUntilCrash(model, clients, test, fed, request, rotated, 4);
   std::printf("\nrotated run: %s\n", crashed2.ToString().c_str());
 
   // Corrupt the newest generation the crash left behind.
-  CheckpointManagerOptions inspect_options;
-  inspect_options.keep_generations = rotated.keep_generations;
-  CheckpointManager inspect(rotated.path, inspect_options);
-  const auto generations = inspect.ListGenerations();
+  const auto generations = CheckpointManager(rotated.path).ListGenerations();
+  if (generations.empty()) {
+    std::fprintf(stderr, "the crashed run left no checkpoint generation\n");
+    return 1;
+  }
   const std::string& newest = generations.back().second;
   Result<std::string> bytes = FileEnv::Real()->ReadFile(newest);
   if (!bytes.ok()) {
@@ -188,9 +225,7 @@ int main() {
   }
   std::printf("salvaged == straight, bit for bit: %s\n",
               salvage_identical ? "yes" : "NO (bug!)");
-  for (const auto& [seq, file] : inspect.ListGenerations()) {
-    std::remove(file.c_str());
-  }
+  RemoveGenerations(rotated.path);
   std::remove((newest + ".corrupt").c_str());
-  return salvage_identical ? 0 : 1;
+  return identical && salvage_identical ? 0 : 1;
 }

@@ -1,5 +1,6 @@
 #include "core/checkpointing.h"
 
+#include <string>
 #include <utility>
 
 #include "common/fingerprint.h"
@@ -97,6 +98,32 @@ Status LoadPresence(BinaryReader* in, bool expected, const char* what) {
 }
 
 }  // namespace
+
+CheckpointManagerOptions ManagerOptions(const CheckpointConfig& config) {
+  CheckpointManagerOptions options;
+  options.keep_generations = config.keep_generations;
+  options.max_retries = config.max_retries;
+  options.retry_backoff_ms = config.retry_backoff_ms;
+  options.env = config.env;
+  return options;
+}
+
+Status ValidateCheckpointConfig(const CheckpointConfig& config) {
+  auto bad = [](const std::string& what) {
+    return Status::InvalidArgument("checkpoint " + what);
+  };
+  if (config.path.empty()) return bad("path must be non-empty");
+  if (config.every_rounds < 1) {
+    return bad("every_rounds must be >= 1, got " +
+               std::to_string(config.every_rounds));
+  }
+  if (config.round_log_index_every < 1) {
+    return bad("round_log_index_every must be >= 1, got " +
+               std::to_string(config.round_log_index_every));
+  }
+  Status manager = ValidateCheckpointManagerOptions(ManagerOptions(config));
+  return manager.ok() ? manager : bad(manager.message());
+}
 
 uint64_t ValuationFingerprint(const FedAvgTrainer& trainer,
                               const ValuationRequest& request) {

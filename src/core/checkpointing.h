@@ -30,10 +30,10 @@ struct ValuationRequest;  // core/pipeline.h
 
 /// Where and how often RunValuationCheckpointed persists its state.
 struct CheckpointConfig {
-  /// Checkpoint file (or, with keep_generations >= 2, the stem of the
-  /// rotated generation files `path.<seq>`). Each save is atomic (write
-  /// to a `.tmp`, fsync, rename), so a crash never corrupts the last
-  /// good checkpoint.
+  /// Stem of the checkpoint generation files `path.<seq>`. Each save is
+  /// atomic (write to a `.tmp`, fsync, rename), so a crash never
+  /// corrupts the last good checkpoint. A file at exactly `path` (the
+  /// retired single-file layout) makes a resume FailedPrecondition.
   std::string path;
   /// Save after every k-th completed round (and always after the last).
   int every_rounds = 1;
@@ -46,14 +46,13 @@ struct CheckpointConfig {
   // io/checkpoint_manager.h for the rotation / retry / salvage
   // contract).
 
-  /// 1 (default) = the legacy single file at exactly `path`;
-  /// >= 2 = rotated generations with salvage fallback on resume.
-  /// < 1 is an InvalidArgument.
+  /// Generations to retain (>= 1; see CheckpointManagerOptions). With
+  /// 1 (default), a corrupt newest generation has an older one to fall
+  /// back to only when a crash or a resume left it behind.
   int keep_generations = 1;
-  /// Retries per transient (Unavailable) I/O failure. Must be >= 0
-  /// (InvalidArgument otherwise).
+  /// Retries per transient (Unavailable) I/O failure (>= 0).
   int max_retries = 2;
-  /// Base of the deterministic exponential retry backoff, ms.
+  /// Base of the deterministic exponential retry backoff, ms (>= 0).
   int retry_backoff_ms = 5;
   /// When true, the first round-log append or sync, or cadence save,
   /// that still fails after retries aborts the run. Default: the run
@@ -80,6 +79,14 @@ struct CheckpointConfig {
   /// Persist the footer index every k-th append.
   int round_log_index_every = 1;
 };
+
+/// The CheckpointManager options `config` asks for.
+CheckpointManagerOptions ManagerOptions(const CheckpointConfig& config);
+
+/// InvalidArgument naming the first out-of-range field: `path`
+/// non-empty, `every_rounds` >= 1, `round_log_index_every` >= 1, and the
+/// manager options (ValidateCheckpointManagerOptions).
+Status ValidateCheckpointConfig(const CheckpointConfig& config);
 
 /// How a valuation run's fallible operations (snapshot re-solves,
 /// round-log spill, checkpoint writes and restores) have fared. The

@@ -92,25 +92,7 @@ Result<ValuationOutcome> RunValuationImpl(const Model& model,
   StreamingConfig config;
   config.request = request;
   if (checkpoint != nullptr) {
-    if (checkpoint->path.empty()) {
-      return Status::InvalidArgument("checkpoint path must be non-empty");
-    }
-    if (checkpoint->every_rounds <= 0) {
-      return Status::InvalidArgument(
-          "checkpoint every_rounds must be positive");
-    }
-    if (checkpoint->round_log_index_every <= 0) {
-      return Status::InvalidArgument(
-          "checkpoint round_log_index_every must be positive");
-    }
-    if (checkpoint->keep_generations < 1) {
-      return Status::InvalidArgument(
-          "checkpoint keep_generations must be positive");
-    }
-    if (checkpoint->max_retries < 0) {
-      return Status::InvalidArgument(
-          "checkpoint max_retries must be non-negative");
-    }
+    COMFEDSV_RETURN_IF_ERROR(ValidateCheckpointConfig(*checkpoint));
     config.spill.enabled = !checkpoint->round_log_path.empty();
     config.spill.path = checkpoint->round_log_path;
     config.spill.compression = checkpoint->round_log_compression;
@@ -127,12 +109,7 @@ Result<ValuationOutcome> RunValuationImpl(const Model& model,
   const bool strict = checkpoint != nullptr && checkpoint->require_durable;
   std::optional<CheckpointManager> manager;
   if (checkpoint != nullptr) {
-    CheckpointManagerOptions mgr_options;
-    mgr_options.keep_generations = checkpoint->keep_generations;
-    mgr_options.max_retries = checkpoint->max_retries;
-    mgr_options.retry_backoff_ms = checkpoint->retry_backoff_ms;
-    mgr_options.env = checkpoint->env;
-    manager.emplace(checkpoint->path, std::move(mgr_options));
+    manager.emplace(checkpoint->path, ManagerOptions(*checkpoint));
     if (checkpoint->resume) {
       // No checkpoint at all means a fresh run; anything else — every
       // generation corrupt (DataLoss), fingerprint mismatch

@@ -8,16 +8,16 @@
 #include <thread>
 #include <utility>
 
-#include "common/check.h"
 #include "io/file_env.h"
 
 namespace comfedsv {
 namespace {
 
 constexpr int kSequenceDigits = 8;
+constexpr int64_t kMaxBackoffMs = 10'000;
 
 /// Parses the `<digits>` of a `<base>.<digits>` generation file name.
-/// Returns false for anything else (the bare file, `.tmp`, `.corrupt`).
+/// Returns false for anything else (`path` itself, `.tmp`, `.corrupt`).
 bool ParseGenerationSuffix(const std::string& name, const std::string& base,
                            uint64_t* sequence) {
   if (name.size() <= base.size() + 1 || name.compare(0, base.size(), base) ||
@@ -57,11 +57,29 @@ bool IsSalvageCode(StatusCode code) {
 
 }  // namespace
 
+Status ValidateCheckpointManagerOptions(
+    const CheckpointManagerOptions& options) {
+  auto bad = [](const char* field, const char* rule, int got) {
+    return Status::InvalidArgument(std::string(field) + " must be " + rule +
+                                   ", got " + std::to_string(got));
+  };
+  if (options.keep_generations < 1) {
+    return bad("keep_generations", ">= 1", options.keep_generations);
+  }
+  if (options.max_retries < 0) {
+    return bad("max_retries", ">= 0", options.max_retries);
+  }
+  if (options.retry_backoff_ms < 0) {
+    return bad("retry_backoff_ms", ">= 0", options.retry_backoff_ms);
+  }
+  return Status::Ok();
+}
+
 CheckpointManager::CheckpointManager(std::string path,
                                      CheckpointManagerOptions options)
-    : path_(std::move(path)), options_(std::move(options)) {
-  COMFEDSV_CHECK_GT(options_.keep_generations, 0);
-  COMFEDSV_CHECK_GE(options_.max_retries, 0);
+    : path_(std::move(path)),
+      options_(std::move(options)),
+      options_status_(ValidateCheckpointManagerOptions(options_)) {
   env_ = options_.env != nullptr ? options_.env : FileEnv::Real();
   if (!options_.sleeper) {
     options_.sleeper = [](int ms) {
@@ -79,16 +97,6 @@ std::string CheckpointManager::GenerationPath(uint64_t sequence) const {
 
 std::vector<std::pair<uint64_t, std::string>>
 CheckpointManager::ListGenerations() const {
-  if (!rotated()) {
-    std::vector<std::pair<uint64_t, std::string>> generations;
-    if (env_->Exists(path_)) generations.emplace_back(0, path_);
-    return generations;
-  }
-  return ListRotatedGenerations();
-}
-
-std::vector<std::pair<uint64_t, std::string>>
-CheckpointManager::ListRotatedGenerations() const {
   std::vector<std::pair<uint64_t, std::string>> generations;
   const std::string dir = DirOf(path_);
   const std::string base = BaseOf(path_);
@@ -104,52 +112,25 @@ CheckpointManager::ListRotatedGenerations() const {
   return generations;
 }
 
-uint64_t CheckpointManager::PeekSequence(const std::string& file) const {
-  // Header layout (serialize.cc): magic u32, version u32, root tag u32,
-  // payload length u64, sequence u64, checksum u64 — 36 bytes.
-  Result<std::string> bytes = env_->ReadFile(file);
-  if (!bytes.ok()) return 0;
-  const std::string& b = bytes.value();
-  if (b.size() < 36) return 0;
-  auto u32 = [&b](size_t at) {
-    uint32_t v = 0;
-    for (int k = 3; k >= 0; --k) {
-      v = (v << 8) | static_cast<uint8_t>(b[at + static_cast<size_t>(k)]);
-    }
-    return v;
-  };
-  if (u32(0) != kCheckpointMagic || u32(4) != kCheckpointVersion) return 0;
-  uint64_t seq = 0;
-  for (int k = 7; k >= 0; --k) {
-    seq = (seq << 8) | static_cast<uint8_t>(b[20 + static_cast<size_t>(k)]);
-  }
-  return seq;
-}
-
-void CheckpointManager::InitSequenceFromDisk() {
-  if (sequence_initialized_) return;
+void CheckpointManager::ContinueSequence(
+    const std::vector<std::pair<uint64_t, std::string>>& generations) {
   sequence_initialized_ = true;
-  // Rotated generations count toward the sequence even in legacy mode:
-  // after keep_generations is lowered to 1, the bare-file writes must
-  // outrank the leftover generations, not collide with them.
-  for (const auto& [seq, file] : ListRotatedGenerations()) {
-    next_sequence_ = std::max(next_sequence_, seq + 1);
-  }
-  if (!rotated() && env_->Exists(path_)) {
-    next_sequence_ = std::max(next_sequence_, PeekSequence(path_) + 1);
-  }
+  if (generations.empty()) return;
+  next_sequence_ = std::max(next_sequence_, generations.back().first + 1);
 }
 
 void CheckpointManager::Backoff(int attempt) {
+  // Cap before shifting: a long retry budget would overflow the shift.
   int64_t ms = options_.retry_backoff_ms;
-  ms <<= attempt;
-  if (ms > 0) options_.sleeper(static_cast<int>(std::min<int64_t>(ms, 10'000)));
+  for (int k = 0; k < attempt && ms < kMaxBackoffMs; ++k) ms <<= 1;
+  if (ms > 0) options_.sleeper(static_cast<int>(std::min(ms, kMaxBackoffMs)));
 }
 
 Status CheckpointManager::Write(ChunkTag root_tag, std::string_view payload) {
-  InitSequenceFromDisk();
+  COMFEDSV_RETURN_IF_ERROR(options_status_);
+  if (!sequence_initialized_) ContinueSequence(ListGenerations());
   const uint64_t sequence = next_sequence_;
-  const std::string target = rotated() ? GenerationPath(sequence) : path_;
+  const std::string target = GenerationPath(sequence);
   Status st;
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
@@ -162,31 +143,23 @@ Status CheckpointManager::Write(ChunkTag root_tag, std::string_view payload) {
   }
   if (!st.ok()) return st;
   next_sequence_ = sequence + 1;
-  return Prune();
+  Prune();
+  return Status::Ok();
 }
 
-Status CheckpointManager::Prune() {
-  auto generations = ListRotatedGenerations();  // oldest first
-  // In legacy mode the bare file at path_ is the one retained copy, so
-  // every rotated generation left behind by a previous higher-keep run
-  // rotates away once a bare write has gone durable.
-  const size_t keep =
-      rotated() ? static_cast<size_t>(options_.keep_generations) : 0;
-  if (generations.size() <= keep) return Status::Ok();
-  Status first_error;
+void CheckpointManager::Prune() {
+  auto generations = ListGenerations();  // oldest first
+  const size_t keep = static_cast<size_t>(options_.keep_generations);
   for (size_t i = 0; i + keep < generations.size(); ++i) {
     // Never delete the generation the last Load restored from: after a
     // salvage fell back past corrupt husks (or keep_generations was
     // lowered between runs), it may be the only state this run is
     // built on until enough fresh generations are durable.
     if (generations[i].second == restored_file_) continue;
-    Status st = env_->Remove(generations[i].second);
-    if (!st.ok() && first_error.ok()) first_error = st;
+    // A failed prune never fails the checkpoint write — the new
+    // generation is durable; we just retained more history than asked.
+    (void)env_->Remove(generations[i].second);
   }
-  // A failed prune never fails the checkpoint write — the new
-  // generation is durable; we just retained more history than asked.
-  (void)first_error;
-  return Status::Ok();
 }
 
 Status CheckpointManager::Quarantine(const std::string& file) {
@@ -196,20 +169,15 @@ Status CheckpointManager::Quarantine(const std::string& file) {
 
 Result<CheckpointManager::LoadInfo> CheckpointManager::Load(
     ChunkTag root_tag, const Restorer& restore) {
-  InitSequenceFromDisk();
-  // Candidates: every rotated generation on disk (even in legacy mode,
-  // so lowering keep_generations between runs never hides resumable
-  // state) plus the bare file, ordered by its recorded sequence — a
-  // bare file written after the knob was lowered outranks the stale
-  // generations it superseded, while a pre-rotation legacy file sorts
-  // oldest.
-  auto generations = ListRotatedGenerations();
+  COMFEDSV_RETURN_IF_ERROR(options_status_);
   if (env_->Exists(path_)) {
-    const uint64_t bare_seq =
-        generations.empty() ? 0 : PeekSequence(path_);
-    generations.emplace_back(bare_seq, path_);
-    std::sort(generations.begin(), generations.end());
+    return Status::FailedPrecondition(
+        "'" + path_ + "' holds a single-file checkpoint, a layout this "
+        "build has retired (checkpoints live in '" + path_ +
+        ".<seq>' generations); move it aside to start a new run");
   }
+  const auto generations = ListGenerations();
+  ContinueSequence(generations);
   if (generations.empty()) {
     return Status::NotFound("no checkpoint at " + path_);
   }
@@ -227,24 +195,18 @@ Result<CheckpointManager::LoadInfo> CheckpointManager::Load(
         break;
       }
     }
-    if (!payload.ok()) {
-      const StatusCode code = payload.status().code();
-      if (code == StatusCode::kNotFound) continue;  // pruned under us
-      if (!IsSalvageCode(code)) return payload.status();  // environment down
-      last_error = payload.status();
+    if (!payload.ok() && payload.status().code() == StatusCode::kNotFound) {
+      continue;  // pruned under us
+    }
+    const Status st = !payload.ok() ? payload.status()
+                      : restore     ? restore(payload.value(), sequence)
+                                    : Status::Ok();
+    if (!st.ok()) {
+      if (!IsSalvageCode(st.code())) return st;  // env down, other run
+      last_error = st;
       COMFEDSV_RETURN_IF_ERROR(Quarantine(file));
       ++quarantined;
       continue;
-    }
-    if (restore) {
-      Status st = restore(payload.value(), sequence);
-      if (!st.ok()) {
-        if (!IsSalvageCode(st.code())) return st;
-        last_error = st;
-        COMFEDSV_RETURN_IF_ERROR(Quarantine(file));
-        ++quarantined;
-        continue;
-      }
     }
     next_sequence_ = std::max(next_sequence_, sequence + 1);
     restored_file_ = file;
@@ -262,6 +224,7 @@ Result<CheckpointManager::LoadInfo> CheckpointManager::Load(
 }
 
 Result<int> CheckpointManager::SweepOrphans() {
+  COMFEDSV_RETURN_IF_ERROR(options_status_);
   const std::string dir = DirOf(path_);
   const std::string base = BaseOf(path_);
   auto entries = env_->ListDir(dir);
@@ -270,17 +233,14 @@ Result<int> CheckpointManager::SweepOrphans() {
     return entries.status();
   }
   int swept = 0;
-  constexpr std::string_view kTmp = ".tmp";
   for (const std::string& name : entries.value()) {
-    if (name.size() <= kTmp.size() ||
-        name.compare(name.size() - kTmp.size(), kTmp.size(), kTmp) != 0) {
+    // `<base>.<seq>.tmp` only — a sweep must never eat another
+    // stream's temp files.
+    uint64_t seq = 0;
+    if (!name.ends_with(".tmp") ||
+        !ParseGenerationSuffix(name.substr(0, name.size() - 4), base, &seq)) {
       continue;
     }
-    // `<base>.tmp` (legacy) or `<base>.<seq>.tmp` (rotated) only — a
-    // sweep must never eat another stream's temp files.
-    const std::string stem = name.substr(0, name.size() - kTmp.size());
-    uint64_t seq = 0;
-    if (stem != base && !ParseGenerationSuffix(stem, base, &seq)) continue;
     COMFEDSV_RETURN_IF_ERROR(env_->Remove(dir + "/" + name));
     ++swept;
   }

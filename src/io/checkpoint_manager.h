@@ -1,19 +1,17 @@
 // CheckpointManager: durable, self-healing checkpoint storage.
 //
-// The PR-5 checkpoint path kept exactly one file and aborted the run on
-// any I/O failure. The manager upgrades that contract:
-//
-//   * Rotated generations — with keep_generations >= 2, each Write()
-//     lands in its own file `path.<seq>` (zero-padded, monotonic
-//     sequence also recorded in the file header) and the oldest files
-//     beyond the retention window are pruned. keep_generations == 1
-//     preserves the legacy single-file-at-`path` layout byte-for-byte.
+//   * Rotated generations — each Write() lands in its own file
+//     `path.<seq>` (8-digit zero-padded, monotonic sequence also
+//     recorded in the file header), then the oldest files beyond
+//     keep_generations are pruned. Nothing is written at `path` itself:
+//     a file there is a single-file checkpoint from an older build, and
+//     Load() refuses it in place rather than restart beside it.
 //   * Transient-error retry — writes and reads that fail Unavailable
 //     (EIO, ENOSPC, interrupted) are retried up to max_retries times
 //     with deterministic exponential backoff through an injectable
 //     sleeper, so tests replay retry schedules without wall-clock time.
-//   * Startup sweep — SweepOrphans() removes `.tmp` debris left by a
-//     crash mid-write.
+//   * Startup sweep — SweepOrphans() removes `path.<seq>.tmp` debris
+//     left by a crash mid-write.
 //   * Salvage on load — Load() walks generations newest-first; a file
 //     failing checksum/validation (DataLoss) is quarantined (renamed
 //     `*.corrupt`, never deleted — it is evidence) and the next-older
@@ -42,15 +40,17 @@ namespace comfedsv {
 class FileEnv;
 
 struct CheckpointManagerOptions {
-  /// How many checkpoint generations to retain. 1 (default) keeps the
-  /// legacy layout: a single file at exactly `path`. >= 2 enables
-  /// rotation: files named `path.<8-digit seq>`, oldest pruned.
+  /// How many generations to retain (>= 1). A save writes the new
+  /// generation, then prunes the oldest beyond the window, so a crash
+  /// in between leaves one extra generation (Load picks the newer). The
+  /// generation a Load restored from is never pruned by that manager:
+  /// a resumed keep-1 run ends with two files.
   int keep_generations = 1;
   /// Extra attempts after a transient (Unavailable) failure, per
-  /// operation. 0 disables retry.
+  /// operation (>= 0). 0 disables retry.
   int max_retries = 2;
   /// Backoff before retry k (1-based) is `retry_backoff_ms << (k-1)`
-  /// milliseconds — deterministic, no jitter, reproducible.
+  /// milliseconds, capped at 10 s — deterministic, no jitter (>= 0).
   int retry_backoff_ms = 5;
   /// Receives each backoff in ms. Defaults to sleeping; tests inject a
   /// recorder to assert the schedule without waiting it out.
@@ -58,6 +58,11 @@ struct CheckpointManagerOptions {
   /// File system to operate on. nullptr = the real one.
   FileEnv* env = nullptr;
 };
+
+/// InvalidArgument naming the first out-of-range field of `options`:
+/// keep_generations >= 1, max_retries >= 0, retry_backoff_ms >= 0.
+Status ValidateCheckpointManagerOptions(
+    const CheckpointManagerOptions& options);
 
 class CheckpointManager {
  public:
@@ -78,6 +83,8 @@ class CheckpointManager {
     int quarantined = 0;   ///< corrupt generations moved aside on the way
   };
 
+  /// Invalid options (ValidateCheckpointManagerOptions) make Write,
+  /// Load and SweepOrphans return that InvalidArgument.
   explicit CheckpointManager(std::string path,
                              CheckpointManagerOptions options = {});
 
@@ -91,21 +98,21 @@ class CheckpointManager {
   /// given) `restore`. Corrupt generations encountered on the way are
   /// quarantined to `<file>.corrupt`. Returns NotFound when no
   /// checkpoint exists at all, DataLoss when generations existed but
-  /// every one was corrupt.
+  /// every one was corrupt, and FailedPrecondition, touching nothing,
+  /// when a file exists at exactly `path`.
   Result<LoadInfo> Load(ChunkTag root_tag, const Restorer& restore = {});
 
-  /// Removes orphaned `.tmp` files belonging to this checkpoint family
-  /// (a crash mid-write leaves at most one). Returns how many were
-  /// swept. Call at startup, before Load.
+  /// Removes orphaned `path.<seq>.tmp` files (a crash mid-write leaves
+  /// at most one). Returns how many were swept. Call at startup, before
+  /// Load.
   Result<int> SweepOrphans();
 
-  /// Existing generation files, oldest first (sequence, full path).
-  /// Legacy mode reports the bare path with its header unread
-  /// (sequence 0).
+  /// Generation files on disk, oldest first (sequence, full path) —
+  /// every one, whatever keep_generations is now, so state written
+  /// under a higher retention stays resumable after it is lowered.
   std::vector<std::pair<uint64_t, std::string>> ListGenerations() const;
 
   const std::string& path() const { return path_; }
-  bool rotated() const { return options_.keep_generations >= 2; }
   uint64_t next_sequence() const { return next_sequence_; }
 
   /// Lifetime counters, for health reporting and the recovery bench.
@@ -114,24 +121,17 @@ class CheckpointManager {
 
  private:
   std::string GenerationPath(uint64_t sequence) const;
-  /// Rotated `path.<seq>` files on disk, oldest first — scanned
-  /// regardless of the current keep_generations, so state written by a
-  /// previous higher-keep run stays visible after the knob is lowered.
-  std::vector<std::pair<uint64_t, std::string>> ListRotatedGenerations()
-      const;
-  /// The sequence number recorded in `file`'s header, or 0 when the
-  /// file is unreadable or not a valid checkpoint (the main Load loop
-  /// then classifies the failure properly).
-  uint64_t PeekSequence(const std::string& file) const;
-  /// Scans existing generations so the next Write continues the
-  /// sequence instead of restarting at 1. Idempotent.
-  void InitSequenceFromDisk();
+  /// Moves the next sequence past every generation in `generations`,
+  /// so a Write never restarts at 1 or lands on an existing file.
+  void ContinueSequence(
+      const std::vector<std::pair<uint64_t, std::string>>& generations);
   Status Quarantine(const std::string& file);
   void Backoff(int attempt);
-  Status Prune();
+  void Prune();
 
   std::string path_;
   CheckpointManagerOptions options_;
+  Status options_status_;
   FileEnv* env_;
   uint64_t next_sequence_ = 1;
   bool sequence_initialized_ = false;

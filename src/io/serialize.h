@@ -149,8 +149,8 @@ uint64_t Fnv1a64(std::string_view bytes,
 /// failed and retry).
 ///
 /// `sequence` is stored in the header and returned by
-/// ReadCheckpointFile — CheckpointManager uses it to order rotated
-/// generations. All I/O goes through `env` (nullptr = the real
+/// ReadCheckpointFile — CheckpointManager continues its generation
+/// sequence from it. All I/O goes through `env` (nullptr = the real
 /// filesystem).
 Status WriteCheckpointFile(const std::string& path, ChunkTag root_tag,
                            std::string_view payload, uint64_t sequence = 0,

@@ -155,7 +155,10 @@ inline void CnnLaneFcTile(const typename LaneRegs<kW>::U* pooled,
     for (int h = 0; h < kParts; ++h) z[t][h] = fc_b[(k0 + t) * kParts + h];
   }
   for (size_t i = 0; i < pooled_dim; ++i) {
-    const auto* w = fc_w + (i * classes + k0) * kParts;
+    // Spelled out: `auto` deduces the plain vector type, dropping U's
+    // aligned(8), and w[...] becomes an aligned load of an 8-aligned
+    // address.
+    const typename LaneRegs<kW>::U* w = fc_w + (i * classes + k0) * kParts;
     for (int h = 0; h < kParts; ++h) {
       const V v = pooled[i * kParts + h];
       const auto keep = v != zero;

@@ -13,7 +13,6 @@
 #include "data/noise.h"
 #include "data/partition.h"
 #include "io/checkpoint_manager.h"
-#include "io/file_env.h"
 #include "metrics/metrics.h"
 #include "models/logistic.h"
 
@@ -33,6 +32,17 @@ Workload MakeWorkload(int num_clients, uint64_t seed) {
   Rng rng(seed + 1);
   auto [train_pool, test] = pool.RandomSplit(0.25, &rng);
   return {PartitionIid(train_pool, num_clients, &rng), std::move(test)};
+}
+
+// Checkpoints live in `path.<seq>` generation files, never at `path`.
+bool HasGenerations(const std::string& path) {
+  return !CheckpointManager(path).ListGenerations().empty();
+}
+
+void RemoveGenerations(const std::string& path) {
+  for (const auto& [seq, file] : CheckpointManager(path).ListGenerations()) {
+    std::remove(file.c_str());
+  }
 }
 
 ValuationRequest DefaultRequest() {
@@ -185,13 +195,13 @@ void ExpectEveryDriverRejects(const ValuationRequest& req, int num_clients,
 
   CheckpointConfig ckpt;
   ckpt.path = ::testing::TempDir() + "comfedsv_rejected.ckpt";
-  std::remove(ckpt.path.c_str());
+  RemoveGenerations(ckpt.path);
   Result<ValuationOutcome> checkpointed =
       RunValuationCheckpointed(model, clients, w.test, cfg, req, ckpt);
   ASSERT_FALSE(checkpointed.ok());
   EXPECT_EQ(checkpointed.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(checkpointed.status().message().find(field), std::string::npos);
-  EXPECT_FALSE(FileEnv::Real()->Exists(ckpt.path));
+  EXPECT_FALSE(HasGenerations(ckpt.path));
 
   Result<ValuationOutcome> replayed = RunValuationFromLog(
       model, w.test, num_clients,
@@ -213,7 +223,7 @@ void ExpectEveryDriverRejects(const ValuationRequest& req, int num_clients,
   expect_rejected(engine.Finalize().status(), "Finalize");
   CheckpointManager manager(ckpt.path);
   expect_rejected(engine.SaveCheckpoint(&manager), "SaveCheckpoint");
-  EXPECT_FALSE(FileEnv::Real()->Exists(ckpt.path));
+  EXPECT_FALSE(HasGenerations(ckpt.path));
   expect_rejected(engine.RestoreCheckpoint(&manager), "RestoreCheckpoint");
   EXPECT_EQ(engine.rounds_consumed(), 0);
 }
@@ -317,15 +327,14 @@ TEST(PipelineTest, RejectsAdaptiveMinCellSamplesBelowOne) {
                            "fedsv.sampler.adaptive.min_cell_samples");
 }
 
-// CheckpointManager CHECKs its durability options, so
-// RunValuationCheckpointed must reject them as a Status first — and
-// before any file is touched.
+// RunValuationCheckpointed must reject out-of-range durability options
+// as a Status naming the field, before any file is touched.
 TEST(PipelineTest, RejectsInvalidCheckpointDurabilityOptions) {
   Workload w = MakeWorkload(2, 107);
   LogisticRegression model(w.test.dim(), 10);
   const std::string path =
       ::testing::TempDir() + "comfedsv_bad_durability.ckpt";
-  std::remove(path.c_str());
+  RemoveGenerations(path);
   ValuationRequest req;
   req.compute_fedsv = true;
   req.compute_comfedsv = false;
@@ -336,9 +345,13 @@ TEST(PipelineTest, RejectsInvalidCheckpointDurabilityOptions) {
   CheckpointConfig negative_retries;
   negative_retries.path = path;
   negative_retries.max_retries = -1;
+  CheckpointConfig negative_backoff;
+  negative_backoff.path = path;
+  negative_backoff.retry_backoff_ms = -1;
   const std::pair<CheckpointConfig, std::string> cases[] = {
       {no_generations, "keep_generations"},
       {negative_retries, "max_retries"},
+      {negative_backoff, "retry_backoff_ms"},
   };
   for (const auto& [ckpt, field] : cases) {
     Result<ValuationOutcome> outcome = RunValuationCheckpointed(
@@ -347,7 +360,7 @@ TEST(PipelineTest, RejectsInvalidCheckpointDurabilityOptions) {
     EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(outcome.status().message().find(field), std::string::npos)
         << outcome.status().ToString();
-    EXPECT_FALSE(FileEnv::Real()->Exists(path));
+    EXPECT_FALSE(HasGenerations(path));
   }
 }
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/execution_context.h"
@@ -17,6 +18,7 @@
 #include "core/streaming.h"
 #include "data/image_sim.h"
 #include "data/partition.h"
+#include "io/checkpoint_manager.h"
 #include "io/file_env.h"
 #include "io/serialize.h"
 #include "models/cnn.h"
@@ -68,8 +70,33 @@ ValuationOutcome RunWith(const Workload& w, const Model& model,
   return std::move(run).value();
 }
 
+/// A fault-injecting file system that crashes on the `crash_at`-th
+/// checkpoint save. A save is counted by its write of a `stem.<seq>.tmp`
+/// generation file; other writes through the same disk, such as the
+/// round log's header and index, do not count.
+class CrashOnSaveEnv : public FaultInjectingFileEnv {
+ public:
+  CrashOnSaveEnv(const std::string& stem, int crash_at)
+      : prefix_(stem + "."), crash_at_(crash_at) {}
+
+  Status WriteFile(const std::string& path, std::string_view data) override {
+    if (path.starts_with(prefix_) && path.ends_with(".tmp") &&
+        ++saves_ == crash_at_) {
+      FailpointRegistry::Global().Arm(failpoints::kWriteFile,
+                                      FailpointTrigger::OnHit(1),
+                                      static_cast<int>(FaultAction::kCrash));
+    }
+    return FaultInjectingFileEnv::WriteFile(path, data);
+  }
+
+ private:
+  std::string prefix_;
+  int crash_at_;
+  int saves_ = 0;
+};
+
 /// Kills a checkpointed run right after the save for round `round` went
-/// durable: the next checkpoint write crashes a fault-injecting file
+/// durable: the next checkpoint save crashes a fault-injecting file
 /// system, and require_durable aborts the run there — a kill -9 at that
 /// point, as far as the checkpoint files can tell. Returns the aborted
 /// run's status.
@@ -78,18 +105,21 @@ Status CrashAfterRound(const Workload& w, const Model& model,
                        const ValuationRequest& request,
                        CheckpointConfig ckpt, int round,
                        ExecutionContext* ctx = nullptr) {
-  FaultInjectingFileEnv fault;
+  CrashOnSaveEnv fault(ckpt.path, round / ckpt.every_rounds + 1);
   ckpt.env = &fault;
   ckpt.require_durable = true;
-  FailpointRegistry::Global().Arm(
-      failpoints::kWriteFile,
-      FailpointTrigger::OnHit(round / ckpt.every_rounds + 1),
-      static_cast<int>(FaultAction::kCrash));
   Result<ValuationOutcome> run = RunValuationCheckpointed(
       model, w.clients, w.test, fed_cfg, request, ckpt, ctx);
   FailpointRegistry::Global().ClearAll();
   EXPECT_TRUE(fault.crashed()) << "the run ended before round " << round;
   return run.status();
+}
+
+/// Removes every checkpoint generation `path.<seq>` a run left behind.
+void RemoveGenerations(const std::string& path) {
+  for (const auto& [seq, file] : CheckpointManager(path).ListGenerations()) {
+    std::remove(file.c_str());
+  }
 }
 
 TEST(DeterminismTest, SampledPipelineIsThreadCountInvariant) {
@@ -505,7 +535,7 @@ TEST(DeterminismTest, ResumeFromCheckpointIsBitIdentical) {
                                "comfedsv_resume_t" +
                                std::to_string(threads) + "_r" +
                                std::to_string(crash_round) + ".ckpt";
-      std::remove(path.c_str());
+      RemoveGenerations(path);
 
       CheckpointConfig ckpt;
       ckpt.path = path;
@@ -527,7 +557,7 @@ TEST(DeterminismTest, ResumeFromCheckpointIsBitIdentical) {
                          "resumed final params");
       EXPECT_EQ(resumed.value().training.test_loss_history,
                 straight.training.test_loss_history);
-      std::remove(path.c_str());
+      RemoveGenerations(path);
     }
   }
 }
@@ -559,7 +589,7 @@ TEST(DeterminismTest, CheckpointedRunWithoutCrashMatchesPlainRun) {
 
   const std::string path =
       ::testing::TempDir() + "comfedsv_nocrash.ckpt";
-  std::remove(path.c_str());
+  RemoveGenerations(path);
   CheckpointConfig ckpt;
   ckpt.path = path;
   ckpt.every_rounds = 2;
@@ -575,7 +605,7 @@ TEST(DeterminismTest, CheckpointedRunWithoutCrashMatchesPlainRun) {
       model, w.clients, w.test, fed_cfg, request, ckpt, nullptr);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ExpectOutcomesBitIdentical(resumed.value(), plain, "resumed-complete");
-  std::remove(path.c_str());
+  RemoveGenerations(path);
 }
 
 TEST(DeterminismTest, CheckpointPayloadMatchesHandDrivenSerialization) {
@@ -610,13 +640,15 @@ TEST(DeterminismTest, CheckpointPayloadMatchesHandDrivenSerialization) {
 
   constexpr int kRound = 2;
   const std::string path = ::testing::TempDir() + "comfedsv_format.ckpt";
-  std::remove(path.c_str());
+  RemoveGenerations(path);
   CheckpointConfig ckpt;
   ckpt.path = path;
   ASSERT_FALSE(
       CrashAfterRound(w, model, fed_cfg, request, ckpt, kRound).ok());
-  Result<std::string> written =
-      ReadCheckpointFile(path, ChunkTag::kValuationCheckpoint);
+  const auto generations = CheckpointManager(path).ListGenerations();
+  ASSERT_EQ(generations.size(), 1u);  // keep 1: the round-k save only
+  Result<std::string> written = ReadCheckpointFile(
+      generations.back().second, ChunkTag::kValuationCheckpoint);
   ASSERT_TRUE(written.ok()) << written.status().ToString();
 
   FedAvgTrainer trainer(&model, w.clients, w.test, fed_cfg);
@@ -651,7 +683,54 @@ TEST(DeterminismTest, CheckpointPayloadMatchesHandDrivenSerialization) {
                      "resumed final params");
   EXPECT_EQ(resumed.value().training.test_loss_history,
             straight.training.test_loss_history);
-  std::remove(path.c_str());
+  RemoveGenerations(path);
+}
+
+TEST(DeterminismTest, SpillingRunResumesFromTheCrashRound) {
+  // With spill on, the round log's header and index writes go through
+  // the same file write as the checkpoint saves. The crash still lands
+  // on the save after round k, so the resume starts from round k and
+  // finishes bit-identical to the straight run.
+  const int n = 4;
+  Workload w = MakeWorkload(n, 1357);
+  LogisticRegression model(w.test.dim(), 10);
+
+  FedAvgConfig fed_cfg;
+  fed_cfg.num_rounds = 5;
+  fed_cfg.clients_per_round = 2;
+  fed_cfg.seed = 1358;
+
+  ValuationRequest request;
+  request.compute_fedsv = true;
+  request.fedsv.mode = FedSvConfig::Mode::kExact;
+  request.fedsv.seed = 1359;
+  request.compute_comfedsv = false;
+
+  constexpr int kRound = 3;
+  const std::string path = ::testing::TempDir() + "comfedsv_spill_crash.ckpt";
+  const std::string log = ::testing::TempDir() + "comfedsv_spill_crash.log";
+  auto clean = [&] {
+    RemoveGenerations(path);
+    std::remove(log.c_str());
+    std::remove((log + ".idx").c_str());
+  };
+  clean();
+  CheckpointConfig ckpt;
+  ckpt.path = path;
+  ckpt.round_log_path = log;
+  ckpt.round_log_index_every = 1;
+  ASSERT_FALSE(
+      CrashAfterRound(w, model, fed_cfg, request, ckpt, kRound).ok());
+
+  Result<ValuationOutcome> resumed = RunValuationCheckpointed(
+      model, w.clients, w.test, fed_cfg, request, ckpt);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed.value().health.resumed_sequence,
+            static_cast<uint64_t>(kRound));  // the round-k save
+  ValuationOutcome straight = RunWith(w, model, fed_cfg, request, nullptr);
+  ExpectOutcomesBitIdentical(resumed.value(), straight,
+                             "spilling resume vs straight");
+  clean();
 }
 
 TEST(DeterminismTest, ResumeUnderDifferentDataOrModelIsRejected) {
@@ -676,7 +755,7 @@ TEST(DeterminismTest, ResumeUnderDifferentDataOrModelIsRejected) {
 
   const std::string path =
       ::testing::TempDir() + "comfedsv_fingerprint.ckpt";
-  std::remove(path.c_str());
+  RemoveGenerations(path);
   CheckpointConfig ckpt;
   ckpt.path = path;
   ASSERT_FALSE(CrashAfterRound(w, model, fed_cfg, request, ckpt, 1).ok());
@@ -700,7 +779,7 @@ TEST(DeterminismTest, ResumeUnderDifferentDataOrModelIsRejected) {
   Result<ValuationOutcome> ok_resume = RunValuationCheckpointed(
       model, w.clients, w.test, fed_cfg, request, ckpt);
   EXPECT_TRUE(ok_resume.ok()) << ok_resume.status().ToString();
-  std::remove(path.c_str());
+  RemoveGenerations(path);
 }
 
 TEST(DeterminismTest, StreamingEngineMatchesBatchRunOnFullPrefix) {
@@ -1089,7 +1168,7 @@ TEST(DeterminismTest, AdversarialResumeFromCheckpointIsBitIdentical) {
                                "comfedsv_adv_resume_t" +
                                std::to_string(threads) + "_r" +
                                std::to_string(crash_round) + ".ckpt";
-      std::remove(path.c_str());
+      RemoveGenerations(path);
 
       CheckpointConfig ckpt;
       ckpt.path = path;
@@ -1115,7 +1194,7 @@ TEST(DeterminismTest, AdversarialResumeFromCheckpointIsBitIdentical) {
                 straight.training.quarantine.quarantine_drops);
       EXPECT_EQ(resumed.value().training.quarantine.rounds_degraded,
                 straight.training.quarantine.rounds_degraded);
-      std::remove(path.c_str());
+      RemoveGenerations(path);
     }
   }
 }
@@ -1315,7 +1394,7 @@ TEST(DeterminismTest, SharedRoundMemoResumeIsBitIdentical) {
       const std::string path = ::testing::TempDir() +
                                "comfedsv_shared_memo_t" +
                                std::to_string(threads) + ".ckpt";
-      std::remove(path.c_str());
+      RemoveGenerations(path);
       CheckpointConfig ckpt;
       ckpt.path = path;
       ckpt.every_rounds = 1;
@@ -1332,7 +1411,7 @@ TEST(DeterminismTest, SharedRoundMemoResumeIsBitIdentical) {
       EXPECT_GT(resumed.value().measured_loss_calls, 0);
       EXPECT_LT(resumed.value().measured_loss_calls,
                 straight.measured_loss_calls);
-      std::remove(path.c_str());
+      RemoveGenerations(path);
     }
   }
 }

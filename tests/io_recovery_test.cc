@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -159,12 +160,13 @@ TEST_F(IoRecoveryTest, LoadEdgeCasesMapToDistinctCodes) {
   // A directory holding only `.tmp` debris: the sweep clears it and the
   // load correctly reports "no checkpoint" rather than corruption.
   const std::string stem = dir + "/stream.ckpt";
-  ASSERT_TRUE(FileEnv::Real()->WriteFile(stem + ".tmp", "debris").ok());
+  const std::string debris = stem + ".00000001.tmp";
+  ASSERT_TRUE(FileEnv::Real()->WriteFile(debris, "debris").ok());
   CheckpointManager manager(stem, FastOptions(FileEnv::Real()));
   Result<int> swept = manager.SweepOrphans();
   ASSERT_TRUE(swept.ok());
   EXPECT_EQ(swept.value(), 1);
-  EXPECT_FALSE(FileEnv::Real()->Exists(stem + ".tmp"));
+  EXPECT_FALSE(FileEnv::Real()->Exists(debris));
   EXPECT_EQ(manager.Load(ChunkTag::kVector).status().code(),
             StatusCode::kNotFound);
 }
@@ -203,9 +205,36 @@ TEST_F(IoRecoveryTest, SweepRemovesOnlyThisFamilysTempFiles) {
   CheckpointManager manager(stem, FastOptions(real));
   Result<int> swept = manager.SweepOrphans();
   ASSERT_TRUE(swept.ok());
-  EXPECT_EQ(swept.value(), 2);
+  EXPECT_EQ(swept.value(), 1);
+  EXPECT_FALSE(real->Exists(stem + ".00000007.tmp"));
+  EXPECT_TRUE(real->Exists(stem + ".tmp"));  // no writer leaves this name
   EXPECT_TRUE(real->Exists(dir + "/other.ckpt.tmp"));
   EXPECT_TRUE(real->Exists(stem + ".notaseq.tmp"));
+}
+
+// Out-of-range options are a Status from every entry point, never a
+// CHECK abort, and nothing is touched on disk.
+TEST_F(IoRecoveryTest, InvalidOptionsAreReturnedNotAborted) {
+  const std::string stem = Dir("invalid") + "/v.ckpt";
+  CheckpointManagerOptions negative_backoff = FastOptions(FileEnv::Real());
+  negative_backoff.retry_backoff_ms = -1;
+  const std::pair<CheckpointManagerOptions, std::string> cases[] = {
+      {FastOptions(FileEnv::Real(), /*keep=*/0), "keep_generations"},
+      {FastOptions(FileEnv::Real(), 2, /*max_retries=*/-1), "max_retries"},
+      {negative_backoff, "retry_backoff_ms"},
+  };
+  for (const auto& [options, field] : cases) {
+    SCOPED_TRACE(field);
+    CheckpointManager manager(stem, options);
+    for (const Status& st : {manager.Write(ChunkTag::kVector, "v"),
+                             manager.Load(ChunkTag::kVector).status(),
+                             manager.SweepOrphans().status()}) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(st.message().find(field), std::string::npos)
+          << st.ToString();
+    }
+    EXPECT_TRUE(manager.ListGenerations().empty());
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -223,7 +252,7 @@ TEST_F(IoRecoveryTest, RotationKeepsNewestGenerations) {
   ASSERT_EQ(generations.size(), 3u);
   EXPECT_EQ(generations.front().first, 3u);
   EXPECT_EQ(generations.back().first, 5u);
-  EXPECT_FALSE(FileEnv::Real()->Exists(stem));  // rotated, no bare file
+  EXPECT_FALSE(FileEnv::Real()->Exists(stem));  // nothing at the stem
 
   Result<CheckpointManager::LoadInfo> loaded =
       manager.Load(ChunkTag::kVector);
@@ -239,29 +268,6 @@ TEST_F(IoRecoveryTest, RotationKeepsNewestGenerations) {
   EXPECT_EQ(reopened.ListGenerations().back().first, 6u);
 }
 
-TEST_F(IoRecoveryTest, LegacyFileMigratesIntoRotation) {
-  const std::string stem = Dir("migrate") + "/v.ckpt";
-  {
-    CheckpointManager legacy(stem, FastOptions(FileEnv::Real(), 1));
-    ASSERT_TRUE(legacy.Write(ChunkTag::kVector, "old").ok());
-    ASSERT_TRUE(FileEnv::Real()->Exists(stem));
-  }
-  CheckpointManager rotated(stem, FastOptions(FileEnv::Real(), 2));
-  Result<CheckpointManager::LoadInfo> loaded =
-      rotated.Load(ChunkTag::kVector);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().payload, "old");
-
-  // The next write lands in a rotated generation that outranks the bare
-  // legacy file.
-  ASSERT_TRUE(rotated.Write(ChunkTag::kVector, "new").ok());
-  Result<CheckpointManager::LoadInfo> newest =
-      rotated.Load(ChunkTag::kVector);
-  ASSERT_TRUE(newest.ok());
-  EXPECT_EQ(newest.value().payload, "new");
-  EXPECT_NE(newest.value().file, stem);
-}
-
 TEST_F(IoRecoveryTest, LoweredKeepGenerationsStillResumesRotatedState) {
   const std::string stem = Dir("lowered") + "/v.ckpt";
   {
@@ -271,30 +277,33 @@ TEST_F(IoRecoveryTest, LoweredKeepGenerationsStillResumesRotatedState) {
     ASSERT_TRUE(manager.Write(ChunkTag::kVector, "gen3").ok());
   }
 
-  // A later run lowers keep_generations to 1 (the legacy single-file
-  // layout). The rotated generations on disk must still be resumable —
-  // never a silent fresh start.
-  CheckpointManager legacy(stem, FastOptions(FileEnv::Real(), 1));
-  Result<CheckpointManager::LoadInfo> loaded = legacy.Load(ChunkTag::kVector);
+  // A later run lowers keep_generations to 1. The generations on disk
+  // must still be resumable — never a silent fresh start.
+  CheckpointManager lowered(stem, FastOptions(FileEnv::Real(), 1));
+  Result<CheckpointManager::LoadInfo> loaded =
+      lowered.Load(ChunkTag::kVector);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().payload, "gen3");
   EXPECT_EQ(loaded.value().sequence, 3u);
 
-  // The next write continues the sequence into the bare file and
-  // rotates the stale generations away — except the one the load just
-  // restored from, which pruning must never delete.
-  ASSERT_TRUE(legacy.Write(ChunkTag::kVector, "gen4").ok());
-  ASSERT_TRUE(FileEnv::Real()->Exists(stem));
+  // The next write continues the sequence and rotates the stale
+  // generations away — except the one the load just restored from,
+  // which pruning must never delete.
+  ASSERT_TRUE(lowered.Write(ChunkTag::kVector, "gen4").ok());
+  const std::string gen4 = stem + ".00000004";
+  ASSERT_TRUE(FileEnv::Real()->Exists(gen4));
   EXPECT_TRUE(FileEnv::Real()->Exists(loaded.value().file));
+  EXPECT_FALSE(FileEnv::Real()->Exists(stem + ".00000001"));
+  EXPECT_FALSE(FileEnv::Real()->Exists(stem + ".00000002"));
 
-  // Raising the knob back up resumes from the newest state — the bare
-  // file at sequence 4 — not a stale leftover generation.
+  // Raising the knob back up resumes from the newest state — generation
+  // 4 — not a stale leftover generation.
   CheckpointManager raised(stem, FastOptions(FileEnv::Real(), 3));
   Result<CheckpointManager::LoadInfo> newest = raised.Load(ChunkTag::kVector);
   ASSERT_TRUE(newest.ok()) << newest.status().ToString();
   EXPECT_EQ(newest.value().payload, "gen4");
   EXPECT_EQ(newest.value().sequence, 4u);
-  EXPECT_EQ(newest.value().file, stem);
+  EXPECT_EQ(newest.value().file, gen4);
 }
 
 TEST_F(IoRecoveryTest, PruneNeverDeletesTheSalvagedGeneration) {
@@ -443,6 +452,31 @@ TEST_F(IoRecoveryTest, TransientWriteErrorsRetryWithDeterministicBackoff) {
       manager.Load(ChunkTag::kVector);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().payload, "v1");
+}
+
+// The backoff doubles up to its 10 s cap and stays there: a long retry
+// budget must neither overflow the shift nor skip a sleep.
+TEST_F(IoRecoveryTest, RetryBackoffIsCappedAndNeverDecreases) {
+  const std::string stem = Dir("capped") + "/v.ckpt";
+  FaultInjectingFileEnv fault;
+  std::vector<int> delays;
+  constexpr int kRetries = 70;
+  CheckpointManager manager(
+      stem, FastOptions(&fault, 2, /*max_retries=*/kRetries, &delays));
+  Arm(failpoints::kWriteFile, FailpointTrigger::EveryN(1), FaultAction::kError);
+  EXPECT_EQ(manager.Write(ChunkTag::kVector, "v").code(),
+            StatusCode::kUnavailable);
+  FailpointRegistry::Global().ClearAll();
+  EXPECT_EQ(manager.write_retries(), kRetries);
+  ASSERT_EQ(delays.size(), static_cast<size_t>(kRetries));
+  for (size_t k = 0; k < delays.size(); ++k) {
+    EXPECT_GT(delays[k], 0) << "retry " << k + 1;
+    EXPECT_LE(delays[k], 10'000) << "retry " << k + 1;
+    if (k > 0) {
+      EXPECT_GE(delays[k], delays[k - 1]) << "retry " << k + 1;
+    }
+  }
+  EXPECT_EQ(delays.back(), 10'000);
 }
 
 TEST_F(IoRecoveryTest, EnospcShortWriteIsRetriedThenSalvageable) {
@@ -1015,7 +1049,8 @@ TEST_F(IoRecoveryTest, PipelineSurvivesRoundLogAppendFailures) {
       model, w.clients, w.test, fed_cfg, request, strict);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(aborted.status().code(), StatusCode::kUnavailable);
-  EXPECT_FALSE(fs::exists(strict.path));  // aborted before round 0's save
+  // Aborted before round 0's save.
+  EXPECT_TRUE(CheckpointManager(strict.path).ListGenerations().empty());
 }
 
 TEST_F(IoRecoveryTest, PipelineResumeSalvagesOlderGeneration) {
@@ -1075,6 +1110,56 @@ TEST_F(IoRecoveryTest, PipelineResumeSalvagesOlderGeneration) {
   ExpectBitIdentical(*resumed.value().fedsv_values,
                      *straight.value().fedsv_values,
                      "salvaged resume FedSV");
+}
+
+// A file at exactly `path` is the single-file layout an older build
+// wrote. Resuming beside it would silently restart from round 0, so the
+// manager and a resuming pipeline refuse it and leave it untouched.
+TEST_F(IoRecoveryTest, SingleFileCheckpointIsRefusedInPlace) {
+  const int n = 3;
+  Workload w = MakeWorkload(n, 909);
+  LogisticRegression model(w.test.dim(), 10);
+
+  FedAvgConfig fed_cfg;
+  fed_cfg.num_rounds = 2;
+  fed_cfg.clients_per_round = 2;
+  fed_cfg.seed = 91;
+
+  ValuationRequest request;
+  request.compute_fedsv = true;
+  request.fedsv.mode = FedSvConfig::Mode::kExact;
+  request.fedsv.seed = 92;
+  request.compute_comfedsv = false;
+
+  // The older layout's file held the same bytes a generation holds.
+  CheckpointConfig ckpt;
+  ckpt.path = Dir("single") + "/run.ckpt";
+  ASSERT_TRUE(RunValuationCheckpointed(model, w.clients, w.test, fed_cfg,
+                                       request, ckpt)
+                  .ok());
+  auto generations = CheckpointManager(ckpt.path).ListGenerations();
+  ASSERT_EQ(generations.size(), 1u);
+  ASSERT_TRUE(
+      FileEnv::Real()->Rename(generations.front().second, ckpt.path).ok());
+  Result<std::string> before = FileEnv::Real()->ReadFile(ckpt.path);
+  ASSERT_TRUE(before.ok());
+
+  CheckpointManager manager(ckpt.path, FastOptions(FileEnv::Real(), 1));
+  Status loaded = manager.Load(ChunkTag::kValuationCheckpoint).status();
+  EXPECT_EQ(loaded.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(loaded.message().find(ckpt.path), std::string::npos)
+      << loaded.ToString();
+
+  Result<ValuationOutcome> resumed = RunValuationCheckpointed(
+      model, w.clients, w.test, fed_cfg, request, ckpt);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+
+  Result<std::string> after = FileEnv::Real()->ReadFile(ckpt.path);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after.value() == before.value());
+  EXPECT_TRUE(manager.ListGenerations().empty());
+  EXPECT_FALSE(FileEnv::Real()->Exists(ckpt.path + ".corrupt"));
 }
 
 }  // namespace
