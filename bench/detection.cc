@@ -24,9 +24,9 @@
 //                  honest baseline rows
 //   * "auc_gate" — per attack at max severity: best-detector AUC and a
 //                  pass flag (AUC >= 0.9); a final summary record
-//                  asserting >= 2 attack kinds pass. The binary aborts
-//                  if the gate fails, so CI cannot silently regress
-//                  detection power.
+//                  asserting >= 2 attack kinds pass. The binary exits
+//                  with status 1 if the gate fails, so CI cannot
+//                  silently regress detection power.
 #include <algorithm>
 #include <map>
 #include <string>
@@ -335,9 +335,9 @@ int DetectionMain(int argc, char** argv) {
   std::printf("attacks passing: %d (need >= 2)\n", attacks_passing);
 
   if (!json.WriteFile()) return 1;
-  // Hard gate: regressions in detection power fail the bench run.
-  COMFEDSV_CHECK(attacks_passing >= 2);
-  return 0;
+  // Gate: a regression in detection power fails the bench run with exit
+  // status 1 (a clean failure, not a CHECK abort).
+  return attacks_passing >= 2 ? 0 : 1;
 }
 
 }  // namespace

@@ -21,32 +21,13 @@
 // raw prefix-evaluation count recorded alongside.
 //
 // Writes BENCH_estimators.json (schema notes in README.md).
-//
-// PR-6 adds the adaptive-budget estimator (sampler "adaptive":
-// Neyman reallocation waves over the (player, |S|) cell grid plus
-// mirror-paired shared-subset draws, shapley/budget_allocator.h) and
-// the surrogate-assisted estimator ("adaptive_surrogate"): fit a
-// cheap utility surrogate from a Latin warm-up block, take the exact
-// Shapley value of the surrogate for free, and correct it with an
-// unbiased stratified estimate of the residual game, auditing and
-// refitting until a fresh audit block agrees with the fit. The gate
-// section compares both against the best PR-4 sampler per reference
-// budget; the headline contract is equal accuracy at <= 0.5x the
-// measured loss calls on the mixed game.
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <map>
-#include <set>
-#include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "shapley/budget_allocator.h"
-
 #include "bench_common.h"
-#include "common/thread_pool.h"
 
 namespace comfedsv {
 namespace bench {
@@ -154,292 +135,6 @@ struct GameSpec {
   double truncation_tolerance;
 };
 
-// ---------------------------------------------------------------------
-// Surrogate-assisted estimator ("adaptive_surrogate").
-//
-// The estimator realises the PR-6 surrogate contract at bench scale:
-//
-//   phi_hat = ExactShapley(U')  +  stratified-mean of (U - U') marginals
-//
-// where U' is a cheap fitted surrogate (additive weights + per-size
-// offsets + greedily selected pair/triple interaction terms). Surrogate
-// evaluations are free — only reads of the real game pay a loss call.
-// By linearity of the Shapley value the correction term makes the
-// estimate unbiased for ANY game: a bad fit costs variance, never bias.
-// The audit/refit loop keeps even that cost bounded — a fresh Latin
-// block of residual marginals either agrees with the fit (done) or its
-// observations join the training set and the surrogate is refit.
-
-// U'(S) = sum_{p in S} w[p] + g[|S|] + sum_j coef_j * 1{F_j subset S}.
-struct FittedSurrogate {
-  std::vector<double> w;
-  std::vector<double> g;  // indexed by |S|, g[0] = 0
-  std::vector<std::pair<Coalition, double>> interactions;
-
-  double Predict(const Coalition& c) const {
-    double u = g[static_cast<size_t>(c.Count())];
-    c.ForEachMember([&](int p) { u += w[static_cast<size_t>(p)]; });
-    for (const auto& [feature, coef] : interactions) {
-      if (feature.IsSubsetOf(c)) u += coef;
-    }
-    return u;
-  }
-};
-
-// Solves (A + lambda I) x = b for symmetric A by Gaussian elimination
-// with partial pivoting. Sizes here are <= 16 + max interactions.
-std::vector<double> SolveRidge(std::vector<std::vector<double>> a,
-                               std::vector<double> b, double lambda) {
-  const size_t n = b.size();
-  for (size_t i = 0; i < n; ++i) a[i][i] += lambda;
-  for (size_t col = 0; col < n; ++col) {
-    size_t piv = col;
-    for (size_t r = col + 1; r < n; ++r) {
-      if (std::fabs(a[r][col]) > std::fabs(a[piv][col])) piv = r;
-    }
-    std::swap(a[col], a[piv]);
-    std::swap(b[col], b[piv]);
-    const double d = a[col][col];
-    for (size_t r = col + 1; r < n; ++r) {
-      const double f = a[r][col] / d;
-      if (f == 0.0) continue;
-      for (size_t k = col; k < n; ++k) a[r][k] -= f * a[col][k];
-      b[r] -= f * b[col];
-    }
-  }
-  std::vector<double> x(n, 0.0);
-  for (size_t i = n; i-- > 0;) {
-    double s = b[i];
-    for (size_t k = i + 1; k < n; ++k) s -= a[i][k] * x[k];
-    x[i] = s / a[i][i];
-  }
-  return x;
-}
-
-// Least-squares fit on observed (coalition, utility) pairs. Interaction
-// terms are selected greedily on the residuals, pairs before triples —
-// a pair needs only two players to co-occur in the observations, so it
-// is identifiable from fewer samples than a triple.
-FittedSurrogate FitSurrogate(
-    const std::vector<std::pair<Coalition, double>>& obs,
-    int max_interactions) {
-  std::vector<Coalition> pairs, triples;
-  for (int i = 0; i < kPlayers; ++i) {
-    for (int j = i + 1; j < kPlayers; ++j) {
-      pairs.push_back(Coalition::FromMembers(kPlayers, {i, j}));
-      for (int k = j + 1; k < kPlayers; ++k) {
-        triples.push_back(Coalition::FromMembers(kPlayers, {i, j, k}));
-      }
-    }
-  }
-
-  std::vector<Coalition> selected;
-  std::vector<double> beta;
-  const auto feature_row = [&](const Coalition& c) {
-    std::vector<double> row(16 + selected.size(), 0.0);
-    c.ForEachMember([&](int p) { row[static_cast<size_t>(p)] = 1.0; });
-    const int size = c.Count();
-    if (size >= 1) row[static_cast<size_t>(8 + size - 1)] = 1.0;
-    for (size_t j = 0; j < selected.size(); ++j) {
-      if (selected[j].IsSubsetOf(c)) row[16 + j] = 1.0;
-    }
-    return row;
-  };
-  const auto refit = [&]() {
-    const size_t dim = 16 + selected.size();
-    std::vector<std::vector<double>> ata(dim,
-                                         std::vector<double>(dim, 0.0));
-    std::vector<double> atb(dim, 0.0);
-    for (const auto& [c, u] : obs) {
-      const std::vector<double> row = feature_row(c);
-      for (size_t i = 0; i < dim; ++i) {
-        if (row[i] == 0.0) continue;
-        atb[i] += row[i] * u;
-        for (size_t j = 0; j < dim; ++j) ata[i][j] += row[i] * row[j];
-      }
-    }
-    beta = SolveRidge(std::move(ata), std::move(atb), 1e-8);
-  };
-  refit();
-
-  for (int round = 0; round < max_interactions; ++round) {
-    std::vector<double> resid(obs.size(), 0.0);
-    double max_resid = 0.0;
-    double resid_ss = 0.0;
-    for (size_t i = 0; i < obs.size(); ++i) {
-      const std::vector<double> row = feature_row(obs[i].first);
-      double pred = 0.0;
-      for (size_t j = 0; j < row.size(); ++j) pred += row[j] * beta[j];
-      resid[i] = obs[i].second - pred;
-      max_resid = std::max(max_resid, std::fabs(resid[i]));
-      resid_ss += resid[i] * resid[i];
-    }
-    if (max_resid < 1e-7) break;
-
-    // Single-feature least-squares gain of a candidate indicator column
-    // against the current residuals. Candidates firing in almost none
-    // or almost all observations are unidentifiable and skipped.
-    const auto pick = [&](const std::vector<Coalition>& candidates) {
-      double best_gain = 0.0;
-      int best = -1;
-      for (size_t cand = 0; cand < candidates.size(); ++cand) {
-        bool taken = false;
-        for (const Coalition& s : selected) {
-          if (s == candidates[cand]) taken = true;
-        }
-        if (taken) continue;
-        double rx = 0.0, xx = 0.0;
-        for (size_t i = 0; i < obs.size(); ++i) {
-          if (candidates[cand].IsSubsetOf(obs[i].first)) {
-            rx += resid[i];
-            xx += 1.0;
-          }
-        }
-        if (xx < 3.0 || xx > static_cast<double>(obs.size()) - 3.0) {
-          continue;
-        }
-        const double gain = rx * rx / xx;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best = static_cast<int>(cand);
-        }
-      }
-      return std::pair<int, double>(best, best_gain);
-    };
-
-    auto [best_pair, pair_gain] = pick(pairs);
-    if (best_pair >= 0 && pair_gain >= 0.05 * resid_ss) {
-      selected.push_back(pairs[static_cast<size_t>(best_pair)]);
-      refit();
-      continue;
-    }
-    auto [best_triple, triple_gain] = pick(triples);
-    if (best_triple >= 0 && triple_gain > pair_gain) {
-      selected.push_back(triples[static_cast<size_t>(best_triple)]);
-      refit();
-      continue;
-    }
-    if (best_pair < 0 || pair_gain < 1e-10) break;
-    selected.push_back(pairs[static_cast<size_t>(best_pair)]);
-    refit();
-  }
-
-  FittedSurrogate s;
-  s.w.assign(kPlayers, 0.0);
-  s.g.assign(kPlayers + 1, 0.0);
-  for (int p = 0; p < kPlayers; ++p) {
-    s.w[static_cast<size_t>(p)] = beta[static_cast<size_t>(p)];
-  }
-  for (int size = 1; size <= kPlayers; ++size) {
-    s.g[static_cast<size_t>(size)] = beta[static_cast<size_t>(8 + size - 1)];
-  }
-  for (size_t j = 0; j < selected.size(); ++j) {
-    s.interactions.emplace_back(selected[j], beta[16 + j]);
-  }
-  return s;
-}
-
-struct SurrogateRun {
-  double mse = 0.0;
-  double avg_loss_calls = 0.0;
-  double avg_prefix_evals = 0.0;
-  double avg_audit_blocks = 0.0;
-  double avg_first_audit_max_residual = 0.0;
-};
-
-// One Latin block: the m cyclic rotations of one shuffled order, each
-// evaluated as a chained prefix walk, so every (player, position) cell
-// gets exactly one marginal at ~m*(m-1)+1 distinct coalitions.
-SurrogateRun RunSurrogate(const UtilityFn& game, const Vector& exact,
-                          int repetitions, uint64_t seed_base) {
-  std::vector<int> players(kPlayers);
-  for (int i = 0; i < kPlayers; ++i) players[i] = i;
-
-  SurrogateRun out;
-  double sq_err = 0.0;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    CountingUtility counting{game, {}, 0, 0};
-    Rng rng(seed_base + static_cast<uint64_t>(rep));
-
-    // Warm-up block: training observations for the first fit.
-    std::vector<std::pair<Coalition, double>> obs;
-    std::set<Coalition> observed;
-    std::vector<int> order = players;
-    rng.Shuffle(&order);
-    for (int r = 0; r < kPlayers; ++r) {
-      Coalition c(kPlayers);
-      for (int pos = 0; pos < kPlayers; ++pos) {
-        c.Add(order[static_cast<size_t>((pos + r) % kPlayers)]);
-        const double u = counting(c);
-        if (observed.insert(c).second) obs.emplace_back(c, u);
-      }
-    }
-
-    // Fit / audit / refit: each round fits on every observation so far
-    // and audits with a fresh Latin block of residual marginals. Large
-    // residuals mean missed structure — the block's observations join
-    // the training set and the next round refits. The last audit block
-    // is always drawn after the last fit, so the correction term below
-    // is conditionally unbiased no matter how good the fit is. Per-cell
-    // residual marginals stream through the adaptive allocator so the
-    // spend decision uses the same Welford stats as the library path.
-    FittedSurrogate surrogate;
-    AdaptiveBudgetAllocator allocator(kPlayers * kPlayers, 1);
-    std::vector<double> residual_sum(kPlayers, 0.0);
-    for (int round = 0; round < 4; ++round) {
-      surrogate = FitSurrogate(obs, 6);
-      residual_sum.assign(kPlayers, 0.0);
-      std::vector<int> audit_order = players;
-      rng.Shuffle(&audit_order);
-      double block_max = 0.0;
-      std::vector<std::pair<Coalition, double>> block_obs;
-      for (int r = 0; r < kPlayers; ++r) {
-        Coalition c(kPlayers);
-        double prev = 0.0;
-        for (int pos = 0; pos < kPlayers; ++pos) {
-          const int p = audit_order[static_cast<size_t>(
-              (pos + r) % kPlayers)];
-          c.Add(p);
-          const double raw = counting(c);
-          if (observed.insert(c).second) block_obs.emplace_back(c, raw);
-          const double residual = raw - surrogate.Predict(c);
-          const double marginal = residual - prev;
-          prev = residual;
-          residual_sum[static_cast<size_t>(p)] += marginal;
-          allocator.Record(p * kPlayers + pos, marginal);
-          block_max = std::max(block_max, std::fabs(marginal));
-        }
-      }
-      out.avg_audit_blocks += 1.0;
-      if (round == 0) out.avg_first_audit_max_residual += block_max;
-      if (block_max < 1e-6) break;
-      for (auto& o : block_obs) obs.push_back(o);
-    }
-
-    // Exact Shapley of the surrogate costs 2^m surrogate evaluations
-    // and zero loss calls.
-    const UtilityFn predict = [&surrogate](const Coalition& c) {
-      return surrogate.Predict(c);
-    };
-    Result<Vector> base = ExactShapley(kPlayers, players, predict);
-    COMFEDSV_CHECK_OK(base.status());
-    for (int i = 0; i < kPlayers; ++i) {
-      const double est =
-          base.value()[i] + residual_sum[static_cast<size_t>(i)] / kPlayers;
-      const double d = est - exact[i];
-      sq_err += d * d;
-    }
-    out.avg_loss_calls += static_cast<double>(counting.loss_calls);
-    out.avg_prefix_evals += static_cast<double>(counting.prefix_evals);
-  }
-  out.mse = sq_err / (static_cast<double>(repetitions) * kPlayers);
-  out.avg_loss_calls /= repetitions;
-  out.avg_prefix_evals /= repetitions;
-  out.avg_audit_blocks /= repetitions;
-  out.avg_first_audit_max_residual /= repetitions;
-  return out;
-}
-
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -467,14 +162,6 @@ int Main(int argc, char** argv) {
       SamplerKind::kStratified, SamplerKind::kTruncated};
   const int budgets[] = {8, 16, 32, 64, 128};
 
-  // Best PR-4 sampler (lowest MSE) per (game, budget), for the adaptive
-  // match-MSE gate below.
-  struct BestRun {
-    std::string sampler;
-    SamplerRun run;
-  };
-  std::map<std::string, std::map<int, BestRun>> best_pr4;
-
   for (const GameSpec& spec : games) {
     Result<Vector> exact = ExactShapley(kPlayers, players, spec.game);
     COMFEDSV_CHECK_OK(exact.status());
@@ -492,11 +179,6 @@ int Main(int argc, char** argv) {
             RunSampler(spec.game, exact.value(), cfg, permutations,
                        repetitions, /*seed_base=*/0xE57u);
         if (kind == SamplerKind::kUniformIid) uniform_run = run;
-        auto& best = best_pr4[spec.name];
-        if (best.find(permutations) == best.end() ||
-            run.mse < best[permutations].run.mse) {
-          best[permutations] = {SamplerKindName(kind), run};
-        }
         const double ratio =
             run.mse > 0.0 ? uniform_run.mse / run.mse
                           : std::numeric_limits<double>::infinity();
@@ -527,166 +209,6 @@ int Main(int argc, char** argv) {
                     run.avg_loss_calls, run.avg_prefix_evals, run.mse,
                     ratio);
       }
-
-      // The adaptive estimator at the same permutation budget, as a
-      // regular row (sampler "adaptive") for apples-to-apples plots.
-      SamplerConfig adaptive_cfg;
-      adaptive_cfg.adaptive.enabled = true;
-      const SamplerRun adaptive_run =
-          RunSampler(spec.game, exact.value(), adaptive_cfg, permutations,
-                     repetitions, /*seed_base=*/0xE57u);
-      json.BeginRecord();
-      json.Field("game", spec.name);
-      json.Field("sampler", "adaptive");
-      json.Field("permutations", static_cast<double>(permutations));
-      json.Field("truncation_tolerance", 0.0);
-      json.Field("avg_loss_calls", adaptive_run.avg_loss_calls);
-      json.Field("avg_prefix_evals", adaptive_run.avg_prefix_evals);
-      json.Field("mse", adaptive_run.mse);
-      json.Field("mse_fraction_of_uniform_iid",
-                 uniform_run.mse > 0.0
-                     ? adaptive_run.mse / uniform_run.mse
-                     : 0.0);
-      json.Field("loss_calls_fraction_of_uniform_iid",
-                 uniform_run.avg_loss_calls > 0.0
-                     ? adaptive_run.avg_loss_calls /
-                           uniform_run.avg_loss_calls
-                     : 0.0);
-      std::printf("  %-11s %6d %12.1f %12.1f %12.4e %13.2fx\n", "adaptive",
-                  permutations, adaptive_run.avg_loss_calls,
-                  adaptive_run.avg_prefix_evals, adaptive_run.mse,
-                  adaptive_run.mse > 0.0
-                      ? uniform_run.mse / adaptive_run.mse
-                      : 0.0);
-    }
-    std::printf("\n");
-  }
-
-  // Thread-count bit-identity spot check: the adaptive path draws and
-  // allocates on the calling thread only, so handing it a pool must not
-  // change a single bit of the estimate.
-  {
-    SamplerConfig cfg;
-    cfg.adaptive.enabled = true;
-    Rng rng_a(0xBEEFu), rng_b(0xBEEFu);
-    ThreadPool pool(4);
-    const Result<Vector> solo =
-        MonteCarloShapley(kPlayers, players, MixedGame, 64, &rng_a,
-                          nullptr, nullptr, cfg);
-    const Result<Vector> pooled =
-        MonteCarloShapley(kPlayers, players, MixedGame, 64, &rng_b, &pool,
-                          nullptr, cfg);
-    COMFEDSV_CHECK_OK(solo.status());
-    COMFEDSV_CHECK_OK(pooled.status());
-    for (int i = 0; i < kPlayers; ++i) {
-      COMFEDSV_CHECK(solo.value()[i] == pooled.value()[i]);
-    }
-  }
-
-  // Match-MSE gate (the PR-6 headline) on the mixed game. Two rows of
-  // evidence per reference budget, both with measured loss calls
-  // (distinct-coalition counts from the memoizing wrapper), never
-  // estimated:
-  //
-  //  * pure adaptive — the smallest adaptive budget whose MSE is at or
-  //    below the best PR-4 sampler's, with the loss-call ratio. On an
-  //    8-client game every sampler saturates toward the 254-coalition
-  //    universe, so this ratio bottoms out well above 0.5 — reported
-  //    for transparency.
-  //  * adaptive_surrogate — the surrogate-assisted estimator, whose
-  //    loss calls are the warm-up block plus audit blocks. This is the
-  //    path that meets the <= 0.5x contract: surrogate evaluations are
-  //    free, the residual correction keeps the estimate unbiased, and
-  //    the audit residuals bound what the surrogate is trusted with.
-  {
-    const GameSpec& spec = games[0];  // mixed
-    Result<Vector> exact = ExactShapley(kPlayers, players, spec.game);
-    COMFEDSV_CHECK_OK(exact.status());
-    const int ladder[] = {16, 20, 24, 32, 40, 48, 64, 80, 96, 128, 160,
-                          192, 256};
-    std::map<int, SamplerRun> adaptive_at;  // ladder budget -> run
-    for (int b : ladder) {
-      SamplerConfig cfg;
-      cfg.adaptive.enabled = true;
-      adaptive_at[b] = RunSampler(spec.game, exact.value(), cfg, b,
-                                  repetitions, /*seed_base=*/0xADA7u);
-    }
-    const SurrogateRun surrogate = RunSurrogate(
-        spec.game, exact.value(), repetitions, /*seed_base=*/0x5A6Eu);
-
-    json.BeginRecord();
-    json.Field("game", spec.name);
-    json.Field("section", "adaptive_surrogate");
-    json.Field("avg_loss_calls", surrogate.avg_loss_calls);
-    json.Field("avg_prefix_evals", surrogate.avg_prefix_evals);
-    json.Field("mse", surrogate.mse);
-    json.Field("avg_audit_blocks", surrogate.avg_audit_blocks);
-    json.Field("avg_first_audit_max_residual",
-               surrogate.avg_first_audit_max_residual);
-    std::printf(
-        "[%s] adaptive_surrogate: calls %.1f  mse %.4e  "
-        "audit_blocks %.2f  first_audit_max_residual %.3e\n",
-        spec.name, surrogate.avg_loss_calls, surrogate.mse,
-        surrogate.avg_audit_blocks,
-        surrogate.avg_first_audit_max_residual);
-
-    std::printf("[%s] match-MSE gate vs best PR-4 sampler\n", spec.name);
-    std::printf("  %6s %-11s %12s %8s %10s %9s %10s %9s %6s\n", "perms",
-                "best_pr4", "target_mse", "ad_perms", "ad_calls",
-                "ad_ratio", "surr_calls", "surr_rat", "gate");
-    for (int permutations : budgets) {
-      const auto it = best_pr4[spec.name].find(permutations);
-      if (it == best_pr4[spec.name].end()) continue;
-      const BestRun& best = it->second;
-      int matched_budget = -1;
-      SamplerRun matched;
-      for (int b : ladder) {
-        if (adaptive_at[b].mse <= best.run.mse) {
-          matched_budget = b;
-          matched = adaptive_at[b];
-          break;
-        }
-      }
-      const double adaptive_ratio =
-          (matched_budget > 0 && best.run.avg_loss_calls > 0.0)
-              ? matched.avg_loss_calls / best.run.avg_loss_calls
-              : -1.0;
-      const double surrogate_ratio =
-          best.run.avg_loss_calls > 0.0
-              ? surrogate.avg_loss_calls / best.run.avg_loss_calls
-              : -1.0;
-      const bool surrogate_equal_mse = surrogate.mse <= best.run.mse;
-      const bool gate_pass =
-          surrogate_equal_mse && surrogate_ratio >= 0.0 &&
-          surrogate_ratio <= 0.5;
-
-      json.BeginRecord();
-      json.Field("game", spec.name);
-      json.Field("section", "adaptive_gate");
-      json.Field("permutations", static_cast<double>(permutations));
-      json.Field("best_pr4_sampler", best.sampler.c_str());
-      json.Field("best_pr4_mse", best.run.mse);
-      json.Field("best_pr4_loss_calls", best.run.avg_loss_calls);
-      json.Field("adaptive_permutations",
-                 static_cast<double>(matched_budget));
-      json.Field("adaptive_mse", matched_budget > 0 ? matched.mse : -1.0);
-      json.Field("adaptive_loss_calls",
-                 matched_budget > 0 ? matched.avg_loss_calls : -1.0);
-      json.Field("loss_calls_fraction_of_best_pr4", adaptive_ratio);
-      json.Field("surrogate_mse", surrogate.mse);
-      json.Field("surrogate_loss_calls", surrogate.avg_loss_calls);
-      json.Field("surrogate_loss_calls_fraction_of_best_pr4",
-                 surrogate_ratio);
-      json.Field("surrogate_equal_mse", surrogate_equal_mse ? 1.0 : 0.0);
-      json.Field("gate_half_loss_calls", gate_pass ? 1.0 : 0.0);
-
-      std::printf(
-          "  %6d %-11s %12.4e %8d %10.1f %8.2f%% %10.1f %8.2f%% %6s\n",
-          permutations, best.sampler.c_str(), best.run.mse,
-          matched_budget,
-          matched_budget > 0 ? matched.avg_loss_calls : -1.0,
-          adaptive_ratio * 100.0, surrogate.avg_loss_calls,
-          surrogate_ratio * 100.0, gate_pass ? "PASS" : "FAIL");
     }
     std::printf("\n");
   }

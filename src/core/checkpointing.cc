@@ -12,17 +12,6 @@ namespace {
 void MixSampler(uint64_t* hash, const SamplerConfig& sampler) {
   FingerprintMix(hash, static_cast<uint64_t>(sampler.kind));
   FingerprintMix(hash, sampler.truncation_tolerance);
-  // Adaptive allocation changes which coalitions are drawn, so its knobs
-  // must break fingerprint compatibility — but only when it is on, so
-  // checkpoints from before these knobs existed keep their fingerprints.
-  if (sampler.adaptive.enabled) {
-    FingerprintMix(hash, uint64_t{0x41444150});  // "ADAP"
-    FingerprintMix(hash,
-                   static_cast<uint64_t>(sampler.adaptive.pilot_permutations));
-    FingerprintMix(hash, static_cast<uint64_t>(sampler.adaptive.waves));
-    FingerprintMix(hash,
-                   static_cast<uint64_t>(sampler.adaptive.min_cell_samples));
-  }
 }
 
 void MixCompletion(uint64_t* hash, const CompletionConfig& completion) {

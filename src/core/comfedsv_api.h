@@ -46,7 +46,6 @@
 #include "models/cnn.h"
 #include "models/logistic.h"
 #include "models/mlp.h"
-#include "shapley/budget_allocator.h"
 #include "shapley/fedsv.h"
 #include "shapley/sampler.h"
 #include "shapley/shapley.h"

@@ -20,27 +20,9 @@ Status ValidateRequest(const ValuationRequest& request, int num_clients) {
         std::to_string(num_clients));
   }
   if (request.compute_fedsv &&
-      request.fedsv.mode == FedSvConfig::Mode::kMonteCarlo &&
-      request.fedsv.sampler.kind == SamplerKind::kTruncated &&
-      request.fedsv.sampler.truncation_tolerance < 0.0) {
-    return Status::InvalidArgument(
-        "fedsv.sampler.truncation_tolerance must be >= 0");
-  }
-  if (request.compute_fedsv &&
-      request.fedsv.mode == FedSvConfig::Mode::kMonteCarlo &&
-      request.fedsv.sampler.adaptive.enabled) {
-    const AdaptiveBudgetConfig& adaptive = request.fedsv.sampler.adaptive;
-    if (adaptive.pilot_permutations < 0) {
-      return Status::InvalidArgument(
-          "fedsv.sampler.adaptive.pilot_permutations must be >= 0");
-    }
-    if (adaptive.waves <= 0) {
-      return Status::InvalidArgument(
-          "fedsv.sampler.adaptive.waves must be positive");
-    }
-    if (adaptive.min_cell_samples < 1) {
-      return Status::InvalidArgument(
-          "fedsv.sampler.adaptive.min_cell_samples must be >= 1");
+      request.fedsv.mode == FedSvConfig::Mode::kMonteCarlo) {
+    if (Status s = ValidateSamplerConfig(request.fedsv.sampler); !s.ok()) {
+      return Status::InvalidArgument("fedsv.sampler." + s.message());
     }
   }
   if (!request.compute_comfedsv) return Status::Ok();
@@ -55,11 +37,11 @@ Status ValidateRequest(const ValuationRequest& request, int num_clients) {
         std::to_string(kMaxObservedClients) + ", got " +
         std::to_string(num_clients));
   }
-  if (request.comfedsv.mode == ComFedSvConfig::Mode::kSampled &&
-      request.comfedsv.sampler.kind == SamplerKind::kTruncated &&
-      request.comfedsv.sampler.truncation_tolerance < 0.0) {
-    return Status::InvalidArgument(
-        "comfedsv.sampler.truncation_tolerance must be >= 0");
+  if (request.comfedsv.mode == ComFedSvConfig::Mode::kSampled) {
+    if (Status s = ValidateSamplerConfig(request.comfedsv.sampler);
+        !s.ok()) {
+      return Status::InvalidArgument("comfedsv.sampler." + s.message());
+    }
   }
   return Status::Ok();
 }

@@ -63,11 +63,11 @@ struct ValuationOutcome {
 /// The requests the evaluators cannot serve (they CHECK these). Returns
 /// InvalidArgument naming the field for no clients, a ground truth over
 /// more than 16 clients, a kFull ComFedSV over more than 20 (Assumption
-/// 1's all-client round 0 records 2^N utilities), a truncated sampler
-/// with a negative truncation_tolerance — the Monte-Carlo FedSV sampler
-/// or the sampled ComFedSV one — or an adaptive Monte-Carlo FedSV sampler
-/// with a negative pilot_permutations, non-positive waves or
-/// min_cell_samples below 1 — or, when compute_comfedsv is set, a
+/// 1's all-client round 0 records 2^N utilities), a sampler that
+/// ValidateSamplerConfig refuses (a truncated one whose
+/// truncation_tolerance is not finite and >= 0) — the Monte-Carlo FedSV
+/// sampler or the sampled ComFedSV one, with the fedsv.sampler. or
+/// comfedsv.sampler. prefix — or, when compute_comfedsv is set, a
 /// comfedsv.completion that ValidateCompletionConfig refuses: rank below
 /// 1, a non-finite or non-positive lambda, max_iters below 1, a
 /// non-finite or negative init_scale, or a non-finite or negative

@@ -198,9 +198,7 @@ SampledUtilityRecorder::SampledUtilityRecorder(const Model* model,
   COMFEDSV_CHECK(test_data_ != nullptr);
   COMFEDSV_CHECK_GT(num_clients_, 0);
   COMFEDSV_CHECK_GT(num_permutations, 0);
-  if (sampler_.kind == SamplerKind::kTruncated) {
-    COMFEDSV_CHECK_GE(sampler_.truncation_tolerance, 0.0);
-  }
+  COMFEDSV_CHECK_OK(ValidateSamplerConfig(sampler_));
 
   Rng rng(seed ^ 0x414C4731ULL);  // "ALG1"
   std::vector<int> identity(num_clients_);

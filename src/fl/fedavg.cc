@@ -148,9 +148,28 @@ Status FedAvgTrainer::Arm(ClientSelector* selector) {
         "clients_per_round must be in [1, num_clients]");
   }
   if (config_.selector == SelectorKind::kBernoulli &&
-      (config_.participation_prob < 0.0 ||
-       config_.participation_prob > 1.0)) {
+      !(config_.participation_prob >= 0.0 &&
+        config_.participation_prob <= 1.0)) {
     return Status::InvalidArgument("participation_prob must be in [0, 1]");
+  }
+  const LearningRateSchedule& lr = config_.lr;
+  if (lr.kind == LearningRateSchedule::Kind::kConstant &&
+      !(std::isfinite(lr.base) && lr.base > 0.0)) {
+    return Status::InvalidArgument("lr.base must be finite and > 0");
+  }
+  if (lr.kind == LearningRateSchedule::Kind::kInverseDecay) {
+    if (!(std::isfinite(lr.mu) && lr.mu > 0.0)) {
+      return Status::InvalidArgument("lr.mu must be finite and > 0");
+    }
+    if (!std::isfinite(lr.gamma)) {
+      return Status::InvalidArgument("lr.gamma must be finite");
+    }
+  }
+  if (config_.local_steps < 1) {
+    return Status::InvalidArgument("local_steps must be >= 1");
+  }
+  if (config_.batch_size < 0) {
+    return Status::InvalidArgument("batch_size must be >= 0");
   }
 
   default_selector_.reset();

@@ -122,7 +122,11 @@ class FedAvgTrainer {
 
   /// Validates the config, (re)initializes the global model and the RNG
   /// streams, and arms Step(). `selector` as in Train; it must outlive
-  /// the run. Calling Begin again restarts from round 0.
+  /// the run. Calling Begin again restarts from round 0. Returns
+  /// InvalidArgument naming the field for, among others, a
+  /// participation_prob outside [0, 1], a learning rate whose base (or
+  /// mu) is not finite and > 0 or whose gamma is not finite,
+  /// local_steps below 1 or a negative batch_size.
   Status Begin(ClientSelector* selector = nullptr);
 
   /// True between Begin/RestoreState and the final Step.

@@ -1,6 +1,8 @@
 #include "shapley/sampler.h"
 
 #include <algorithm>
+#include <cmath>
+#include <sstream>
 
 #include "common/check.h"
 
@@ -21,14 +23,26 @@ const char* SamplerKindName(SamplerKind kind) {
 }
 
 int RoundBudgetForSampler(const SamplerConfig& config, int budget) {
-  // Floor before pairing: a 0/negative budget (degenerate config or an
-  // aggressive adaptive split) must still produce at least one draw, or
-  // the estimators' positive-budget guard aborts downstream.
+  // Floor before pairing: a 0/negative budget (a degenerate config) must
+  // still produce at least one draw, or the estimators' positive-budget
+  // guard aborts downstream.
   budget = std::max(budget, 1);
   if (config.kind == SamplerKind::kAntithetic && (budget % 2) != 0) {
     return budget + 1;
   }
   return budget;
+}
+
+Status ValidateSamplerConfig(const SamplerConfig& config) {
+  if (config.kind == SamplerKind::kTruncated &&
+      !(std::isfinite(config.truncation_tolerance) &&
+        config.truncation_tolerance >= 0.0)) {
+    std::ostringstream msg;
+    msg << "truncation_tolerance must be finite and >= 0, got "
+        << config.truncation_tolerance;
+    return Status::InvalidArgument(msg.str());
+  }
+  return Status::Ok();
 }
 
 std::vector<std::vector<int>> DrawOrderings(const SamplerConfig& config,

@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "shapley/budget_allocator.h"
+#include "common/status.h"
 
 namespace comfedsv {
 
@@ -61,15 +61,6 @@ struct SamplerConfig {
   /// exact saturation (a plateau), which is already enough for games
   /// whose utility caps out early.
   double truncation_tolerance = 1e-3;
-
-  /// Adaptive Neyman budget allocation (shapley/budget_allocator.h).
-  /// When enabled, MonteCarloShapley (and the per-round FedSV estimate)
-  /// spends the permutation budget in reallocation waves steered toward
-  /// the highest-variance (player, |S|) cells instead of uniformly;
-  /// `kind` then only selects how the pilot walks are drawn. Budgets
-  /// below 2 * |players| permutations fall back to the plain sampler
-  /// (too small to cover the cell grid).
-  AdaptiveBudgetConfig adaptive;
 };
 
 /// Human-readable sampler name (bench/JSON labels).
@@ -83,6 +74,12 @@ const char* SamplerKindName(SamplerKind kind);
 /// budgets are floored at one draw (two for antithetic) so degenerate
 /// configurations never reach the estimators' positive-budget guard.
 int RoundBudgetForSampler(const SamplerConfig& config, int budget);
+
+/// Checks every field that has an invalid range: with kind kTruncated,
+/// truncation_tolerance must be finite and >= 0 (a NaN tolerance never
+/// stops a walk, +inf stops every walk after one player). Returns
+/// InvalidArgument whose message starts with the offending field name.
+Status ValidateSamplerConfig(const SamplerConfig& config);
 
 /// Draws `count` orderings of `players` from `rng` according to
 /// `config.kind`. Antithetic reversals and stratified rotations are

@@ -65,22 +65,8 @@ Result<Vector> ExactShapley(int universe_size,
 /// proceed position-by-position in batched waves instead (each wave is
 /// one prefetch submission); `pool` then only parallelizes inside the
 /// batched evaluator, and the result is thread-count invariant by
-/// construction.
-///
-/// With `sampler.adaptive.enabled`, the budget (num_permutations * m
-/// marginal samples) is instead spent adaptively over the (player,
-/// coalition-size) cell grid: pilot permutation walks (drawn by
-/// `sampler.kind`) seed per-cell Welford statistics, then the remaining
-/// samples go out in Neyman-style reallocation waves that chase cell
-/// variance (shapley/budget_allocator.h). Every random draw and every
-/// allocation decision happens on the calling thread in fixed cell/wave
-/// order — `pool` only parallelizes inside the prefetch evaluator — so
-/// the adaptive estimate is also bit-identical across thread counts.
-/// phi_i = (1/m) sum_s cellmean(i, s) stays unbiased: each cell mean
-/// averages uniform size-s coalition draws, and a final coverage pass
-/// guarantees no cell is left empty. Budgets below 2*m permutations fall
-/// back to the plain (non-adaptive) sampler; truncation is ignored on
-/// the adaptive path (orderings are uniform, walks never truncate).
+/// construction. Fails with kInvalidArgument for a sampler that
+/// ValidateSamplerConfig refuses.
 Result<Vector> MonteCarloShapley(int universe_size,
                                  const std::vector<int>& players,
                                  const UtilityFn& utility,

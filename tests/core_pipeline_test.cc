@@ -244,23 +244,48 @@ TEST(PipelineTest, RejectsFullComFedSvOverTwentyClients) {
   ExpectEveryDriverRejects(req, 21, "comfedsv.mode");
 }
 
-TEST(PipelineTest, RejectsNegativeTruncationTolerance) {
-  ValuationRequest req;
-  req.compute_fedsv = false;
-  req.compute_comfedsv = true;
-  req.comfedsv.mode = ComFedSvConfig::Mode::kSampled;
-  req.comfedsv.sampler.kind = SamplerKind::kTruncated;
-  req.comfedsv.sampler.truncation_tolerance = -0.5;
-  ExpectEveryDriverRejects(req, 3, "comfedsv.sampler.truncation_tolerance");
+// NaN < 0 is false, so a NaN tolerance used to pass validation and make
+// every truncated walk run to the end; +inf stopped every walk after one
+// player. Both returned Ok; a negative tolerance used to abort at the
+// first round.
+TEST(PipelineTest, RejectsOutOfRangeTruncationTolerance) {
+  for (double tolerance : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(tolerance);
+    ValuationRequest req;
+    req.compute_fedsv = false;
+    req.compute_comfedsv = true;
+    req.comfedsv.mode = ComFedSvConfig::Mode::kSampled;
+    req.comfedsv.sampler.kind = SamplerKind::kTruncated;
+    req.comfedsv.sampler.truncation_tolerance = tolerance;
+    ExpectEveryDriverRejects(req, 3,
+                             "comfedsv.sampler.truncation_tolerance");
 
-  // The Monte-Carlo FedSV sampler is checked the same way; it used to
-  // pass validation and abort at the first round.
+    req.compute_fedsv = true;
+    req.fedsv.mode = FedSvConfig::Mode::kMonteCarlo;
+    req.fedsv.sampler = req.comfedsv.sampler;
+    req.compute_comfedsv = false;
+    ExpectEveryDriverRejects(req, 3, "fedsv.sampler.truncation_tolerance");
+  }
+}
+
+// A NaN learning rate used to train every round and return Ok; the
+// trainer now refuses it before the first round.
+TEST(PipelineTest, RejectsNonFiniteLearningRate) {
+  Workload w = MakeWorkload(3, 109);
+  LogisticRegression model(w.test.dim(), 10);
+  FedAvgConfig cfg = FedConfig(2, 2, 111);
+  cfg.lr = LearningRateSchedule::Constant(
+      std::numeric_limits<double>::quiet_NaN());
+  ValuationRequest req;
   req.compute_fedsv = true;
-  req.fedsv.mode = FedSvConfig::Mode::kMonteCarlo;
-  req.fedsv.sampler.kind = SamplerKind::kTruncated;
-  req.fedsv.sampler.truncation_tolerance = -1.0;
-  req.compute_comfedsv = false;
-  ExpectEveryDriverRejects(req, 3, "fedsv.sampler.truncation_tolerance");
+  req.compute_comfedsv = true;
+  Result<ValuationOutcome> outcome =
+      RunValuation(model, w.clients, w.test, cfg, req);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(outcome.status().message().find("lr.base"), std::string::npos)
+      << outcome.status().ToString();
 }
 
 // A completion config the solver sweeps cannot serve used to pass
@@ -293,38 +318,6 @@ TEST(PipelineTest, RequestFingerprintsAreStable) {
   req.comfedsv.completion.solver = CompletionSolver::kCcd;
   req.comfedsv.completion.temporal_smoothing = 0.0;
   EXPECT_EQ(RequestFingerprint(req), 0x2b11252af9bb15bdULL);
-}
-
-// An adaptive Monte-Carlo FedSV request whose allocator knobs
-// MonteCarloShapley refuses used to pass validation and abort at the
-// first round.
-ValuationRequest AdaptiveFedSvRequest() {
-  ValuationRequest req;
-  req.compute_fedsv = true;
-  req.fedsv.mode = FedSvConfig::Mode::kMonteCarlo;
-  req.fedsv.sampler.adaptive.enabled = true;
-  req.compute_comfedsv = false;
-  return req;
-}
-
-TEST(PipelineTest, RejectsNegativeAdaptivePilotPermutations) {
-  ValuationRequest req = AdaptiveFedSvRequest();
-  req.fedsv.sampler.adaptive.pilot_permutations = -1;
-  ExpectEveryDriverRejects(req, 3,
-                           "fedsv.sampler.adaptive.pilot_permutations");
-}
-
-TEST(PipelineTest, RejectsNonPositiveAdaptiveWaves) {
-  ValuationRequest req = AdaptiveFedSvRequest();
-  req.fedsv.sampler.adaptive.waves = 0;
-  ExpectEveryDriverRejects(req, 3, "fedsv.sampler.adaptive.waves");
-}
-
-TEST(PipelineTest, RejectsAdaptiveMinCellSamplesBelowOne) {
-  ValuationRequest req = AdaptiveFedSvRequest();
-  req.fedsv.sampler.adaptive.min_cell_samples = 0;
-  ExpectEveryDriverRejects(req, 3,
-                           "fedsv.sampler.adaptive.min_cell_samples");
 }
 
 // RunValuationCheckpointed must reject out-of-range durability options

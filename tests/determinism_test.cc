@@ -960,13 +960,12 @@ ValuationOutcome RunStreaming(const Workload& w, const Model& model,
   return std::move(out).value();
 }
 
-TEST(DeterminismTest, AdaptivePipelineIsThreadCountInvariant) {
-  // Adaptive Neyman budget waves in Monte-Carlo FedSV make
-  // data-dependent decisions, and the streamed sampled ComFedSV recorder
-  // re-solves after every round; both must stay bit-identical across
-  // inline, 1-thread, and 4-thread execution: every allocation plan is
-  // taken on the calling thread in fixed wave order, with parallelism
-  // confined to the batched loss evaluator.
+TEST(DeterminismTest, WarmStreamedSampledPipelineIsThreadCountInvariant) {
+  // Monte-Carlo FedSV and the streamed sampled ComFedSV recorder, which
+  // re-solves with the warm start after every round, must stay
+  // bit-identical across inline, 1-thread, and 4-thread execution:
+  // parallelism is confined to the batched loss evaluator and the
+  // completion sweeps.
   const int n = 5;
   Workload w = MakeWorkload(n, 1111);
   LogisticRegression model(w.test.dim(), 10);
@@ -980,7 +979,6 @@ TEST(DeterminismTest, AdaptivePipelineIsThreadCountInvariant) {
   request.compute_fedsv = true;
   request.fedsv.mode = FedSvConfig::Mode::kMonteCarlo;
   request.fedsv.permutations_per_round = 8;
-  request.fedsv.sampler.adaptive.enabled = true;
   request.fedsv.seed = 102;
   request.compute_comfedsv = true;
   request.comfedsv.mode = ComFedSvConfig::Mode::kSampled;
@@ -1006,9 +1004,9 @@ TEST(DeterminismTest, AdaptivePipelineIsThreadCountInvariant) {
 
   ASSERT_TRUE(inline_run.fedsv_values.has_value());
   ExpectBitIdentical(*inline_run.fedsv_values, *single_run.fedsv_values,
-                     "adaptive FedSV inline vs threads=1");
+                     "Monte-Carlo FedSV inline vs threads=1");
   ExpectBitIdentical(*inline_run.fedsv_values, *threaded_run.fedsv_values,
-                     "adaptive FedSV inline vs threads=4");
+                     "Monte-Carlo FedSV inline vs threads=4");
   ASSERT_TRUE(inline_run.comfedsv.has_value());
   ExpectBitIdentical(inline_run.comfedsv->values,
                      single_run.comfedsv->values,

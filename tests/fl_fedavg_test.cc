@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <set>
 
 #include "data/image_sim.h"
@@ -256,6 +258,71 @@ TEST(FedAvgTest, InvalidConfigsRejected) {
   cfg.clients_per_round = 99;
   FedAvgTrainer t2(&model, w.clients, w.test, cfg);
   EXPECT_FALSE(t2.Train().ok());
+
+  // Each of these but participation_prob = 1.5 used to pass validation:
+  // a NaN participation_prob then aborted in BernoulliSelector, and
+  // Begin returned Ok for the others. The error names the field.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Row {
+    const char* field;
+    std::function<void(FedAvgConfig*)> edit;
+  };
+  const std::vector<Row> rows = {
+      {"participation_prob",
+       [&](FedAvgConfig* c) {
+         c->selector = SelectorKind::kBernoulli;
+         c->participation_prob = nan;
+       }},
+      {"participation_prob",
+       [](FedAvgConfig* c) {
+         c->selector = SelectorKind::kBernoulli;
+         c->participation_prob = 1.5;
+       }},
+      {"lr.base",
+       [&](FedAvgConfig* c) { c->lr = LearningRateSchedule::Constant(nan); }},
+      {"lr.base",
+       [&](FedAvgConfig* c) { c->lr = LearningRateSchedule::Constant(inf); }},
+      {"lr.base",
+       [](FedAvgConfig* c) { c->lr = LearningRateSchedule::Constant(-1.0); }},
+      {"lr.base",
+       [](FedAvgConfig* c) { c->lr = LearningRateSchedule::Constant(0.0); }},
+      {"lr.mu",
+       [](FedAvgConfig* c) {
+         c->lr = LearningRateSchedule::InverseDecay(/*mu=*/0.0, 1.0);
+       }},
+      {"lr.mu",
+       [&](FedAvgConfig* c) {
+         c->lr = LearningRateSchedule::InverseDecay(/*mu=*/nan, 1.0);
+       }},
+      {"lr.gamma",
+       [&](FedAvgConfig* c) {
+         c->lr = LearningRateSchedule::InverseDecay(1.0, 1.0);
+         c->lr.gamma = nan;
+       }},
+      {"local_steps", [](FedAvgConfig* c) { c->local_steps = 0; }},
+      {"batch_size", [](FedAvgConfig* c) { c->batch_size = -1; }},
+  };
+  for (const Row& row : rows) {
+    FedAvgConfig bad;
+    bad.num_rounds = 2;
+    bad.clients_per_round = 2;
+    row.edit(&bad);
+    FedAvgTrainer trainer(&model, w.clients, w.test, bad);
+    const Status status = trainer.Begin();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << row.field;
+    EXPECT_EQ(status.message().rfind(row.field, 0), 0u)
+        << row.field << ": " << status.ToString();
+  }
+
+  // A huge but finite rate stays valid: it diverges, and the aggregation
+  // guard and the numerical checks downstream own that.
+  FedAvgConfig huge;
+  huge.num_rounds = 2;
+  huge.clients_per_round = 2;
+  huge.lr = LearningRateSchedule::Constant(1e200);
+  FedAvgTrainer t3(&model, w.clients, w.test, huge);
+  EXPECT_TRUE(t3.Begin().ok());
 }
 
 TEST(FedAvgTest, MiniBatchModeRuns) {

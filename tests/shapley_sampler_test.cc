@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "shapley/shapley.h"
 
@@ -299,16 +300,28 @@ TEST(TruncatedWalkTest, BiasIsBoundedByTheTolerance) {
   EXPECT_EQ(counting.evals, 1 + perms * 3);
 }
 
-TEST(TruncatedWalkTest, NegativeToleranceRejected) {
-  SamplerConfig cfg;
-  cfg.kind = SamplerKind::kTruncated;
-  cfg.truncation_tolerance = -1.0;
-  Rng rng(1);
-  Result<Vector> est = MonteCarloShapley(
-      3, {0, 1, 2}, AdditiveGame({1, 1, 1}), 4, &rng, nullptr, nullptr,
-      cfg);
-  EXPECT_FALSE(est.ok());
-  EXPECT_EQ(est.status().code(), StatusCode::kInvalidArgument);
+TEST(TruncatedWalkTest, NegativeOrNonFiniteToleranceRejected) {
+  for (double tolerance : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(tolerance);
+    SamplerConfig cfg;
+    cfg.kind = SamplerKind::kTruncated;
+    cfg.truncation_tolerance = tolerance;
+    EXPECT_EQ(ValidateSamplerConfig(cfg).code(),
+              StatusCode::kInvalidArgument);
+    Rng rng(1);
+    Result<Vector> est = MonteCarloShapley(
+        3, {0, 1, 2}, AdditiveGame({1, 1, 1}), 4, &rng, nullptr, nullptr,
+        cfg);
+    EXPECT_FALSE(est.ok());
+    EXPECT_EQ(est.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(est.status().message().rfind("truncation_tolerance", 0), 0u)
+        << est.status().ToString();
+  }
+  // Only the truncated sampler reads the tolerance.
+  SamplerConfig uniform;
+  uniform.truncation_tolerance = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(ValidateSamplerConfig(uniform).ok());
 }
 
 }  // namespace
