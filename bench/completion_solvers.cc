@@ -5,175 +5,14 @@
 // and --threads (default 4), asserting bit-identical factors across
 // thread counts.
 //
-// For ALS the bench also runs the pre-refactor solver (kept verbatim
-// below under `legacy`: lazy vector<vector<int>> adjacency, per-entry
-// Observation chasing, per-row heap-allocated normal equations, and a
-// separate full objective pass per sweep) on the same problem and
-// records the before/after entries-per-second datapoint of the perf
-// trajectory. Observations are generated row-major, so the legacy
-// solver's entry-order arithmetic matches the CSR sweeps' and the two
-// implementations produce bit-identical factors at mu = 0 — the speedup
-// is pure engineering, not a numerics change.
-//
 // Writes BENCH_completion.json.
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "bench_common.h"
-#include "linalg/cholesky.h"
 
 namespace comfedsv {
-namespace legacy {
-
-// ----------------------------------------------------------------------
-// The pre-refactor ALS path, preserved for the before/after comparison.
-// Reads the (finalized) ObservationSet only through entries(), through a
-// rebuilt per-row/per-column adjacency — exactly the data layout the
-// refactor replaced.
-
-struct Adjacency {
-  std::vector<std::vector<int>> by_row;
-  std::vector<std::vector<int>> by_col;
-};
-
-Adjacency BuildAdjacency(const ObservationSet& obs) {
-  Adjacency adj;
-  adj.by_row.assign(obs.num_rows(), {});
-  adj.by_col.assign(obs.num_cols(), {});
-  for (size_t i = 0; i < obs.entries().size(); ++i) {
-    adj.by_row[obs.entries()[i].row].push_back(static_cast<int>(i));
-    adj.by_col[obs.entries()[i].col].push_back(static_cast<int>(i));
-  }
-  return adj;
-}
-
-double ObjectiveAndRmse(const ObservationSet& obs, const Matrix& w,
-                        const Matrix& h, double lambda, double* rmse) {
-  const int rank = static_cast<int>(w.cols());
-  double sq_err = 0.0;
-  for (const Observation& e : obs.entries()) {
-    const double* wr = w.RowPtr(e.row);
-    const double* hr = h.RowPtr(e.col);
-    double pred = 0.0;
-    for (int k = 0; k < rank; ++k) pred += wr[k] * hr[k];
-    const double d = e.value - pred;
-    sq_err += d * d;
-  }
-  if (rmse != nullptr) {
-    *rmse = obs.empty() ? 0.0
-                        : std::sqrt(sq_err / static_cast<double>(obs.size()));
-  }
-  const double wf = w.FrobeniusNorm();
-  const double hf = h.FrobeniusNorm();
-  return sq_err + lambda * (wf * wf + hf * hf);
-}
-
-void AlsHalfSweep(const ObservationSet& obs, const Adjacency& adj,
-                  bool solve_rows_side, const Matrix& fixed, double lambda,
-                  Matrix* target) {
-  const int rank = static_cast<int>(fixed.cols());
-  const int n = solve_rows_side ? obs.num_rows() : obs.num_cols();
-  for (int i = 0; i < n; ++i) {
-    const std::vector<int>& idx =
-        solve_rows_side ? adj.by_row[i] : adj.by_col[i];
-    if (idx.empty()) continue;  // stays at its init
-    Matrix normal(rank, rank);
-    Vector rhs(rank);
-    for (int a = 0; a < rank; ++a) normal(a, a) = lambda;
-    for (int e : idx) {
-      const Observation& o = obs.entries()[e];
-      const int other = solve_rows_side ? o.col : o.row;
-      const double* f = fixed.RowPtr(other);
-      for (int a = 0; a < rank; ++a) {
-        rhs[a] += o.value * f[a];
-        for (int b = a; b < rank; ++b) normal(a, b) += f[a] * f[b];
-      }
-    }
-    for (int a = 0; a < rank; ++a) {
-      for (int b = 0; b < a; ++b) normal(a, b) = normal(b, a);
-    }
-    Result<Vector> solution = SolveSpd(normal, rhs);
-    COMFEDSV_CHECK_OK(solution.status());
-    target->SetRow(i, solution.value());
-  }
-}
-
-void CopyLeadingColumns(const Matrix& src, int k, Matrix* dst) {
-  for (size_t i = 0; i < src.rows(); ++i) {
-    for (int c = 0; c < k; ++c) (*dst)(i, c) = src(i, c);
-  }
-}
-
-// The full pre-refactor ALS solve (mu = 0), including the staged rank
-// growth and the identical random init, so outputs are comparable bit
-// for bit with the production solver on row-major observation sets.
-CompletionResult CompleteAls(const ObservationSet& obs,
-                             const CompletionConfig& cfg) {
-  Rng rng(cfg.seed ^ 0x4D435000ULL);
-  Matrix w(obs.num_rows(), cfg.rank);
-  Matrix h(obs.num_cols(), cfg.rank);
-  double init_scale = cfg.init_scale;
-  if (init_scale <= 0.0) {
-    double mean_abs = 0.0;
-    for (const Observation& e : obs.entries()) {
-      mean_abs += std::fabs(e.value);
-    }
-    mean_abs /= static_cast<double>(obs.size());
-    init_scale =
-        (mean_abs > 0.0) ? 0.1 * std::sqrt(mean_abs / cfg.rank) : 0.1;
-  }
-  for (size_t i = 0; i < w.rows(); ++i) {
-    for (size_t j = 0; j < w.cols(); ++j) {
-      w(i, j) = rng.NextGaussian(0.0, init_scale);
-    }
-  }
-  for (size_t i = 0; i < h.rows(); ++i) {
-    for (size_t j = 0; j < h.cols(); ++j) {
-      h(i, j) = rng.NextGaussian(0.0, init_scale);
-    }
-  }
-
-  const Adjacency adj = BuildAdjacency(obs);
-  const int warm_iters = std::max(5, cfg.max_iters / (2 * cfg.rank));
-  for (int k = 1; k < cfg.rank; ++k) {
-    Matrix wk(w.rows(), k);
-    Matrix hk(h.rows(), k);
-    CopyLeadingColumns(w, k, &wk);
-    CopyLeadingColumns(h, k, &hk);
-    for (int it = 0; it < warm_iters; ++it) {
-      AlsHalfSweep(obs, adj, /*solve_rows_side=*/true, hk, cfg.lambda, &wk);
-      AlsHalfSweep(obs, adj, /*solve_rows_side=*/false, wk, cfg.lambda,
-                   &hk);
-    }
-    CopyLeadingColumns(wk, k, &w);
-    CopyLeadingColumns(hk, k, &h);
-  }
-
-  double prev_obj = ObjectiveAndRmse(obs, w, h, cfg.lambda, nullptr);
-  int iters = 0;
-  for (; iters < cfg.max_iters; ++iters) {
-    AlsHalfSweep(obs, adj, /*solve_rows_side=*/true, h, cfg.lambda, &w);
-    AlsHalfSweep(obs, adj, /*solve_rows_side=*/false, w, cfg.lambda, &h);
-    const double obj = ObjectiveAndRmse(obs, w, h, cfg.lambda, nullptr);
-    if (prev_obj - obj <= cfg.tolerance * std::max(1.0, prev_obj)) {
-      ++iters;
-      break;
-    }
-    prev_obj = obj;
-  }
-  CompletionResult out;
-  out.w = std::move(w);
-  out.h = std::move(h);
-  out.iterations = iters;
-  out.objective =
-      ObjectiveAndRmse(obs, out.w, out.h, cfg.lambda, &out.observed_rmse);
-  return out;
-}
-
-}  // namespace legacy
-
 namespace {
 
 // A sampled-mode-shaped completion problem: T rounds x (one column per
@@ -227,7 +66,7 @@ int CompletionSolversMain(int argc, char** argv) {
       "Completion solvers",
       "Throughput of the compressed-sparse completion engine (ALS,\n"
       "CCD++) across client counts, round counts and observation\n"
-      "densities, vs the pre-refactor scalar ALS solver.",
+      "densities, at 1 and N threads.",
       full);
 
   bench::BenchJsonWriter json("completion");
@@ -235,9 +74,8 @@ int CompletionSolversMain(int argc, char** argv) {
   const int rank = 5;
   // Sweep cost is isolated by iteration differencing: each solver runs
   // at iters_lo and iters_hi sweeps (min wall time over `repeats` runs
-  // each) and the per-sweep time is the slope. This removes the shared
-  // init / staged-warm-start / final-report costs both the refactored
-  // and the legacy solver pay, and min-of-N tames this container's
+  // each) and the per-sweep time is the slope. This removes the init /
+  // staged-warm-start / final-report costs, and min-of-N tames
   // scheduler noise.
   const int iters_lo = 5;
   const int iters_hi = full ? 50 : 25;
@@ -255,11 +93,9 @@ int CompletionSolversMain(int argc, char** argv) {
 
   ExecutionContext threaded(threads);
   bool all_identical = true;
-  bool acceptance_met = true;
 
   Table table({"m", "T", "cols", "density", "nnz", "solver", "1t secs",
-               std::to_string(threads) + "t secs", "speedup", "entries/s",
-               "legacy x"});
+               std::to_string(threads) + "t secs", "speedup", "entries/s"});
   for (int m : {16, 32, 64}) {
     // One column per distinct Algorithm-1 permutation prefix,
     // ~ m * log2(m), plus the empty-coalition anchor.
@@ -336,87 +172,24 @@ int CompletionSolversMain(int argc, char** argv) {
           json.Field("entries_per_sec_1_thread", entries_per_sec);
           json.Field("bit_identical_across_threads", identical);
 
-          double legacy_ratio = 0.0;
-          if (v.solver == CompletionSolver::kAls && v.mu == 0.0) {
-            // Before/after datapoint: the pre-refactor solver on the
-            // same problem, same init, same sweep counts. The refactored
-            // engine solves its normal equations by register-resident
-            // LDL^T with cached pivot reciprocals where the legacy
-            // SolveSpd Cholesky divided, so agreement is checked at
-            // accumulated-ulp tolerance rather than bit for bit.
-            auto legacy_min_secs = [&](int iters,
-                                       CompletionResult* last) {
-              CompletionConfig c = cfg;
-              c.max_iters = iters;
-              double best = 1e30;
-              for (int r = 0; r < repeats; ++r) {
-                Stopwatch t;
-                CompletionResult fit = legacy::CompleteAls(obs, c);
-                best = std::min(best, t.ElapsedSeconds());
-                if (last != nullptr) *last = std::move(fit);
-              }
-              return best;
-            };
-            CompletionResult legacy_fit;
-            const double legacy_lo = legacy_min_secs(iters_lo, nullptr);
-            const double legacy_hi = legacy_min_secs(iters_hi, &legacy_fit);
-            COMFEDSV_CHECK_EQ(legacy_fit.iterations, iters_hi);
-            const double legacy_sweep = std::max(
-                1e-9, (legacy_hi - legacy_lo) / (iters_hi - iters_lo));
-            const double w_rel =
-                fit1.value().w.FrobeniusDistance(legacy_fit.w) /
-                std::max(1e-30, legacy_fit.w.FrobeniusNorm());
-            const double h_rel =
-                fit1.value().h.FrobeniusDistance(legacy_fit.h) /
-                std::max(1e-30, legacy_fit.h.FrobeniusNorm());
-            const bool matches_legacy = w_rel < 1e-6 && h_rel < 1e-6;
-            all_identical = all_identical && matches_legacy;
-            legacy_ratio = legacy_sweep / sweep_secs;
-            json.Field("seconds_legacy_1_thread", legacy_hi);
-            json.Field("sweep_seconds_legacy_1_thread", legacy_sweep);
-            json.Field("entries_per_sec_before", nnz / legacy_sweep);
-            json.Field("entries_per_sec_after", entries_per_sec);
-            json.Field("sweep_speedup_vs_legacy", legacy_ratio);
-            json.Field("end_to_end_speedup_vs_legacy",
-                       legacy_hi / secs_1t);
-            json.Field("legacy_factor_rel_err", std::max(w_rel, h_rel));
-            json.Field("matches_legacy", matches_legacy);
-            // The acceptance cell of the perf trajectory.
-            if (m == 32 && rows == 200 && density == 0.05) {
-              json.Meta("acceptance_sweep_speedup_vs_legacy",
-                        legacy_ratio);
-              json.Meta("acceptance_end_to_end_speedup_vs_legacy",
-                        legacy_hi / secs_1t);
-              acceptance_met = legacy_ratio >= 2.0;
-            }
-          }
-
           table.AddRow(
               {std::to_string(m), std::to_string(rows),
                std::to_string(cols), Table::Num(density, 2),
                std::to_string(static_cast<int>(nnz)), v.name,
                Table::Num(secs_1t, 4), Table::Num(secs_nt, 4),
                Table::Num(secs_1t / secs_nt, 2),
-               Table::Num(entries_per_sec, 0),
-               legacy_ratio > 0.0 ? Table::Num(legacy_ratio, 2) : "-"});
+               Table::Num(entries_per_sec, 0)});
         }
       }
     }
   }
   std::printf("%s\n", table.ToText().c_str());
-  std::printf(
-      "Factors bit-identical across thread counts (and ALS matching the\n"
-      "pre-refactor solver at ulp tolerance): %s. ALS sweep speedup vs\n"
-      "pre-refactor at the acceptance cell (m=32, T=200, 5%% density):\n"
-      "%s.\n",
-      all_identical ? "yes" : "NO — determinism regression",
-      acceptance_met ? ">= 2x" : "BELOW 2x");
+  std::printf("Factors bit-identical across thread counts: %s.\n",
+              all_identical ? "yes" : "NO — determinism regression");
   json.Meta("bit_identical_everywhere", all_identical ? 1.0 : 0.0);
   json.WriteFile();
-  // Exit status gates correctness only (determinism / legacy agreement).
-  // The acceptance speedup is recorded in the JSON for the perf
-  // trajectory but not turned into an exit code: wall-clock ratios on
-  // shared CI runners are too noisy to fail a build on.
+  // Exit status gates determinism only: wall-clock ratios on shared CI
+  // runners are too noisy to fail a build on.
   return all_identical ? 0 : 1;
 }
 

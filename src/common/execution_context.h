@@ -3,9 +3,13 @@
 // permutation sampling, utility recording, and ALS row solves.
 //
 // It owns a ThreadPool sized once by the caller (replacing the retired
-// FedAvgConfig::num_threads knob). Randomness never comes from the
-// context: every stochastic component carries its own config seed, so
-// outputs never depend on whether a context was supplied.
+// FedAvgConfig::num_threads knob). ExecutionContext(k) has k
+// participants: the thread that calls ParallelFor plus k - 1 pool
+// workers. A ParallelFor issued while the pool runs another — nested
+// inside a body, or from a second thread sharing the context — runs
+// inline on its caller. Randomness never comes from the context: every
+// stochastic component carries its own config seed, so outputs never
+// depend on whether a context was supplied.
 //
 // Determinism contract: every parallel loop in the library either writes
 // disjoint slots or reduces partial results in a fixed order, so running
@@ -35,13 +39,15 @@ class ExecutionContext {
 
   ThreadPool& pool() { return pool_; }
 
-  /// Degree of parallelism: number of workers, or 1 for inline contexts.
+  /// Degree of parallelism: participants per ParallelFor (the caller
+  /// plus the pool's workers), or 1 for inline contexts.
   int parallelism() const {
     return pool_.num_threads() > 0 ? pool_.num_threads() : 1;
   }
 
-  /// ParallelFor on this context's pool (inline when single-threaded).
-  /// Rethrows the first exception any task raised.
+  /// ParallelFor on this context's pool (inline when single-threaded,
+  /// nested, or concurrent with another call on this context). Rethrows
+  /// the first exception any task raised.
   void ParallelFor(int n, const std::function<void(int)>& fn) {
     pool_.ParallelFor(n, fn);
   }

@@ -1,18 +1,46 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
-#include <memory>
 
 #include "common/check.h"
 
 namespace comfedsv {
 
-ThreadPool::ThreadPool(int num_threads) {
+// One ParallelFor call, on its caller's stack. Participants pull indices
+// from `next` (dynamic, so uneven task costs balance). The participant
+// that flips `failed` stores `first_error`; the caller reads it only
+// after the latch, which orders every helper's writes before the read
+// through mu_.
+struct ThreadPool::Job {
+  void (*call)(const void* body, int i);
+  const void* body;
+  int n;
+  std::atomic<int> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr first_error = nullptr;
+
+  // Runs indices until none remain or one has thrown.
+  void RunShare() {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const int i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        call(body, i);
+      } catch (...) {
+        if (!failed.exchange(true)) first_error = std::current_exception();
+      }
+    }
+  }
+};
+
+ThreadPool::ThreadPool(int num_threads)
+    : num_threads_(num_threads <= 1 ? 0 : num_threads) {
   COMFEDSV_CHECK_GE(num_threads, 0);
-  if (num_threads <= 1) return;  // inline mode
-  workers_.reserve(num_threads);
-  for (int i = 0; i < num_threads; ++i) {
+  if (num_threads_ == 0) return;  // inline mode
+  workers_.reserve(num_threads_ - 1);
+  for (int i = 1; i < num_threads_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -26,100 +54,83 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
-  {
-    MutexLock lock(mu_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  if (workers_.empty()) return;
-  MutexLock lock(mu_);
-  while (in_flight_ != 0) all_done_.wait(mu_);
-}
-
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  if (workers_.empty() || n == 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Dynamic chunking: workers pull the next index from a shared counter so
-  // uneven task costs (e.g. coalition sizes) balance automatically.
-  struct SharedState {
-    std::atomic<int> counter{0};
-    std::atomic<bool> failed{false};
-    Mutex error_mu;
-    std::exception_ptr first_error GUARDED_BY(error_mu);
-  };
-  auto state = std::make_shared<SharedState>();
-  int shards = std::min<int>(n, num_threads());
-  for (int s = 0; s < shards; ++s) {
-    Submit([state, n, &fn] {
-      for (;;) {
-        if (state->failed.load(std::memory_order_relaxed)) break;
-        int i = state->counter.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        try {
-          fn(i);
-        } catch (...) {
-          MutexLock lock(state->error_mu);
-          if (!state->failed.exchange(true)) {
-            state->first_error = std::current_exception();
-          }
-        }
-      }
-    });
-  }
-  Wait();
-  // Wait() is a full barrier, but read the error slot under its lock
-  // anyway: the thread-safety analysis can't see the barrier, and the
-  // lock is uncontended here.
-  std::exception_ptr first_error;
-  {
-    MutexLock lock(state->error_mu);
-    first_error = state->first_error;
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  Run(
+      n,
+      [](const void* body, int i) {
+        (*static_cast<const std::function<void(int)>*>(body))(i);
+      },
+      &fn);
 }
 
 void ThreadPool::ParallelForBlocked(int n, int block_size,
                                     const std::function<void(int, int)>& fn) {
   COMFEDSV_CHECK_GT(block_size, 0);
   if (n <= 0) return;
-  const int num_blocks = (n + block_size - 1) / block_size;
-  ParallelFor(num_blocks, [&](int b) {
-    const int begin = b * block_size;
-    const int end = begin + block_size < n ? begin + block_size : n;
-    fn(begin, end);
-  });
+  struct Blocked {
+    const std::function<void(int, int)>* fn;
+    int n;
+    int block_size;
+  };
+  const Blocked blocked{&fn, n, block_size};
+  Run(
+      (n - 1) / block_size + 1,
+      [](const void* body, int b) {
+        const Blocked& blk = *static_cast<const Blocked*>(body);
+        const int begin = b * blk.block_size;
+        (*blk.fn)(begin, begin + std::min(blk.block_size, blk.n - begin));
+      },
+      &blocked);
+}
+
+void ThreadPool::Run(int n, void (*call)(const void* body, int i),
+                     const void* body) {
+  if (n <= 0) return;
+  Job job{call, body, n};
+  bool published = false;
+  if (num_threads_ > 0 && n > 1) {
+    MutexLock lock(mu_);
+    if (!busy_) {
+      busy_ = true;
+      open_job_ = &job;
+      ++generation_;
+      published = true;
+    }
+  }
+  if (!published) {
+    for (int i = 0; i < n; ++i) call(body, i);
+    return;
+  }
+  work_available_.notify_all();
+  job.RunShare();
+  {
+    MutexLock lock(mu_);
+    open_job_ = nullptr;
+    while (helpers_ != 0) helpers_done_.wait(mu_);
+    busy_ = false;
+  }
+  if (job.first_error != nullptr) std::rethrow_exception(job.first_error);
 }
 
 void ThreadPool::WorkerLoop() {
+  uint64_t joined = 0;  // generation of the last job this worker joined
   for (;;) {
-    std::function<void()> task;
+    Job* job = nullptr;
     {
       MutexLock lock(mu_);
-      while (!shutting_down_ && queue_.empty()) work_available_.wait(mu_);
-      if (queue_.empty()) {
-        if (shutting_down_) return;
-        continue;
+      while (!shutting_down_ &&
+             (open_job_ == nullptr || generation_ == joined)) {
+        work_available_.wait(mu_);
       }
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      if (shutting_down_) return;
+      joined = generation_;
+      job = open_job_;
+      ++helpers_;
     }
-    task();
+    job->RunShare();
     {
       MutexLock lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
+      if (--helpers_ == 0) helpers_done_.notify_one();
     }
   }
 }

@@ -20,16 +20,29 @@ namespace {
 // thread count) so block-local state stays schedule-independent.
 constexpr int kSolveBlock = 64;
 
-// Runs fn(begin, end) over fixed blocks of [0, n): on the pool when one
-// is supplied, as a single inline range otherwise.
-void RunBlocked(ThreadPool* pool, int n, int block,
+// Sweeps whose estimated work (multiply-adds: observed entries x rank^2
+// plus rank^3 per row solve for an ALS half sweep, two per entry plus
+// one per row for a CCD++ phase) falls below this run inline, where a
+// ParallelFor costs more than it saves. In a sweep of ALS and CCD++
+// solves (ranks 3 and 5, 39 to 14,573 observed entries) on a shared
+// 4-vCPU x86-64 VM, 4 threads broke even between about 30k and 50k:
+// sweeps near 20k ran at 0.5-0.8x, near 75k at 1.1-1.5x. The cutoff is
+// a property of the input, never of the thread count, so the bits do
+// not depend on it.
+constexpr double kParallelSweepWork = 32768.0;
+
+// Runs fn(begin, end) over [0, n): over fixed blocks on the pool when
+// one is supplied and the sweep's `work` reaches kParallelSweepWork, as
+// a single inline range otherwise. Every solver sweep writes disjoint
+// rows, so both give the same bits.
+void RunBlocked(ThreadPool* pool, int n, double work,
                 const std::function<void(int, int)>& fn) {
   if (n <= 0) return;
-  if (pool == nullptr) {
+  if (pool == nullptr || work < kParallelSweepWork) {
     fn(0, n);
     return;
   }
-  pool->ParallelForBlocked(n, block, fn);
+  pool->ParallelForBlocked(n, kSolveBlock, fn);
 }
 
 bool VerifyFusedObjective(const CompletionConfig& cfg) {
@@ -193,13 +206,19 @@ void AlsHalfSweep(const ObservationSet& obs, bool solve_rows_side,
     }
   };
 
+  // Estimated work per solved index, for the inline cutoff.
+  const double index_work =
+      (static_cast<double>(offsets[n]) * rank * rank +
+       static_cast<double>(n) * rank * rank * rank) /
+      std::max(n, 1);
+
   // map(t) enumerates the pass's row indices; under temporal smoothing
   // the sweep is split into a red (even) and a black (odd) pass. A row's
   // neighbours i +- 1 are always the opposite color, so each pass reads
   // only rows the other pass wrote — Gauss–Seidel coupling with a
   // schedule-independent result.
   auto run_pass = [&](int count, const std::function<int(int)>& map) {
-    RunBlocked(pool, count, kSolveBlock, [&](int t_begin, int t_end) {
+    RunBlocked(pool, count, index_work * count, [&](int t_begin, int t_end) {
       AlsScratch scratch(rank);
       for (int t = t_begin; t < t_end; ++t) solve_one(map(t), &scratch);
     });
@@ -302,9 +321,15 @@ Result<CompletionResult> SolveCcd(const ObservationSet& obs,
   const std::vector<int>& csc_rows = obs.csc_rows();
   const std::vector<int>& csc_to_csr = obs.csc_to_csr();
 
+  // Estimated work of one row (column) phase: up to two multiply-adds
+  // per observed entry plus the per-row (per-column) update.
+  const double entries = static_cast<double>(obs.size());
+  const double row_work = 2.0 * entries + num_rows;
+  const double col_work = 2.0 * entries + num_cols;
+
   // residual[p] = value_p - w_row . h_col, maintained across updates.
   std::vector<double> residual(obs.size());
-  RunBlocked(pool, num_rows, kSolveBlock, [&](int i_begin, int i_end) {
+  RunBlocked(pool, num_rows, row_work, [&](int i_begin, int i_end) {
     for (int i = i_begin; i < i_end; ++i) {
       const double* wr = w.RowPtr(i);
       for (int p = row_off[i]; p < row_off[i + 1]; ++p) {
@@ -333,7 +358,7 @@ Result<CompletionResult> SolveCcd(const ObservationSet& obs,
   for (; iters < cfg.max_iters; ++iters) {
     for (int k = 0; k < rank; ++k) {
       // Fold dimension k back into the residual: r_p += w_ik * h_jk.
-      RunBlocked(pool, num_rows, kSolveBlock, [&](int i_begin, int i_end) {
+      RunBlocked(pool, num_rows, row_work, [&](int i_begin, int i_end) {
         for (int i = i_begin; i < i_end; ++i) {
           const double wik = w(i, k);
           for (int p = row_off[i]; p < row_off[i + 1]; ++p) {
@@ -346,7 +371,7 @@ Result<CompletionResult> SolveCcd(const ObservationSet& obs,
       // the alternations, so the row phase reads h(:,k) and writes only
       // w(:,k) rows, and vice versa.
       for (int inner = 0; inner < 2; ++inner) {
-        RunBlocked(pool, num_rows, kSolveBlock, [&](int i_begin, int i_end) {
+        RunBlocked(pool, num_rows, row_work, [&](int i_begin, int i_end) {
           for (int i = i_begin; i < i_end; ++i) {
             const int begin = row_off[i];
             const int end = row_off[i + 1];
@@ -360,7 +385,7 @@ Result<CompletionResult> SolveCcd(const ObservationSet& obs,
             w(i, k) = num / den;
           }
         });
-        RunBlocked(pool, num_cols, kSolveBlock, [&](int j_begin, int j_end) {
+        RunBlocked(pool, num_cols, col_work, [&](int j_begin, int j_end) {
           for (int j = j_begin; j < j_end; ++j) {
             const int begin = col_off[j];
             const int end = col_off[j + 1];
@@ -376,7 +401,7 @@ Result<CompletionResult> SolveCcd(const ObservationSet& obs,
         });
       }
       // Subtract the refit dimension back out of the residual.
-      RunBlocked(pool, num_rows, kSolveBlock, [&](int i_begin, int i_end) {
+      RunBlocked(pool, num_rows, row_work, [&](int i_begin, int i_end) {
         for (int i = i_begin; i < i_end; ++i) {
           const double wik = w(i, k);
           for (int p = row_off[i]; p < row_off[i + 1]; ++p) {

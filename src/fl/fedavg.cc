@@ -161,8 +161,10 @@ Status FedAvgTrainer::Arm(ClientSelector* selector) {
     if (!(std::isfinite(lr.mu) && lr.mu > 0.0)) {
       return Status::InvalidArgument("lr.mu must be finite and > 0");
     }
-    if (!std::isfinite(lr.gamma)) {
-      return Status::InvalidArgument("lr.gamma must be finite");
+    // At(t) divides by mu * (gamma + t + 1): gamma <= -1 makes round
+    // 0's rate infinite or negative.
+    if (!(std::isfinite(lr.gamma) && lr.gamma > -1.0)) {
+      return Status::InvalidArgument("lr.gamma must be finite and > -1");
     }
   }
   if (config_.local_steps < 1) {

@@ -125,7 +125,7 @@ class FedAvgTrainer {
   /// the run. Calling Begin again restarts from round 0. Returns
   /// InvalidArgument naming the field for, among others, a
   /// participation_prob outside [0, 1], a learning rate whose base (or
-  /// mu) is not finite and > 0 or whose gamma is not finite,
+  /// mu) is not finite and > 0 or whose gamma is not finite and > -1,
   /// local_steps below 1 or a negative batch_size.
   Status Begin(ClientSelector* selector = nullptr);
 

@@ -1,12 +1,14 @@
 // Tests for ExecutionContext: parallel execution correctness under
-// uneven loads (the shared-counter work distribution), and exception
-// propagation out of parallel regions.
+// uneven loads (the shared-counter work distribution), exception
+// propagation out of parallel regions (the caller's share included), and
+// two user threads sharing one context.
 #include "common/execution_context.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace comfedsv {
@@ -74,6 +76,51 @@ TEST(ExecutionContextTest, ExceptionAbandonsRemainingWorkQuickly) {
   } catch (const std::runtime_error&) {
   }
   EXPECT_LT(executed.load(), n);
+}
+
+TEST(ExecutionContextTest, CallersOwnShareExceptionIsRethrown) {
+  // The caller runs indices too. Worker bodies hold until the caller has
+  // taken an index, so the throw below comes from the caller's share.
+  ExecutionContext ctx(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
+  EXPECT_THROW(ctx.ParallelFor(64,
+                               [&](int) {
+                                 if (std::this_thread::get_id() == caller) {
+                                   caller_ran.store(true);
+                                   throw std::runtime_error("caller");
+                                 }
+                                 while (!caller_ran.load()) {
+                                   std::this_thread::yield();
+                                 }
+                               }),
+               std::runtime_error);
+
+  std::vector<std::atomic<int>> hits(40);
+  ctx.ParallelFor(40, [&](int i) { hits[i].fetch_add(1); });
+  for (int i = 0; i < 40; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ExecutionContextTest, ConcurrentCallersEachCoverTheirIndicesOnce) {
+  // Two user threads share one context. Whichever call finds the pool
+  // busy runs inline; both must still cover their own range exactly once.
+  ExecutionContext ctx(4);
+  const int n = 97;
+  const int rounds = 50;
+  std::vector<std::atomic<int>> hits_a(n * rounds), hits_b(n * rounds);
+  auto drive = [&](std::vector<std::atomic<int>>* hits) {
+    for (int r = 0; r < rounds; ++r) {
+      ctx.ParallelFor(n, [&](int i) { (*hits)[r * n + i].fetch_add(1); });
+    }
+  };
+  std::thread a(drive, &hits_a);
+  std::thread b(drive, &hits_b);
+  a.join();
+  b.join();
+  for (int k = 0; k < n * rounds; ++k) {
+    EXPECT_EQ(hits_a[k].load(), 1) << k;
+    EXPECT_EQ(hits_b[k].load(), 1) << k;
+  }
 }
 
 TEST(FreeParallelForTest, NullContextRunsInlineInOrder) {

@@ -1,35 +1,51 @@
 // Tests for ThreadPool, Stopwatch, Table, and logging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "../bench/stopwatch.h"
 #include "common/logging.h"
 #include "common/table.h"
+#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 
 namespace comfedsv {
 namespace {
 
-TEST(ThreadPoolTest, InlinePoolRunsTasksImmediately) {
+TEST(ThreadPoolTest, InlinePoolRunsLoopsOnTheCallerInOrder) {
   ThreadPool pool(0);
-  int counter = 0;
-  pool.Submit([&] { ++counter; });
-  EXPECT_EQ(counter, 1);
-  pool.Wait();  // no-op
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  pool.ParallelFor(5, [&](int i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(pool.num_threads(), 0);
 }
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
+TEST(ThreadPoolTest, CountsTheCallerAsAParticipant) {
+  // ThreadPool(k) runs on k threads: the caller plus k - 1 workers.
   ThreadPool pool(4);
+  EXPECT_EQ(pool.num_threads(), 4);
+  Mutex mu;
+  std::set<std::thread::id> seen;
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
+  pool.ParallelFor(100, [&](int) {
+    counter.fetch_add(1);
+    MutexLock lock(mu);
+    seen.insert(std::this_thread::get_id());
+  });
   EXPECT_EQ(counter.load(), 100);
+  MutexLock lock(mu);
+  EXPECT_GE(seen.size(), 1u);
+  EXPECT_LE(seen.size(), 4u);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversAllIndicesExactlyOnce) {
@@ -56,15 +72,59 @@ TEST(ThreadPoolTest, ParallelForZeroAndNegativeAreNoOps) {
   EXPECT_EQ(counter, 0);
 }
 
-TEST(ThreadPoolTest, WaitCanBeCalledRepeatedly) {
+TEST(ThreadPoolTest, BackToBackCallsEachCoverTheirIndices) {
+  // Each call waits on its own latch; no state leaks into the next one.
   ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  pool.Wait();
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
+  for (int round = 0; round < 200; ++round) {
+    const int n = 1 + round % 9;
+    std::vector<std::atomic<int>> hits(n);
+    pool.ParallelFor(n, [&](int i) { hits[i].fetch_add(1); });
+    for (int i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << round;
+  }
+}
+
+TEST(ThreadPoolTest, NestedParallelForRunsInlineAndCoversEveryIndex) {
+  // A ParallelFor from inside a body runs inline on that body's thread
+  // instead of waiting for the pool it is running on.
+  ThreadPool pool(4);
+  const int outer = 16;
+  const int inner = 33;
+  std::vector<std::atomic<int>> hits(outer * inner);
+  pool.ParallelFor(outer, [&](int i) {
+    pool.ParallelFor(inner, [&](int j) { hits[i * inner + j].fetch_add(1); });
+  });
+  for (int k = 0; k < outer * inner; ++k) EXPECT_EQ(hits[k].load(), 1) << k;
+
+  std::vector<std::atomic<int>> blocked_hits(outer * inner);
+  pool.ParallelForBlocked(outer, 3, [&](int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      pool.ParallelForBlocked(inner, 4, [&](int jb, int je) {
+        for (int j = jb; j < je; ++j) blocked_hits[i * inner + j].fetch_add(1);
+      });
+    }
+  });
+  for (int k = 0; k < outer * inner; ++k) {
+    EXPECT_EQ(blocked_hits[k].load(), 1) << k;
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForBlockedUsesTheFixedPartition) {
+  ThreadPool pool(3);
+  const int n = 103;
+  const int block = 10;
+  Mutex mu;
+  std::vector<std::pair<int, int>> ranges;
+  pool.ParallelForBlocked(n, block, [&](int begin, int end) {
+    MutexLock lock(mu);
+    ranges.emplace_back(begin, end);
+  });
+  MutexLock lock(mu);
+  std::sort(ranges.begin(), ranges.end());
+  ASSERT_EQ(ranges.size(), 11u);
+  for (int b = 0; b < 11; ++b) {
+    EXPECT_EQ(ranges[b].first, b * block);
+    EXPECT_EQ(ranges[b].second, std::min(n, (b + 1) * block));
+  }
 }
 
 TEST(StopwatchTest, MeasuresNonNegativeIncreasingTime) {

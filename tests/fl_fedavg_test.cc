@@ -300,6 +300,18 @@ TEST(FedAvgTest, InvalidConfigsRejected) {
          c->lr = LearningRateSchedule::InverseDecay(1.0, 1.0);
          c->lr.gamma = nan;
        }},
+      // gamma = -1 makes At(0) = 2 / (mu * 0) = inf and gamma = -3.5 a
+      // negative rate.
+      {"lr.gamma",
+       [](FedAvgConfig* c) {
+         c->lr = LearningRateSchedule::InverseDecay(1.0, 1.0);
+         c->lr.gamma = -1.0;
+       }},
+      {"lr.gamma",
+       [](FedAvgConfig* c) {
+         c->lr = LearningRateSchedule::InverseDecay(1.0, 1.0);
+         c->lr.gamma = -3.5;
+       }},
       {"local_steps", [](FedAvgConfig* c) { c->local_steps = 0; }},
       {"batch_size", [](FedAvgConfig* c) { c->batch_size = -1; }},
   };
