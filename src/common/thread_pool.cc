@@ -14,8 +14,7 @@ namespace comfedsv {
 // after the latch, which orders every helper's writes before the read
 // through mu_.
 struct ThreadPool::Job {
-  void (*call)(const void* body, int i);
-  const void* body;
+  const std::function<void(int)>* fn;
   int n;
   std::atomic<int> next{0};
   std::atomic<bool> failed{false};
@@ -27,7 +26,7 @@ struct ThreadPool::Job {
       const int i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       try {
-        call(body, i);
+        (*fn)(i);
       } catch (...) {
         if (!failed.exchange(true)) first_error = std::current_exception();
       }
@@ -55,38 +54,8 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
-  Run(
-      n,
-      [](const void* body, int i) {
-        (*static_cast<const std::function<void(int)>*>(body))(i);
-      },
-      &fn);
-}
-
-void ThreadPool::ParallelForBlocked(int n, int block_size,
-                                    const std::function<void(int, int)>& fn) {
-  COMFEDSV_CHECK_GT(block_size, 0);
   if (n <= 0) return;
-  struct Blocked {
-    const std::function<void(int, int)>* fn;
-    int n;
-    int block_size;
-  };
-  const Blocked blocked{&fn, n, block_size};
-  Run(
-      (n - 1) / block_size + 1,
-      [](const void* body, int b) {
-        const Blocked& blk = *static_cast<const Blocked*>(body);
-        const int begin = b * blk.block_size;
-        (*blk.fn)(begin, begin + std::min(blk.block_size, blk.n - begin));
-      },
-      &blocked);
-}
-
-void ThreadPool::Run(int n, void (*call)(const void* body, int i),
-                     const void* body) {
-  if (n <= 0) return;
-  Job job{call, body, n};
+  Job job{&fn, n};
   bool published = false;
   if (num_threads_ > 0 && n > 1) {
     MutexLock lock(mu_);
@@ -98,7 +67,7 @@ void ThreadPool::Run(int n, void (*call)(const void* body, int i),
     }
   }
   if (!published) {
-    for (int i = 0; i < n; ++i) call(body, i);
+    for (int i = 0; i < n; ++i) fn(i);
     return;
   }
   work_available_.notify_all();
@@ -110,6 +79,17 @@ void ThreadPool::Run(int n, void (*call)(const void* body, int i),
     busy_ = false;
   }
   if (job.first_error != nullptr) std::rethrow_exception(job.first_error);
+}
+
+void ThreadPool::ParallelForBlocked(int n, int block_size,
+                                    const std::function<void(int, int)>& fn) {
+  COMFEDSV_CHECK_GT(block_size, 0);
+  if (n <= 0) return;
+  // Captures 16 bytes, which std::function stores without allocating.
+  ParallelFor((n - 1) / block_size + 1, [&fn, n, block_size](int b) {
+    const int begin = b * block_size;
+    fn(begin, begin + std::min(block_size, n - begin));
+  });
 }
 
 void ThreadPool::WorkerLoop() {

@@ -47,7 +47,7 @@ class ThreadPool {
   /// If any invocation throws, remaining indices are abandoned as soon as
   /// possible and the first captured exception is rethrown on the calling
   /// thread after every participant has left the loop.
-  void ParallelFor(int n, const std::function<void(int)>& fn);
+  void ParallelFor(int n, const std::function<void(int)>& fn) EXCLUDES(mu_);
 
   /// Runs `fn(begin, end)` over a fixed partition of [0, n) into
   /// contiguous blocks of `block_size` indices (the last block may be
@@ -61,9 +61,6 @@ class ThreadPool {
  private:
   struct Job;
 
-  // Runs call(body, i) for i in [0, n) as one job (see ParallelFor).
-  void Run(int n, void (*call)(const void* body, int i), const void* body)
-      EXCLUDES(mu_);
   void WorkerLoop() EXCLUDES(mu_);
 
   const int num_threads_;

@@ -20,17 +20,12 @@ namespace {
 // thread count) so block-local state stays schedule-independent.
 constexpr int kSolveBlock = 64;
 
-// Sweeps whose estimated work (multiply-adds: observed entries x rank^2
-// plus rank^3 per row solve for an ALS half sweep, two per entry plus
-// one per row for a CCD++ phase) falls below this run inline, where a
-// ParallelFor costs more than it saves. In a sweep of ALS and CCD++
-// solves (ranks 3 and 5, 39 to 14,573 observed entries) on a shared
-// 4-vCPU x86-64 VM, 4 threads broke even between about 30k and 50k:
-// sweeps near 20k ran at 0.5-0.8x, near 75k at 1.1-1.5x. The cutoff is
-// a property of the input, never of the thread count, so the bits do
-// not depend on it.
-constexpr double kParallelSweepWork = 32768.0;
-
+// Break-even of kParallelSweepWork (solver.h): in a scan of ALS and
+// CCD++ solves (ranks 3 and 5, 39 to 14,573 observed entries) on a
+// shared 4-vCPU x86-64 VM, 4 threads broke even between about 30k and
+// 50k estimated multiply-adds: sweeps near 20k ran at 0.5-0.8x, near
+// 75k at 1.1-1.5x.
+//
 // Runs fn(begin, end) over [0, n): over fixed blocks on the pool when
 // one is supplied and the sweep's `work` reaches kParallelSweepWork, as
 // a single inline range otherwise. Every solver sweep writes disjoint

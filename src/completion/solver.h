@@ -104,6 +104,15 @@ struct CompletionResult {
   double Predict(int row, int col) const;
 };
 
+/// Sweeps whose estimated work falls below this many multiply-adds run
+/// inline even when a context is supplied, where a parallel loop costs
+/// more than it saves. Estimates: an ALS half sweep (or one red-black
+/// pass) counts rank^2 per observed entry plus rank^3 per solved row;
+/// a CCD++ phase counts 2 per observed entry plus 1 per row (column).
+/// The cutoff depends on the input only, never on the thread count, so
+/// it never changes a result.
+inline constexpr double kParallelSweepWork = 32768.0;
+
 /// Solves the completion problem over `observations`, which must be
 /// finalized (ObservationSet::Finalize()) so the CSR/CSC views exist.
 /// `ctx` (optional) parallelizes every solver; outputs are bit-identical

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
@@ -31,20 +32,35 @@ TEST(ThreadPoolTest, InlinePoolRunsLoopsOnTheCallerInOrder) {
 }
 
 TEST(ThreadPoolTest, CountsTheCallerAsAParticipant) {
-  // ThreadPool(k) runs on k threads: the caller plus k - 1 workers.
+  // ThreadPool(k) runs on k threads: the caller plus k - 1 workers. A
+  // worker body holds until the caller has run an index, so with more
+  // indices than workers the caller must take one itself. The hold is
+  // bounded, so a pool whose caller only waits fails instead of hanging.
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4);
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> caller_ran{false};
   Mutex mu;
   std::set<std::thread::id> seen;
-  std::atomic<int> counter{0};
-  pool.ParallelFor(100, [&](int) {
-    counter.fetch_add(1);
-    MutexLock lock(mu);
-    seen.insert(std::this_thread::get_id());
+  pool.ParallelFor(8, [&](int) {
+    const std::thread::id self = std::this_thread::get_id();
+    {
+      MutexLock lock(mu);
+      seen.insert(self);
+    }
+    if (self == caller) {
+      caller_ran.store(true);
+      return;
+    }
+    while (!caller_ran.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
   });
-  EXPECT_EQ(counter.load(), 100);
+  EXPECT_TRUE(caller_ran.load());
   MutexLock lock(mu);
-  EXPECT_GE(seen.size(), 1u);
+  EXPECT_EQ(seen.count(caller), 1u);
   EXPECT_LE(seen.size(), 4u);
 }
 

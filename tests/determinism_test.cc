@@ -396,9 +396,10 @@ TEST(DeterminismTest, CompletionSolversAreThreadCountInvariant) {
   // Every completion solver (ALS, ALS + temporal smoothing with its
   // red-black W-side, CCD++'s phased residual refits) must produce
   // bit-identical factors inline, on a single-threaded context, and on a
-  // 4-thread context. The observation set is large enough that the
-  // parallel sweeps span several fixed blocks.
-  const int rows = 70, cols = 90, true_rank = 3;
+  // 4-thread context. The observation set is large enough that every
+  // full-rank sweep clears the inline cutoff and spans several fixed
+  // blocks, so the 4-thread fits really run the parallel paths.
+  const int rows = 240, cols = 300, true_rank = 3;
   Rng rng(2024);
   Matrix a(rows, true_rank), b(true_rank, cols);
   for (size_t i = 0; i < a.rows(); ++i) {
@@ -411,10 +412,14 @@ TEST(DeterminismTest, CompletionSolversAreThreadCountInvariant) {
   ObservationSet obs(rows, cols);
   for (int i = 0; i < rows; ++i) {
     for (int j = 0; j < cols; ++j) {
-      if (rng.NextBernoulli(0.2)) obs.Add(i, j, truth(i, j));
+      if (rng.NextBernoulli(0.3)) obs.Add(i, j, truth(i, j));
     }
   }
   obs.Finalize();
+  // The cheapest full-rank sweep is a CCD++ phase (2 per entry plus 1 per
+  // row or column); an ALS pass at rank 4, even one red-black color,
+  // estimates more. Fail here rather than silently test inline code.
+  ASSERT_GE(2.0 * static_cast<double>(obs.size()), kParallelSweepWork);
 
   struct Variant {
     const char* name;
